@@ -309,22 +309,24 @@ let scaling =
 
    - "sequential"          — replay-from-root DFS ([~incremental:false]),
                              the differential-testing oracle;
-   - "incremental"         — the default checkpoint/restore engine;
+   - "incremental"         — the default checkpoint/restore engine, one
+                             worker;
    - "incremental_reduced" — the same engine with sleep-set reduction;
    - "incremental_dpor"    — the same engine under source-DPOR with
                              wakeup sequences (strictly fewer executions
                              than sleep sets on a complete search);
-   - "pdfs"                — the sharded parallel driver at 1/2/4 domains
-                             (each worker owns a per-domain incremental
-                             engine).
+   - "jobs"                — the same driver at 2 and 4 domains (each
+                             worker owns a per-domain incremental
+                             engine); its one-domain row is
+                             "incremental".
 
    Both reduction rows carry a "reduction_factor" column: full-tree
    executions over reduced executions (higher = stronger reduction).
 
    The report fields are exact whatever the mode; wall-clock speedups
-   depend on the host.  Multi-domain pdfs rows are skipped (and marked as
-   such) when the host only recommends one domain — a 1-core box cannot
-   exhibit parallel speedup, only scheduling noise.  [--check] exits
+   depend on the host.  Multi-domain rows are skipped (and marked as
+   such) when the host recommends fewer domains than they use — a
+   1-core box cannot exhibit parallel speedup, only scheduling noise.  [--check] exits
    nonzero if the incremental engine is slower than sequential replay on
    any scenario: the CI perf-smoke gate. *)
 
@@ -421,31 +423,26 @@ let bench_explore ~quick ~check ~force_jobs =
       ( "speedup_vs_sequential",
         Jsonout.Float (if t > 0. then seq_t /. t else 0.) )
     in
-    let pdfs_jobs1_t = ref 0. in
-    let pdfs_row jobs =
-      if jobs > 1 && domains < jobs && not force_jobs then begin
+    let jobs_row jobs =
+      if domains < jobs && not force_jobs then begin
         let why =
           Printf.sprintf
             "host recommends %d domain(s); rerun with --force-jobs for a \
              correctness (not speedup) row"
             domains
         in
-        Format.eprintf "bench: %s: skipping pdfs jobs=%d row: %s@." name jobs
-          why;
+        Format.eprintf "bench: %s: skipping jobs=%d row: %s@." name jobs why;
         Jsonout.Obj
           [ ("jobs", Jsonout.Int jobs); ("skipped", Jsonout.Str why) ]
       end
       else begin
         let r, t, mw, mc =
-          time_gc (fun () -> Explore.pdfs ~jobs ~max_execs (mk ()))
+          time_gc (fun () -> Explore.dfs ~jobs ~max_execs (mk ()))
         in
-        if jobs = 1 then pdfs_jobs1_t := t;
-        if jobs = 4 && domains >= 4 && !pdfs_jobs1_t > 0. && t > 0. then
-          scale4 := (name, !pdfs_jobs1_t /. t) :: !scale4;
+        if jobs = 4 && domains >= 4 && t > 0. then
+          scale4 := (name, inc_t /. t) :: !scale4;
         let forced =
-          if jobs > 1 && domains < jobs then
-            [ ("forced", Jsonout.Bool true) ]
-          else []
+          if domains < jobs then [ ("forced", Jsonout.Bool true) ] else []
         in
         match run_row r (t, mw, mc) (speedup t :: forced) with
         | Jsonout.Obj fields ->
@@ -453,7 +450,7 @@ let bench_explore ~quick ~check ~force_jobs =
         | j -> j
       end
     in
-    let pdfs_rows = List.map pdfs_row [ 1; 2; 4 ] in
+    let jobs_rows = List.map jobs_row [ 2; 4 ] in
     let red, red_t, red_mw, red_mc =
       time_gc (fun () ->
           Explore.dfs ~reduce:Machine.RSleep ~max_execs (mk ()))
@@ -487,7 +484,7 @@ let bench_explore ~quick ~check ~force_jobs =
         ( "map_backend",
           run_row map (map_t, map_mw, map_mc)
             [ ("flat_speedup_vs_map", Jsonout.Float flat_ratio) ] );
-        ("pdfs", Jsonout.List pdfs_rows);
+        ("jobs", Jsonout.List jobs_rows);
         ( "incremental_reduced",
           run_row red (red_t, red_mw, red_mc)
             (("pruned", Jsonout.Int red.Explore.pruned)
@@ -588,8 +585,8 @@ let bench_explore ~quick ~check ~force_jobs =
                     (Printf.sprintf
                        "host recommends %d domain(s): multi-domain rows are \
                         correctness measurements only (forced via \
-                        --force-jobs), and pdfs speedup cannot be expressed \
-                        on this hardware"
+                        --force-jobs), and multi-domain speedup cannot be \
+                        expressed on this hardware"
                        domains) );
               ]) );
         ("scenarios", Jsonout.List (List.map scenario_json scenarios));
@@ -669,14 +666,14 @@ let bench_explore ~quick ~check ~force_jobs =
         (fun (name, s) ->
           if s < 2.5 then begin
             Format.printf
-              "perf-smoke FAILED: pdfs jobs=4 only %.2fx jobs=1 on %s (gate \
-               2.5x)@."
+              "perf-smoke FAILED: jobs=4 only %.2fx incremental (jobs=1) on \
+               %s (gate 2.5x)@."
               s name;
             failed := true
           end
           else
-            Format.printf "perf-smoke: pdfs jobs=4 is %.2fx jobs=1 on %s@." s
-              name)
+            Format.printf
+              "perf-smoke: jobs=4 is %.2fx incremental (jobs=1) on %s@." s name)
         (List.rev !scale4)
     else
       Format.printf

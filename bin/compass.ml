@@ -27,9 +27,10 @@
 
    Structure keys ([--struct]) resolve through the central spec registry
    (Specreg; [compass specs] lists them).  Every exploring subcommand
-   also takes [--jobs N] (shard the DFS across N domains),
-   [--reduce[=sleep|dpor|none]] (partial-order reduction: sleep sets or
-   source-DPOR with wakeup sequences; bare [--reduce] means sleep),
+   also takes [--jobs N] (N domains share the DFS by work stealing),
+   [--reduce[=sleep|dpor|dpor-rf|none]] (partial-order reduction: sleep
+   sets, source-DPOR with wakeup sequences, or source-DPOR counting one
+   execution per reads-from class; bare [--reduce] means sleep),
    [--incremental BOOL] (checkpoint/restore exploration, default on;
    false = replay-from-root oracle) and [--stride N] (checkpoint
    spacing).
@@ -64,21 +65,20 @@ let seed =
 
 let jobs =
   let doc =
-    "Shard the exhaustive DFS across $(docv) domains (parallel \
-     exploration; 1 = the sequential driver)."
+    "Run the exhaustive DFS on $(docv) domains, which share its task tree \
+     by work stealing (1 = a single worker)."
   in
   Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
-(* [--reduce] history: it began life as a plain flag meaning sleep sets,
-   so the converter keeps [true]/[false] as aliases and a bare
-   [--reduce] still means [sleep]. *)
+(* A bare [--reduce] means [sleep]: the flag began life as a plain
+   switch for sleep sets. *)
 let reduction_conv =
   let parse s =
     match String.lowercase_ascii s with
-    | "sleep" | "true" | "on" -> Ok Machine.RSleep
+    | "sleep" -> Ok Machine.RSleep
     | "dpor" -> Ok Machine.RDpor
     | "dpor-rf" | "dporrf" | "rf" -> Ok Machine.RDporRf
-    | "none" | "false" | "off" -> Ok Machine.RNone
+    | "none" -> Ok Machine.RNone
     | _ ->
         Error
           (`Msg
@@ -105,21 +105,6 @@ let reduce =
     value
     & opt ~vopt:Machine.RSleep reduction_conv Machine.RNone
     & info [ "reduce" ] ~docv:"RED" ~doc)
-
-let split_depth =
-  let doc =
-    "Deprecated and ignored: the two-phase sharding scheme this \
-     parameterised is retired (work stealing balances the tree)."
-  in
-  Arg.(value & opt (some int) None & info [ "split-depth" ] ~docv:"N" ~doc)
-
-let warn_split_depth = function
-  | None -> ()
-  | Some _ ->
-      prerr_endline
-        "compass: warning: --split-depth is deprecated and ignored (the \
-         two-phase sharding scheme was retired; work stealing balances \
-         the tree)"
 
 let incremental =
   let doc =
@@ -163,9 +148,7 @@ let style_arg =
 
 let run_mode ~random ~execs ~seed ~jobs ~reduce ~incremental ~stride sc =
   if random then Explore.random ~execs ~seed sc
-  else if jobs > 1 then
-    Explore.pdfs ~jobs ~max_execs:execs ~reduce ~incremental ~stride sc
-  else Explore.dfs ~max_execs:execs ~reduce ~incremental ~stride sc
+  else Explore.dfs ~jobs ~max_execs:execs ~reduce ~incremental ~stride sc
 
 let finish report =
   Format.printf "%a@." Explore.pp_report report;
@@ -203,11 +186,14 @@ let with_entry key f =
 (* CI gate: [--strict] turns findings into a nonzero exit, not just
    internal errors (race pairs for [analyze races], over-strong/unknown
    verdicts for [modes], expectation mismatches for [static], registry
-   expectation mismatches for [refine]/[sim]). *)
+   expectation mismatches and passes from unfinished searches for
+   [refine]/[sim]). *)
 let strict_arg =
   let doc =
     "Strict exit code: exit nonzero on any finding or expectation \
-     mismatch, not only on errors — for CI gates."
+     mismatch, not only on errors — for CI gates.  For $(b,refine) and \
+     $(b,sim), a pass from a search that hit its execution budget (or \
+     whose commit-point search gave up) also fails."
   in
   Arg.(value & flag & info [ "strict" ] ~doc)
 
@@ -226,8 +212,7 @@ let litmus_cmd =
     let doc = "Use the Gap timestamp policy (enables mo-middle insertion, e.g. 2+2W)." in
     Arg.(value & flag & info [ "gap" ] ~doc)
   in
-  let run gap execs jobs reduce incremental stride split_depth =
-    warn_split_depth split_depth;
+  let run gap execs jobs reduce incremental stride =
     let config =
       { Machine.default_config with policy = (if gap then `Gap else `Append) }
     in
@@ -254,8 +239,7 @@ let litmus_cmd =
   let doc = "Run the litmus-test battery against the ORC11 substrate." in
   Cmd.v (Cmd.info "litmus" ~doc)
     Term.(
-      const run $ gap $ execs $ jobs $ reduce $ incremental $ stride
-      $ split_depth)
+      const run $ gap $ execs $ jobs $ reduce $ incremental $ stride)
 
 (* -- client -------------------------------------------------------------------- *)
 
@@ -284,9 +268,7 @@ let client_cmd =
           None
       & info [] ~docv:"CLIENT" ~doc)
   in
-  let run which factory random execs seed jobs reduce incremental stride
-      split_depth =
-    warn_split_depth split_depth;
+  let run which factory random execs seed jobs reduce incremental stride =
     match which with
     | `Mp ->
         let st = Mp.fresh_stats () in
@@ -383,7 +365,7 @@ let client_cmd =
   Cmd.v (Cmd.info "client" ~doc)
     Term.(
       const run $ which $ queue_arg $ random_mode $ execs $ seed $ jobs $ reduce
-      $ incremental $ stride $ split_depth)
+      $ incremental $ stride)
 
 (* -- check --------------------------------------------------------------------- *)
 
@@ -423,8 +405,7 @@ let check_cmd =
            ~doc:"Operations per thread.")
   in
   let run which struct_key style threads ops random execs seed jobs reduce
-      incremental stride split_depth =
-    warn_split_depth split_depth;
+      incremental stride =
     let impl =
       match (struct_key, which) with
       | Some key, _ -> (
@@ -471,7 +452,7 @@ let check_cmd =
   Cmd.v (Cmd.info "check" ~doc)
     Term.(
       const run $ which $ struct_key $ style_arg $ threads $ ops $ random_mode
-      $ execs $ seed $ jobs $ reduce $ incremental $ stride $ split_depth)
+      $ execs $ seed $ jobs $ reduce $ incremental $ stride)
 
 (* -- specs --------------------------------------------------------------------- *)
 
@@ -579,9 +560,12 @@ let refine_cmd =
   (* Exit-code policy shared with [compass sim]: [--strict] compares the
      verdict against the registry's [expect_violation] expectation (like
      [analyze static]), so checked-in broken fixtures gate as green when
-     they do fail. *)
-  let exit_code ~strict ~expect ~expect_violation ok =
-    if strict then if ok <> expect_violation then 0 else 1
+     they do fail — and a pass counts only from a complete search. *)
+  let exit_code ~strict ~expect ~expect_violation ~complete ok =
+    if strict then
+      if ok then if expect_violation || not complete then 1 else 0
+      else if expect_violation then 0
+      else 1
     else if expect then if ok then 1 else 0
     else if ok then 0
     else 1
@@ -615,7 +599,8 @@ let refine_cmd =
                   write_json ~tool:"refine" file (Refine.to_json r))
                 json;
               exit_code ~strict ~expect
-                ~expect_violation:e.Libspec.expect_violation r.Refine.ok
+                ~expect_violation:e.Libspec.expect_violation
+                ~complete:r.Refine.complete r.Refine.ok
           | `Simulation ->
               let options =
                 {
@@ -642,7 +627,8 @@ let refine_cmd =
                 (fun file -> write_json ~tool:"refine" file (Sim.to_json r))
                 json;
               exit_code ~strict ~expect
-                ~expect_violation:e.Libspec.expect_violation r.Sim.ok)
+                ~expect_violation:e.Libspec.expect_violation
+                ~complete:r.Sim.complete r.Sim.ok)
   in
   let doc =
     "Check refinement of an implementation against its spec object \
@@ -756,19 +742,25 @@ let sim_cmd =
                          (List.map string_of_int
                             (Array.to_list (Decision.choices w.Sim.w_trace))))
                 | None -> ());
+                let mismatch = r.Sim.ok = e.Libspec.expect_violation in
+                let unfinished = r.Sim.ok && not r.Sim.complete in
                 let bad =
-                  if strict then r.Sim.ok = e.Libspec.expect_violation
-                  else not r.Sim.ok
+                  if strict then mismatch || unfinished else not r.Sim.ok
                 in
                 if bad && !code = 0 then code := 1;
-                if strict && bad then
+                if strict && mismatch then
                   Format.printf
                     "EXPECTATION MISMATCH: %s %s but the registry expects \
                      %s@."
                     e.Libspec.key
                     (if r.Sim.ok then "simulates" else "breaks")
                     (if e.Libspec.expect_violation then "a violation"
-                     else "success");
+                     else "success")
+                else if strict && unfinished then
+                  Format.printf
+                    "INCOMPLETE: %s found no violation but the search did \
+                     not finish; --strict needs a complete one@."
+                    e.Libspec.key;
                 Some r
               end)
             entries
@@ -921,12 +913,8 @@ let axioms_cmd =
     let code = ref 0 in
     let run_sc sc =
       let r =
-        if jobs > 1 then
-          Explore.pdfs ~jobs ~max_execs:execs ~reduce ~incremental ~stride
-            ~config (with_rc11 sc)
-        else
-          Explore.dfs ~max_execs:execs ~reduce ~incremental ~stride ~config
-            (with_rc11 sc)
+        Explore.dfs ~jobs ~max_execs:execs ~reduce ~incremental ~stride
+          ~config (with_rc11 sc)
       in
       if not (Explore.ok r) then code := 1;
       Format.printf "%-38s %7d executions  %s@." r.Explore.name

@@ -423,7 +423,6 @@ let report_to_json r =
           [
             ("result", Jsonout.Str "violated");
             ("message", Jsonout.Str f.Explore.message);
-            ("script", Jsonout.int_array (Explore.failure_script f));
             ("trace", Compass_machine.Decision.trace_to_json f.Explore.trace);
           ]
     | Safe -> Jsonout.Obj [ ("result", Jsonout.Str "safe") ]
@@ -447,7 +446,6 @@ let report_to_json r =
             Jsonout.Obj
               [
                 ("message", Jsonout.Str f.Explore.message);
-                ("script", Jsonout.int_array (Explore.failure_script f));
                 ("trace", Compass_machine.Decision.trace_to_json f.Explore.trace);
               ])
           r.baseline_failure );

@@ -4,7 +4,7 @@ open Compass_machine
    a collector when the judge runs (the machine is still positioned at
    the end of the execution there).  The exploration must run with
    [record_accesses] on, and — because collectors are plain closures —
-   with [jobs = 1]: under [pdfs] the judge runs on several domains. *)
+   with [jobs = 1]: at [jobs > 1] the judge runs on several domains. *)
 
 let with_accesses (s : Explore.scenario) (collect : Access.t list -> unit) =
   {

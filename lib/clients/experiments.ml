@@ -29,23 +29,17 @@ let matrix_queue_factories =
   queue_factories @ [ Msqueue_fences.instantiate; Lockqueue.instantiate ]
 let matrix_stack_factories = stack_factories @ [ Lockstack.instantiate ]
 
-(* The exhaustive leg shared by every experiment: the sequential DFS, or
-   the sharded parallel driver when [jobs > 1].  [reduce] switches on
-   sleep-set reduction; verdicts are preserved, but client-side counters
-   then only cover the representative interleavings explored. *)
-let edfs ~jobs ~reduce ~max_execs sc =
-  if jobs > 1 then Explore.pdfs ~jobs ~max_execs ~reduce sc
-  else Explore.dfs ~max_execs ~reduce sc
-
 (* -- E1: MP client (Figures 1 and 3) ------------------------------------------ *)
 
 let e1 ?(max_execs = 150_000) ?(jobs = 1) ?(reduce = Machine.RNone) () =
   List.concat_map
     (fun (factory : Iface.queue_factory) ->
       let st = Mp.fresh_stats () in
-      let r = edfs ~jobs ~reduce ~max_execs (Mp.make factory st) in
+      let r = Explore.dfs ~jobs ~reduce ~max_execs (Mp.make factory st) in
       let stw = Mp.fresh_stats () in
-      let rw = edfs ~jobs ~reduce ~max_execs (Mp.make_weak factory stw) in
+      let rw =
+        Explore.dfs ~jobs ~reduce ~max_execs (Mp.make_weak factory stw)
+      in
       [
         {
           id = "E1";
@@ -118,7 +112,7 @@ let matrix ?(dfs_execs = 25_000) ?(rand_execs = 2_000) ?(jobs = 1)
               Styles.tally_one tally (Styles.check style Styles.Queue q.Iface.q_graph);
               Explore.Pass ))
     in
-    ignore (edfs ~jobs ~reduce ~max_execs:dfs_execs sc);
+    ignore (Explore.dfs ~jobs ~reduce ~max_execs:dfs_execs sc);
     ignore (Explore.random ~execs:rand_execs ~seed:23 sc);
     { impl = factory.q_name; style; tally }
   in
@@ -147,7 +141,7 @@ let matrix ?(dfs_execs = 25_000) ?(rand_execs = 2_000) ?(jobs = 1)
               Styles.tally_one tally (Styles.check style Styles.Stack s.Iface.s_graph);
               Explore.Pass ))
     in
-    ignore (edfs ~jobs ~reduce ~max_execs:dfs_execs sc);
+    ignore (Explore.dfs ~jobs ~reduce ~max_execs:dfs_execs sc);
     ignore (Explore.random ~execs:rand_execs ~seed:23 sc);
     { impl = factory.s_name; style; tally }
   in
@@ -255,10 +249,13 @@ let e2b ?(max_execs = 60_000) ?(jobs = 1) ?(reduce = Machine.RNone) () =
     List.map
       (fun (factory : Iface.queue_factory) ->
         let st = Strong_fifo.fresh_stats () in
-        let r = edfs ~jobs ~reduce ~max_execs (Strong_fifo.make factory st) in
+        let r =
+          Explore.dfs ~jobs ~reduce ~max_execs (Strong_fifo.make factory st)
+        in
         let broke = ref 0 in
         let rc =
-          edfs ~jobs ~reduce ~max_execs (Strong_fifo.make_control factory broke)
+          Explore.dfs ~jobs ~reduce ~max_execs
+            (Strong_fifo.make_control factory broke)
         in
         (factory.q_name, r, rc, !broke))
       queue_factories
@@ -307,7 +304,7 @@ let e3 ?(max_execs = 60_000) ?(jobs = 1) ?(reduce = Machine.RNone) () =
               (Styles.check Styles.Hist Styles.Queue (Hwqueue.graph t));
             Explore.Pass ))
   in
-  ignore (edfs ~jobs ~reduce ~max_execs sc);
+  ignore (Explore.dfs ~jobs ~reduce ~max_execs sc);
   {
     id = "E3";
     name = "Herlihy-Wing: abstract states fail, linearisation exists";
@@ -333,7 +330,7 @@ let e4 ?(dfs_execs = 30_000) ?(rand_execs = 3_000) ?(jobs = 1)
     (fun (factory : Iface.queue_factory) ->
       let st = Spsc_client.fresh_stats () in
       let r1 =
-        edfs ~jobs ~reduce ~max_execs:dfs_execs
+        Explore.dfs ~jobs ~reduce ~max_execs:dfs_execs
           (Spsc_client.make ~n:2 ~retries:3 factory st)
       in
       let r2 =
@@ -384,7 +381,7 @@ let e5 ?(max_execs = 40_000) ?(jobs = 1) ?(reduce = Machine.RNone) () =
             if Stack_spec.consistent g = [] then Explore.Pass
             else Explore.Violation "inconsistent" ))
   in
-  ignore (edfs ~jobs ~reduce ~max_execs sc);
+  ignore (Explore.dfs ~jobs ~reduce ~max_execs sc);
   {
     id = "E5";
     name = "Treiber stack: linearisable history (Figure 4)";
@@ -405,7 +402,7 @@ let e6 ?(dfs_execs = 40_000) ?(rand_execs = 4_000) ?(jobs = 1)
     ?(reduce = Machine.RNone) () =
   let stx = Resource_exchange.fresh_stats () in
   let rx =
-    edfs ~jobs ~reduce ~max_execs:dfs_execs
+    Explore.dfs ~jobs ~reduce ~max_execs:dfs_execs
       (Resource_exchange.make ~threads:2 stx)
   in
   (* DFS explores uncontended schedules first, so small budgets may see no
@@ -459,7 +456,7 @@ let e8 ?(dfs_execs = 120_000) ?(rand_execs = 120_000) ?(jobs = 1)
     ?(reduce = Machine.RNone) () =
   let st = Ws_client.fresh_stats () in
   let r1 =
-    edfs ~jobs ~reduce ~max_execs:dfs_execs
+    Explore.dfs ~jobs ~reduce ~max_execs:dfs_execs
       (Ws_client.make ~tasks:2 ~thieves:1 ~steals:1 st)
   in
   let r2 =

@@ -70,7 +70,7 @@ val verdict :
   bool * Explore.report * int
 (** run exhaustively; [true] iff the expectation holds (and no
     violations); also returns the report and the observation count.
-    [jobs > 1] shards the DFS across domains ({!Explore.pdfs});
+    [jobs] domains share the DFS ({!Explore.dfs});
     [reduce] selects a partial-order reduction (sleep sets or
     source-DPOR) — the verdict is preserved, but the observation count
     then only covers the representative interleavings actually

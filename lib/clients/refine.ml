@@ -33,6 +33,7 @@ type report = {
   clients : client_result list;
   counterexample : (int * Explore.failure) option;
   ok : bool;
+  complete : bool;
 }
 
 (* -- observation clients ------------------------------------------------------ *)
@@ -173,11 +174,8 @@ let run ?(options = default_options) (e : Libspec.entry) =
         let tbl, sr = spec_set ~spec_execs:options.spec_execs c in
         let sc = c.impl_sc ~judge:(membership tbl) in
         let r =
-          if options.jobs > 1 then
-            Explore.pdfs ~jobs:options.jobs ~max_execs:options.max_execs
-              ~reduce:options.reduce sc
-          else
-            Explore.dfs ~max_execs:options.max_execs ~reduce:options.reduce sc
+          Explore.dfs ~jobs:options.jobs ~max_execs:options.max_execs
+            ~reduce:options.reduce sc
         in
         if !cex = None then
           (match r.Explore.violations with
@@ -205,6 +203,10 @@ let run ?(options = default_options) (e : Libspec.entry) =
     clients;
     counterexample = !cex;
     ok = List.for_all (fun (c : client_result) -> c.ok) clients;
+    complete =
+      List.for_all
+        (fun (c : client_result) -> c.report.Explore.complete)
+        clients;
   }
 
 let client_scenario (e : Libspec.entry) i =
@@ -221,8 +223,11 @@ let pp ppf r =
     r.struct_key r.impl_name r.spec_name;
   List.iter
     (fun c ->
-      Format.fprintf ppf "  %-14s %7d impl executions vs %3d spec outcomes%s  %s@,"
-        c.client c.report.Explore.executions c.spec_outcomes
+      Format.fprintf ppf
+        "  %-14s %7d impl executions%s vs %3d spec outcomes%s  %s@,"
+        c.client c.report.Explore.executions
+        (if c.report.Explore.complete then "" else " (budget hit)")
+        c.spec_outcomes
         (if c.spec_complete then "" else " (spec side INCOMPLETE)")
         (if c.ok then "included"
          else
@@ -237,7 +242,13 @@ let pp ppf r =
            (List.map string_of_int (Array.to_list (Explore.failure_script f))))
   | None -> ());
   Format.fprintf ppf "  verdict: %s@]"
-    (if r.ok then "REFINES" else "does NOT refine")
+    (if not r.ok then "does NOT refine"
+     else if r.complete then "REFINES"
+     else
+       Printf.sprintf "no violation within %d executions"
+         (List.fold_left
+            (fun n c -> n + c.report.Explore.executions)
+            0 r.clients))
 
 let to_json r =
   Jsonout.Obj
@@ -246,6 +257,7 @@ let to_json r =
       ("impl", Jsonout.Str r.impl_name);
       ("spec", Jsonout.Str r.spec_name);
       ("ok", Jsonout.Bool r.ok);
+      ("complete", Jsonout.Bool r.complete);
       ( "clients",
         Jsonout.List
           (List.map
@@ -267,7 +279,6 @@ let to_json r =
               [
                 ("client", Jsonout.Int i);
                 ("message", Jsonout.Str f.Explore.message);
-                ("script", Jsonout.int_array (Explore.failure_script f));
                 ("trace", Compass_machine.Decision.trace_to_json f.Explore.trace);
               ] );
     ]

@@ -59,6 +59,10 @@ type report = {
           client that produced it: replayable with
           [compass replay --struct KEY --refine-client I --script ...] *)
   ok : bool;
+  complete : bool;
+      (** every implementation-side exploration exhausted its tree; a
+          pass from an incomplete search only means no violation within
+          the executions run *)
 }
 
 val run : ?options:options -> Libspec.entry -> report
@@ -70,4 +74,7 @@ val client_scenario : Libspec.entry -> int -> Explore.scenario option
     counterexample replay runs *)
 
 val pp : Format.formatter -> report -> unit
+(** the verdict line reads REFINES only for a complete search; a pass
+    from an incomplete one reads "no violation within N executions" *)
+
 val to_json : report -> Jsonout.t

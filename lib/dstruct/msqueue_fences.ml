@@ -18,7 +18,13 @@ open Prog.Syntax
    dequeue's head CAS needs a release fence before it, so that later
    dequeuers (who reach nodes through head) inherit the dequeuer's
    observations; CAS message views also inherit their read message's views
-   (release sequences), which carries the chain through. *)
+   (release sequences), which carries the chain through.  The same holds
+   for the two tail CASes ([tail_swing], [tail_help]), which the
+   access-based version makes [AcqRel]: without a release fence before
+   them, an enqueuer that finds a node through [tail] does not inherit
+   the view of the thread that swung it there, and its own dequeue can
+   then read the sentinel's [next] as the stale null (most-general client
+   [i|ir] at depth 2). *)
 
 let fval p = Loc.shift (Value.to_loc_exn p) 0
 let feid p = Loc.shift (Value.to_loc_exn p) 1
@@ -84,6 +90,13 @@ let enq ?(extra = fun _ -> []) t v =
               ~expected:Value.Null ~desired:np Mode.Rlx ~commit
           in
           if ok then
+            (* Like the linking CAS, the tail swing publishes: a thread
+               that reaches the node through [tail] must inherit what
+               this thread saw, or it can link after the node and then
+               dequeue through a stale [next] of an older node. *)
+            let* () =
+              Prog.fence ~site:"msqueue_f.enq.tail_swing_fence" Mode.F_rel
+            in
             let* _ =
               Prog.cas ~site:"msqueue_f.enq.tail_swing" t.tail ~expected:tl
                 ~desired:np Mode.Rlx
@@ -91,6 +104,9 @@ let enq ?(extra = fun _ -> []) t v =
             Prog.return (Some ())
           else Prog.return None
       | _ ->
+          let* () =
+            Prog.fence ~site:"msqueue_f.enq.tail_help_fence" Mode.F_rel
+          in
           let* _ =
             Prog.cas ~site:"msqueue_f.enq.tail_help" t.tail ~expected:tl
               ~desired:nx Mode.Rlx

@@ -329,7 +329,6 @@ let outcome_to_json o =
                Jsonout.Obj
                  [
                    ("message", Jsonout.Str f.message);
-                   ("script", Jsonout.int_array (Explore.failure_script f));
                    ("trace", Decision.trace_to_json f.trace);
                  ])
              o.violations) );

@@ -5,12 +5,14 @@
     Pure bookkeeping over decision scripts, tids and footprints: nodes
     (one per multi-alternative scheduling choice) carry source sets and
     per-branch sleep installs; tasks are script prefixes with their
-    install obligations and an optional wakeup sequence.  The [Explore]
-    driver runs tasks on the machine, records observations, and feeds
-    each finished execution back through {!integrate}, which spawns the
-    data-alternative siblings and the race-reversal branches.  All
-    operations are serialised by an internal lock, so one [t] may be
-    shared by every worker domain of a parallel search. *)
+    install obligations and an optional wakeup sequence.  The module owns
+    no frontier: the [Explore] driver keeps the pending tasks in its
+    work-stealing deques, runs them on the machine, records observations,
+    and feeds each finished execution back through {!integrate}, which
+    returns the data-alternative siblings and the race-reversal branches
+    as new tasks.  Tasks running on different domains share nodes, so
+    {!integrate} holds an internal lock while it reads and updates
+    them. *)
 
 type fp = Deps.footprint
 
@@ -46,23 +48,13 @@ type obs =
 type t
 
 val create : ?rf:bool -> unit -> t
-(** a fresh search: the frontier holds only {!root_task}.  [rf] (default
-    off) turns on the reads-from–aware rule: atomic write/read race
-    reversals are not queued — with the later read's rf edge fixed both
-    orders commute, and every rf edge the reversal could realise is
-    already enumerated as a data sibling of the read choice.  Reversals
-    involving a non-atomic access are always kept (na-race fault
-    detection is order-sensitive). *)
-
-val claim : t -> task option
-(** pop the deepest pending task.  [None] does not end the search while
-    other workers hold claimed tasks — poll {!drained}. *)
-
-val abandon : t -> unit
-(** give up a claimed task without integrating (budget / stop flag) *)
-
-val drained : t -> bool
-(** frontier empty and no task in flight: the search is complete *)
+(** a fresh search, explored from {!root_task}.  [rf] (default off) turns
+    on the reads-from–aware rule: atomic write/read race reversals are
+    not queued — with the later read's rf edge fixed both orders commute,
+    and every rf edge the reversal could realise is already enumerated
+    as a data sibling of the read choice.  Reversals involving a
+    non-atomic access are always kept (na-race fault detection is
+    order-sensitive). *)
 
 val integrate :
   t ->
@@ -70,10 +62,11 @@ val integrate :
   ds:Decision.trace ->
   obs:obs list ->
   steps:(int * fp) array ->
-  int
-(** account one finished (or pruned) execution of a claimed task: create
-    nodes from fresh scheduling observations, spawn data-alternative
-    siblings, insert race-reversal branches per the source-DPOR rule.
-    [ds] is the full decision trace, [obs] the observations in execution
-    order, [steps] the (tid, footprint) log oldest first.  Releases the
-    claim; returns the number of tasks spawned. *)
+  task list
+(** account one finished (or pruned) execution of [task]: create nodes
+    from fresh scheduling observations, spawn data-alternative siblings,
+    insert race-reversal branches per the source-DPOR rule.  [ds] is the
+    full decision trace, [obs] the observations in execution order,
+    [steps] the (tid, footprint) log oldest first.  Returns the spawned
+    tasks sorted shallow-to-deep by branch step: pushed in that order on
+    a LIFO deque, the deepest branch runs next. *)

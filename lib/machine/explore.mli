@@ -2,18 +2,16 @@
 
     Executions replay from decision scripts — typed {!Decision} traces
     carrying the choice taken, the branching factor, and (for reads) the
-    reads-from provenance.  The DFS driver enumerates the decision tree
-    exhaustively: after each run it takes the logged trace, finds the
-    deepest position with an untried alternative, and restarts with the
-    bumped prefix.  The parallel driver {!pdfs} splits that tree into
-    disjoint decision-prefix tasks balanced across OCaml 5 domains by
-    work stealing; [~reduce] selects a partial-order reduction: sleep
-    sets in the scheduler (see {!Machine.run}), source-DPOR with wakeup
-    sequences ({!Dpor}), or reads-from–aware source-DPOR ([RDporRf]: one
-    counted execution per distinct rf⊕mo class).  The random driver
-    samples seeded executions.  Where the paper {e proves} a property of
-    all executions, we {e enumerate} them (up to the configured bounds)
-    and check it on each. *)
+    reads-from provenance.  One DFS driver, {!dfs}, enumerates the
+    decision tree exhaustively: it splits the tree into disjoint tasks,
+    run depth-first from a work-stealing deque per domain ([~jobs]), and
+    [~reduce] selects a partial-order reduction — sleep sets in the
+    scheduler (see {!Machine.run}), source-DPOR with wakeup sequences
+    ({!Dpor}), or reads-from–aware source-DPOR ([RDporRf]: one counted
+    execution per distinct rf⊕mo class).  The random driver samples
+    seeded executions.  Where the paper {e proves} a property of all
+    executions, we {e enumerate} them (up to the configured bounds) and
+    check it on each. *)
 
 type verdict =
   | Pass
@@ -26,8 +24,8 @@ type scenario = {
   build : Machine.t -> (Machine.outcome -> verdict);
       (** runs once per execution on a fresh machine: allocate, spawn
           threads, return the judge.  Shared statistics live in closures
-          created before the scenario.  Under {!pdfs} the closure runs on
-          several domains concurrently: the machine is domain-local, and
+          created before the scenario.  Under [dfs ~jobs] the closure runs
+          on several domains concurrently: the machine is domain-local, and
           the report fields are merged from domain-local tallies, but any
           counters the scenario itself mutates are updated racily —
           treat them as approximate when [jobs > 1]. *)
@@ -74,8 +72,8 @@ val ok : report -> bool
 
 val report_to_json : report -> Compass_util.Jsonout.t
 (** the report as a JSON object, for [--json] flags and CI artifacts.
-    Kept violations carry both the legacy ["script"] int array and the
-    typed ["trace"] (with per-decision kind and rf provenance). *)
+    Kept violations carry their typed ["trace"] (with per-decision kind
+    and rf provenance). *)
 
 val run_one :
   config:Machine.config ->
@@ -121,42 +119,6 @@ val default_stride : int
     for fewer snapshots) *)
 
 val dfs :
-  ?max_execs:int ->
-  ?reduce:Machine.reduction ->
-  ?incremental:bool ->
-  ?stride:int ->
-  ?until_violation:bool ->
-  ?config:Machine.config ->
-  scenario ->
-  report
-(** exhaustive sequential DFS.  [reduce] selects a partial-order
-    reduction (default {!Machine.RNone}): [RSleep] turns on sleep sets —
-    redundant interleavings of independent steps are pruned (counted in
-    {!report.pruned}), never losing a violation up to graph isomorphism;
-    [RDpor] switches to source-DPOR with wakeup sequences ({!Dpor}),
-    which explores strictly fewer executions than sleep sets (near one
-    per Mazurkiewicz trace) with the same verdicts and kept violations,
-    counting its few redundant kills in {!report.dpor_pruned}; [RDporRf]
-    stacks the reads-from reduction on top — atomic write/read race
-    reversals are not queued (every rf edge a reversal could realise is
-    already a read-choice alternative) and completed runs are
-    deduplicated by {!rf_class_key}, so [executions] counts exactly the
-    distinct rf⊕mo classes, with the same verdicts and kept violations.
-
-    [incremental] (default on) explores with the checkpoint/restore
-    engine: one machine built once, a stack of snapshots keyed by decision
-    depth, and only the decision suffix past the deepest valid checkpoint
-    re-executed per run — instead of replaying every execution from the
-    root.  Reports are field-for-field identical either way (the replay
-    path, [~incremental:false], is kept as the differential-testing
-    oracle); [stride] sets the checkpoint spacing in decisions.
-
-    [until_violation] (default off) stops the search at the first kept
-    violation — what the mode-necessity audit uses to witness a broken
-    mutant without paying for the rest of the tree.  A search cut short
-    this way reports [complete = false]. *)
-
-val pdfs :
   ?jobs:int ->
   ?max_execs:int ->
   ?reduce:Machine.reduction ->
@@ -166,31 +128,64 @@ val pdfs :
   ?config:Machine.config ->
   scenario ->
   report
-(** parallel DFS by work stealing: each of the [jobs] domains (default
-    [Domain.recommended_domain_count ()]) owns a Chase-Lev deque
-    ({!Wsdeque}) of decision-prefix tasks that partition the tree.  After
-    each run a worker pushes one child task per untried alternative,
-    shallow-first: its own LIFO pops continue with the deepest divergence
-    (sequential [dfs] order), idle workers steal the shallowest — the
-    largest — pending subtree.  Per-domain statistics are merged into one
-    report, with kept violations re-sorted into script order.  On a
-    complete search, [pdfs ~jobs] and {!dfs} agree on every report field;
-    kept violations are the lexicographically first scripts, so they
-    agree on those too whenever at most 16 violations exist.  (When the
-    budget truncates the search, the two drivers explore the same
-    {e number} of executions but not necessarily the same subset.)  Each
-    worker keeps one incremental engine (machine + checkpoint stack) for
-    its whole lifetime, and claims execution budget in batches rather
-    than one atomic per run.
+(** exhaustive DFS of the decision tree, the one exploration driver.
 
-    Under [~reduce:RDpor] (and [RDporRf]) the workers share a {!Dpor}
-    frontier instead of Chase-Lev deques: stolen prefix tasks carry their
-    wakeup-sequence and sleep-install obligations, so parallel DPOR keeps
-    the same verdicts and violation sets as the sequential search (the
-    execution {e count} may differ run to run — racing workers can both
-    explore a branch the other would have put to sleep; under [RDporRf]
-    the shared rf-class table makes the counted executions — the distinct
-    classes — schedule-independent again on complete searches). *)
+    The tree is split into disjoint tasks: a decision prefix whose
+    positions before a lock are frozen, or under DPOR a {!Dpor} task.  Running
+    a task yields one execution and the child tasks that partition the
+    rest of its subtree.  Each of the [jobs] workers (default 1, each on
+    its own domain) owns a Chase-Lev deque ({!Wsdeque}) and pushes a
+    run's children shallow-to-deep, so its own LIFO pop continues with
+    the deepest divergence and idle workers steal the shallowest — the
+    largest — pending subtree.  At [jobs = 1] the search is depth-first
+    and fully deterministic.
+
+    [reduce] selects a partial-order reduction (default
+    {!Machine.RNone}): [RSleep] turns on sleep sets — redundant
+    interleavings of independent steps are pruned (counted in
+    {!report.pruned}), never losing a violation up to graph
+    isomorphism; [RDpor] switches to source-DPOR with wakeup sequences
+    ({!Dpor}), which explores strictly fewer executions than sleep sets
+    (near one per Mazurkiewicz trace) with the same verdicts and kept
+    violations, counting its few redundant kills in
+    {!report.dpor_pruned}; [RDporRf] stacks the reads-from reduction on
+    top — atomic write/read race reversals are not queued (every rf edge
+    a reversal could realise is already a read-choice alternative) and
+    completed runs are deduplicated by {!rf_class_key}, so [executions]
+    counts exactly the distinct rf⊕mo classes, with the same verdicts
+    and kept violations.
+
+    Per-worker tallies are merged into one report and kept violations are
+    re-sorted into script order.  Without DPOR, a complete search
+    reports the same fields at every job count, and the kept violations
+    are the lexicographically first scripts, so they agree too whenever
+    at most 16 violations exist.  Under DPOR, workers share the
+    {!Dpor} nodes, so at [jobs > 1] the execution {e count} may differ
+    run to run (racing workers can both explore a branch the other would
+    have put to sleep), while verdicts, violation sets and completeness
+    do not; under [RDporRf] the shared rf-class table makes the counted
+    executions — the distinct classes — schedule-independent again on a
+    complete search.
+
+    [max_execs] bounds the executions (default 100k); pruned and
+    rf-deduplicated runs do not count.  A search cut short by the budget
+    reports [complete = false] and exactly [max_execs] executions, at
+    every job count and under every reduction; which subset of the tree
+    it covers depends on [jobs].
+
+    [incremental] (default on) explores with the checkpoint/restore
+    engine: one machine per worker built once, a stack of snapshots
+    keyed by decision depth, and only the decision suffix past the
+    deepest valid checkpoint re-executed per run — instead of replaying
+    every execution from the root.  Reports are field-for-field
+    identical either way (the replay path, [~incremental:false], is kept
+    as the differential-testing oracle); [stride] sets the checkpoint
+    spacing in decisions.
+
+    [until_violation] (default off) stops the search at the first kept
+    violation — what the mode-necessity audit uses to witness a broken
+    mutant without paying for the rest of the tree.  A search cut short
+    this way reports [complete = false]. *)
 
 val random : ?execs:int -> ?seed:int -> ?config:Machine.config -> scenario -> report
 
@@ -206,6 +201,5 @@ val run :
   mode:mode ->
   scenario ->
   report
-(** dispatch on [mode]; [jobs > 1] routes [Dfs] to {!pdfs}, and [reduce] /
-    [incremental] / [stride] apply to either DFS driver (random sampling
-    ignores them) *)
+(** dispatch on [mode]: [Dfs] runs {!dfs} with [jobs], [reduce],
+    [incremental] and [stride]; random sampling ignores them *)

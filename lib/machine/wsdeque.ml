@@ -1,7 +1,7 @@
 (* Native Chase-Lev work-stealing deque [Chase & Lev, SPAA'05] — the
    host-side analogue of the modelled deque in lib/dstruct/chaselev.ml,
-   used by the parallel explorer to distribute exploration prefixes
-   across domains.
+   used by the exploration driver to hold each worker's pending tasks and
+   hand them out across domains.
 
    The owner pushes and pops at the *bottom* (LIFO); thieves steal at the
    *top* (FIFO).  For DFS work this is exactly right: the owner keeps
@@ -65,8 +65,14 @@ let pop q =
   end
   else
     let buf = Atomic.get q.buf in
-    let x = Atomic.get buf.(b land (Array.length buf - 1)) in
-    if b > t then x
+    let cell = buf.(b land (Array.length buf - 1)) in
+    let x = Atomic.get cell in
+    if b > t then begin
+      (* Drop the reference so a popped task does not outlive its run.
+         Only the owner clears, and only a cell no thief can claim. *)
+      Atomic.set cell None;
+      x
+    end
     else begin
       (* Last element: race thieves for it via the CAS on [top]. *)
       let won = Atomic.compare_and_set q.top t (t + 1) in

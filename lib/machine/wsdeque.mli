@@ -1,6 +1,9 @@
 (** Native Chase-Lev work-stealing deque — the host-side analogue of the
-    modelled deque in lib/dstruct/chaselev.ml, used by {!Explore.pdfs} to
-    distribute exploration prefixes across domains.
+    modelled deque in lib/dstruct/chaselev.ml.  {!Explore.dfs} keeps one
+    per worker: its pending exploration tasks (plain decision prefixes
+    or DPOR tasks), popped depth-first by the owner and stolen
+    shallowest-first by idle workers — at [jobs = 1] the lone deque is
+    simply the DFS stack.
 
     One domain owns each deque and is the only one allowed to {!push} and
     {!pop} (bottom, LIFO); any other domain may {!steal} (top, FIFO).

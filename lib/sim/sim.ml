@@ -51,6 +51,7 @@ type client_row = {
   c_id : string;
   c_report : Explore.report;
   c_ok : bool;
+  c_gave_up : int;
 }
 
 type report = {
@@ -88,9 +89,11 @@ let break_message (b : Simrel.break_) =
 
 let fault_message s = "simulation break (concrete fault): " ^ s
 
-(* The per-execution judge.  [states] is shared across domains under
-   [jobs > 1]; verdicts themselves are per-execution pure. *)
-let judge kind (states : int Atomic.t) g outcome =
+(* The per-execution judge.  [states] and [gave_up] are shared across
+   domains under [jobs > 1]; verdicts themselves are per-execution pure.
+   A give-up is booked as a discard, so it is counted separately: the
+   execution was not checked. *)
+let judge kind ~(states : int Atomic.t) ~(gave_up : int Atomic.t) g outcome =
   match outcome with
   | Machine.Finished _ -> (
       match Simrel.check kind g with
@@ -102,14 +105,15 @@ let judge kind (states : int Atomic.t) g outcome =
           Explore.Violation (break_message b)
       | Simrel.Gave_up { states = s } ->
           ignore (Atomic.fetch_and_add states s);
+          Atomic.incr gave_up;
           Explore.Discard "simulation search budget exhausted")
   | Machine.Fault s -> Explore.Violation (fault_message s)
   | Machine.Blocked s -> Explore.Discard s
   | Machine.Bounded -> Explore.Discard "bounded"
   | Machine.Pruned -> Explore.Discard "pruned"
 
-let scenario_of (e : Libspec.entry) kind states c =
-  Mgc.scenario e ~judge:(judge kind states) c
+let scenario_of ?(gave_up = Atomic.make 0) (e : Libspec.entry) kind states c =
+  Mgc.scenario e ~judge:(judge kind ~states ~gave_up) c
 
 let render (ev : Event.data) =
   Format.asprintf "%a at commit %d (thread %d)" Event.pp_typ ev.Event.typ
@@ -124,7 +128,7 @@ let detail_of (e : Libspec.entry) kind c script =
     Mgc.scenario e
       ~judge:(fun g o ->
         gref := Some g;
-        judge kind (Atomic.make 0) g o)
+        judge kind ~states:(Atomic.make 0) ~gave_up:(Atomic.make 0) g o)
       c
   in
   let r = Explore.replay ~config:Machine.default_config sc script in
@@ -166,18 +170,21 @@ let run ?(options = default_options) (e : Libspec.entry) =
   let witness = ref None in
   let rows = ref [] in
   let run_client (c : Mgc.client) =
-    let sc = scenario_of e kind states c in
+    let gave_up = Atomic.make 0 in
+    let sc = scenario_of ~gave_up e kind states c in
     let r =
-      if options.jobs > 1 then
-        Explore.pdfs ~jobs:options.jobs ~max_execs:options.max_execs
-          ~reduce:options.reduce ~incremental:options.incremental
-          ~until_violation:options.until_violation sc
-      else
-        Explore.dfs ~max_execs:options.max_execs ~reduce:options.reduce
-          ~incremental:options.incremental
-          ~until_violation:options.until_violation sc
+      Explore.dfs ~jobs:options.jobs ~max_execs:options.max_execs
+        ~reduce:options.reduce ~incremental:options.incremental
+        ~until_violation:options.until_violation sc
     in
-    rows := { c_id = c.Mgc.id; c_report = r; c_ok = Explore.ok r } :: !rows;
+    rows :=
+      {
+        c_id = c.Mgc.id;
+        c_report = r;
+        c_ok = Explore.ok r;
+        c_gave_up = Atomic.get gave_up;
+      }
+      :: !rows;
     (if !witness = None then
        match r.Explore.violations with
        | f :: _ ->
@@ -232,7 +239,10 @@ let run ?(options = default_options) (e : Libspec.entry) =
     rows;
     witness = !witness;
     ok = List.for_all (fun r -> r.c_ok) rows;
-    complete = List.for_all (fun r -> r.c_report.Explore.complete) rows;
+    complete =
+      List.for_all
+        (fun r -> r.c_report.Explore.complete && r.c_gave_up = 0)
+        rows;
   }
 
 let client_scenario ?(depth = 2) (e : Libspec.entry) id =
@@ -251,7 +261,13 @@ let pp ppf r =
      \  %d/%d clients explored, %d executions, %d commit-point search states%s@,"
     r.struct_key r.impl_name r.spec_name r.depth r.clients_run r.clients_total
     r.executions r.sim_states
-    (if r.complete then "" else " (INCOMPLETE: budget hit)");
+    (if r.complete then ""
+     else
+       let count f = List.length (List.filter f r.rows) in
+       Printf.sprintf
+         " (INCOMPLETE: %d client(s) not exhausted, %d gave up)"
+         (count (fun row -> not row.c_report.Explore.complete))
+         (count (fun row -> row.c_gave_up > 0)));
   List.iter
     (fun row ->
       if not row.c_ok then
@@ -259,7 +275,12 @@ let pp ppf r =
           row.c_report.Explore.executions
           (match row.c_report.Explore.violations with
           | f :: _ -> f.Explore.message
-          | [] -> "?"))
+          | [] -> "?");
+      if row.c_gave_up > 0 then
+        Format.fprintf ppf
+          "  %-16s %7d executions  commit-point search GAVE UP on %d \
+           (over 62 events or state budget): not checked@,"
+          row.c_id row.c_report.Explore.executions row.c_gave_up)
     r.rows;
   (match r.witness with
   | Some w ->
@@ -281,7 +302,9 @@ let pp ppf r =
       | None -> ())
   | None -> ());
   Format.fprintf ppf "  verdict: %s@]"
-    (if r.ok then "SIMULATES" else "does NOT simulate")
+    (if not r.ok then "does NOT simulate"
+     else if r.complete then "SIMULATES"
+     else Printf.sprintf "no violation within %d executions" r.executions)
 
 let to_json r =
   Jsonout.Obj
@@ -296,6 +319,11 @@ let to_json r =
       ("sim_states", Jsonout.Int r.sim_states);
       ("ok", Jsonout.Bool r.ok);
       ("complete", Jsonout.Bool r.complete);
+      ( "gave_up_clients",
+        Jsonout.str_list
+          (List.filter_map
+             (fun row -> if row.c_gave_up > 0 then Some row.c_id else None)
+             r.rows) );
       ( "clients",
         Jsonout.List
           (List.map
@@ -305,6 +333,7 @@ let to_json r =
                    ("client", Jsonout.Str row.c_id);
                    ("executions", Jsonout.Int row.c_report.Explore.executions);
                    ("complete", Jsonout.Bool row.c_report.Explore.complete);
+                   ("gave_up", Jsonout.Int row.c_gave_up);
                    ("ok", Jsonout.Bool row.c_ok);
                  ])
              r.rows) );
@@ -316,7 +345,6 @@ let to_json r =
               ([
                  ("client", Jsonout.Str w.w_client);
                  ("message", Jsonout.Str w.w_message);
-                 ("script", Jsonout.int_array (Decision.choices w.w_trace));
                  ("trace", Decision.trace_to_json w.w_trace);
                  ("raw_len", Jsonout.Int w.w_raw_len);
                  ("shrink_replays", Jsonout.Int w.w_replays);

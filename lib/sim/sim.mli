@@ -60,6 +60,10 @@ type client_row = {
   c_id : string;
   c_report : Explore.report;
   c_ok : bool;
+  c_gave_up : int;
+      (** executions whose commit-point search gave up ({!Simrel.Gave_up}:
+          more than 62 events, or the state budget ran out).  They are
+          booked as discards, so they were not checked. *)
 }
 
 type report = {
@@ -74,7 +78,9 @@ type report = {
   rows : client_row list;
   witness : witness option;
   ok : bool;
-  complete : bool;  (** every explored client exhausted its tree *)
+  complete : bool;
+      (** every explored client exhausted its tree and no commit-point
+          search gave up *)
 }
 
 val run : ?options:options -> Libspec.entry -> report
@@ -86,4 +92,10 @@ val client_scenario :
     [compass replay] (default depth 2) *)
 
 val pp : Format.formatter -> report -> unit
+(** the report, naming every client whose commit-point search gave up.
+    The verdict line reads SIMULATES only for a complete search; a pass
+    from an incomplete one reads "no violation within N executions". *)
+
 val to_json : report -> Compass_util.Jsonout.t
+(** the report as JSON: per-client [gave_up] counts and a top-level
+    [gave_up_clients] list; the witness carries its typed ["trace"] *)

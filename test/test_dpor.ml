@@ -9,8 +9,8 @@ open Prog.Syntax
    on verdicts and on the set of distinct violations everywhere; the
    execution counts must be monotone (dpor <= sleep <= unreduced); and
    the DPOR integration must be engine-independent: replay-from-root,
-   incremental at strides 1/2/5, and the shared-frontier parallel driver
-   at 1/2/4 jobs all reach the same verdicts.
+   incremental at strides 1/2/5, and work stealing at 1/2/4 jobs all
+   reach the same verdicts.
 
    "Total runs" below counts every machine run the search launched,
    completed or killed: sleep sets keep one execution per Mazurkiewicz
@@ -110,12 +110,12 @@ let test_engine_independence () =
             (Printf.sprintf "%s: stride %d executions" name stride)
             reference.Explore.executions inc.Explore.executions)
         [ 1; 2; 5 ];
-      (* Parallel workers race on the shared frontier, so the count may
+      (* Parallel workers race on the shared DPOR nodes, so the count may
          wobble; verdicts, violation sets and completeness may not. *)
       List.iter
         (fun jobs ->
           let par =
-            Explore.pdfs ~jobs ~reduce:Machine.RDpor ~max_execs (mk ())
+            Explore.dfs ~jobs ~reduce:Machine.RDpor ~max_execs (mk ())
           in
           check_equiv
             ~name:(Printf.sprintf "%s dpor jobs %d" name jobs)
@@ -218,7 +218,7 @@ let test_rf_census () =
       List.iter
         (fun jobs ->
           let par =
-            Explore.pdfs ~jobs ~reduce:Machine.RDporRf ~max_execs
+            Explore.dfs ~jobs ~reduce:Machine.RDporRf ~max_execs
               (mk ()).Litmus.scenario
           in
           Alcotest.(check bool)
@@ -332,7 +332,7 @@ let test_optimal_count () =
       (write_race_scenario ())
   in
   Alcotest.(check int) "dpor replay: one per trace" 2 replay.Explore.executions;
-  let par = Explore.pdfs ~jobs:2 ~reduce:Machine.RDpor (write_race_scenario ()) in
+  let par = Explore.dfs ~jobs:2 ~reduce:Machine.RDpor (write_race_scenario ()) in
   Alcotest.(check bool) "dpor jobs=2 complete" true par.Explore.complete;
   Alcotest.(check int) "dpor jobs=2 passed everything" par.Explore.executions
     par.Explore.passed

@@ -4,8 +4,8 @@ open Compass_dstruct
 open Compass_clients
 open Prog.Syntax
 
-(* The exploration engine: parallel sharded DFS ([Explore.pdfs]) must
-   agree with the sequential driver field for field, sleep-set reduction
+(* The exploration engine: the work-stealing DFS at several jobs must
+   agree with the single-worker search field for field, sleep-set reduction
    must explore strictly fewer executions without losing any violation or
    litmus verdict, and per-execution machines must be isolated enough to
    run on several domains at once. *)
@@ -114,7 +114,7 @@ let equivalence_cases () =
    identical to the replay-from-root oracle: same enumeration order, so
    every report field — including the kept violation scripts — must agree
    exactly, whatever the checkpoint stride, with and without sleep-set
-   reduction, and under pdfs sharding (per-worker engines). *)
+   reduction, and under work stealing across jobs (per-worker engines). *)
 
 let test_incremental_equivalence () =
   List.iter
@@ -160,30 +160,32 @@ let test_incremental_litmus () =
       (fun () -> Litmus.faa_atomic ());
     ]
 
-let test_incremental_pdfs () =
-  (* Sharding composes with checkpointing: each worker's engine only ever
-     restores checkpoints of its own shard, so incremental pdfs matches
-     the replay-from-root sequential driver field for field. *)
+let test_incremental_jobs () =
+  (* Work stealing composes with checkpointing: each worker's engine only
+     ever restores checkpoints along its own runs, so an incremental
+     search at 4 jobs matches the replay-from-root single-worker search
+     field for field. *)
   List.iter
     (fun (name, reduce, mk) ->
       let oracle =
         Explore.dfs ~incremental:false ~reduce ~max_execs:200_000 (mk ())
       in
       let par =
-        Explore.pdfs ~jobs:4 ~incremental:true ~reduce ~max_execs:200_000
+        Explore.dfs ~jobs:4 ~incremental:true ~reduce ~max_execs:200_000
           (mk ())
       in
-      report_eq ~name:(name ^ " (incremental pdfs vs replay dfs)") oracle par)
+      report_eq ~name:(name ^ " (incremental jobs 4 vs replay jobs 1)") oracle
+        par)
     (equivalence_cases ())
 
-let test_pdfs_equivalence () =
+let test_jobs_equivalence () =
   List.iter
     (fun (name, reduce, mk) ->
       let seq = Explore.dfs ~reduce ~max_execs:200_000 (mk ()) in
       Alcotest.(check bool) (name ^ ": sequential exhausts") true seq.Explore.complete;
       List.iter
         (fun jobs ->
-          let par = Explore.pdfs ~jobs ~reduce ~max_execs:200_000 (mk ()) in
+          let par = Explore.dfs ~jobs ~reduce ~max_execs:200_000 (mk ()) in
           report_eq ~name:(Printf.sprintf "%s (jobs %d)" name jobs) seq par)
         [ 2; 4 ])
     (equivalence_cases ())
@@ -235,14 +237,15 @@ let test_reduce_keeps_violations () =
   Alcotest.(check bool) "reduction explored fewer executions" true
     (red.Explore.executions < full.Explore.executions)
 
-let test_pdfs_reduce () =
-  (* Reduction composes with sharding: replay reconstructs the sleep sets
-     from the root, so pruning is identical however the tree is carved. *)
+let test_jobs_reduce () =
+  (* Reduction composes with work stealing: replay reconstructs the sleep
+     sets from the root, so pruning is identical however the tree is
+     carved. *)
   let seq = Explore.dfs ~reduce:Machine.RSleep (seeded_mp_violation ()) in
   let par =
-    Explore.pdfs ~jobs:4 ~reduce:Machine.RSleep (seeded_mp_violation ())
+    Explore.dfs ~jobs:4 ~reduce:Machine.RSleep (seeded_mp_violation ())
   in
-  report_eq ~name:"reduced pdfs vs reduced dfs" seq par
+  report_eq ~name:"reduced jobs 4 vs reduced jobs 1" seq par
 
 (* -- flat vs map backend differential suite ----------------------------------
 
@@ -252,7 +255,7 @@ let test_pdfs_reduce () =
    same order, so the comparison is exact — every report field including
    the kept violation scripts — with and without sleep-set reduction,
    replaying from the root or from checkpoints at any stride, and under
-   the work-stealing parallel driver at any job count. *)
+   work stealing at any job count. *)
 
 let map_config = { Machine.default_config with Machine.backend = `Map }
 
@@ -296,7 +299,7 @@ let test_backend_equivalence () =
         [ Machine.RNone; Machine.RSleep ])
     (backend_cases ())
 
-let test_backend_pdfs () =
+let test_backend_jobs () =
   (* Parallel flat exploration vs the sequential map oracle: on a
      complete search the work-stealing partition covers exactly the same
      executions whatever the job count. *)
@@ -310,12 +313,36 @@ let test_backend_pdfs () =
         true oracle.Explore.complete;
       List.iter
         (fun jobs ->
-          let par = Explore.pdfs ~jobs ~reduce ~max_execs:200_000 (mk ()) in
+          let par = Explore.dfs ~jobs ~reduce ~max_execs:200_000 (mk ()) in
           report_eq
-            ~name:(Printf.sprintf "%s (flat pdfs jobs %d vs map dfs)" name jobs)
+            ~name:(Printf.sprintf "%s (flat jobs %d vs map jobs 1)" name jobs)
             oracle par)
         [ 1; 2; 4 ])
     (backend_cases ())
+
+let test_budget_exact () =
+  (* A budget-limited search runs exactly [max_execs] executions whatever
+     the job count and reduction: workers spend every budget slot they
+     claimed before stopping.  Treiber with 2 pushers x 2 ops and a
+     popper does not finish within 300 executions under any reduction
+     (dpor-rf needs 405, one per rf-class). *)
+  let budget = 300 in
+  List.iter
+    (fun reduce ->
+      List.iter
+        (fun jobs ->
+          let r =
+            Explore.dfs ~jobs ~reduce ~max_execs:budget
+              (Harness.stack_workload Treiber.instantiate ~pushers:2
+                 ~poppers:1 ~ops:2 ())
+          in
+          let name = Printf.sprintf "%s jobs %d" (red_name reduce) jobs in
+          Alcotest.(check int) (name ^ ": executions = budget") budget
+            r.Explore.executions;
+          Alcotest.(check bool) (name ^ ": budget-limited") false
+            r.Explore.complete)
+        [ 1; 2; 4 ])
+    [ Machine.RNone; Machine.RSleep; Machine.RDpor; Machine.RDporRf ]
 
 let test_domain_isolation () =
   (* Hammer two domains with allocation-heavy exploration concurrently;
@@ -328,6 +355,8 @@ let test_domain_isolation () =
     (fun d -> report_eq ~name:"concurrent domain" reference (Domain.join d))
     domains
 
+(* In the case names, "pdfs" is the parallel search ([Explore.dfs] at
+   several jobs) and "dfs" the single-worker one. *)
 let suite =
   [
     Alcotest.test_case "incremental == replay dfs (strides 1/2/5, ±reduce)"
@@ -335,18 +364,20 @@ let suite =
     Alcotest.test_case "incremental preserves litmus verdicts" `Quick
       test_incremental_litmus;
     Alcotest.test_case "incremental pdfs == replay dfs" `Slow
-      test_incremental_pdfs;
+      test_incremental_jobs;
     Alcotest.test_case "pdfs == dfs (3 scenarios + seeded violation)" `Slow
-      test_pdfs_equivalence;
+      test_jobs_equivalence;
     Alcotest.test_case "sleep sets preserve litmus verdicts" `Slow
       test_reduce_equivalence;
     Alcotest.test_case "sleep sets keep seeded violations" `Quick
       test_reduce_keeps_violations;
-    Alcotest.test_case "reduced pdfs == reduced dfs" `Quick test_pdfs_reduce;
+    Alcotest.test_case "reduced pdfs == reduced dfs" `Quick test_jobs_reduce;
     Alcotest.test_case "flat == map oracle (±reduce, strides 1/2/5)" `Slow
       test_backend_equivalence;
-    Alcotest.test_case "flat pdfs (jobs 1/2/4) == map dfs" `Slow
-      test_backend_pdfs;
+    Alcotest.test_case "flat (jobs 1/2/4) == map (jobs 1)" `Slow
+      test_backend_jobs;
+    Alcotest.test_case "budget is exact at jobs 1/2/4 (all reductions)" `Quick
+      test_budget_exact;
     Alcotest.test_case "two domains explore concurrently" `Slow
       test_domain_isolation;
   ]

@@ -374,6 +374,63 @@ let test_hw_depth2_weak_empdeq () =
                   Alcotest.fail "LAThist search linearises the sim break"
               | Linearize.Gave_up -> Alcotest.fail "LAThist search gave up")))
 
+let test_msfences_depth2 () =
+  (* The fence-based Michael-Scott queue simulates its spec over the whole
+     depth-2 family.  Without release fences before its relaxed tail CASes
+     it broke on [i|ir]: the second enqueuer linked after a node it found
+     through a relaxed tail read, and its own dequeue then read the
+     sentinel's [next] as the stale null. *)
+  let r =
+    Sim.run
+      ~options:{ (quick_options 2) with reduce = Machine.RDporRf }
+      (entry "ms-fences")
+  in
+  Alcotest.(check bool) "ms-fences simulates at depth 2" true r.Sim.ok;
+  Alcotest.(check bool) "complete search" true r.Sim.complete;
+  Alcotest.(check int) "every client explored" 136 r.Sim.clients_run;
+  Alcotest.(check int) "executions (one per rf-class)" 931 r.Sim.executions
+
+let test_incomplete_pass () =
+  (* A pass only counts from a finished search.  A client that hits its
+     execution budget, or whose commit-point search gave up on an
+     execution (booked as a discard, so never checked), leaves the
+     structure incomplete, and the verdict line says how far it got. *)
+  let module J = Compass_util.Jsonout in
+  let render r = Format.asprintf "%a" Sim.pp r in
+  let contains s sub =
+    let n = String.length sub and m = String.length s in
+    let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
+    go 0
+  in
+  let r =
+    Sim.run ~options:{ (quick_options 1) with max_execs = 5 } (entry "ms")
+  in
+  Alcotest.(check bool) "no violation" true r.Sim.ok;
+  Alcotest.(check bool) "budget hit: incomplete" false r.Sim.complete;
+  Alcotest.(check bool) "verdict says how far the search got" true
+    (contains (render r)
+       (Printf.sprintf "verdict: no violation within %d executions"
+          r.Sim.executions));
+  Alcotest.(check bool) "no SIMULATES from a partial search" false
+    (contains (render r) "SIMULATES");
+  let full = Sim.run ~options:(quick_options 1) (entry "ms") in
+  Alcotest.(check bool) "complete search simulates" true
+    (full.Sim.complete && contains (render full) "verdict: SIMULATES");
+  (* a give-up is named in the text and in the JSON *)
+  let gave =
+    match full.Sim.rows with
+    | row :: rest -> { full with Sim.rows = { row with Sim.c_gave_up = 2 } :: rest }
+    | [] -> Alcotest.fail "no clients"
+  in
+  let id = (List.hd gave.Sim.rows).Sim.c_id in
+  Alcotest.(check bool) "give-up client named" true
+    (contains (render gave) (id ^ " ") && contains (render gave) "GAVE UP");
+  match Sim.to_json gave with
+  | J.Obj fields ->
+      Alcotest.(check bool) "gave_up_clients lists it" true
+        (List.assoc_opt "gave_up_clients" fields = Some (J.List [ J.Str id ]))
+  | _ -> Alcotest.fail "report JSON is not an object"
+
 let test_sim_agrees_with_refine () =
   (* simulation is the stronger method: across the whole refinable
      registry its verdict coincides with outcome-inclusion (both pass on
@@ -475,6 +532,10 @@ let suite =
       test_mgc_depth2_rediscovers_msweak;
     Alcotest.test_case "sim: depth-2 exposes hw's weak empty dequeue" `Slow
       test_hw_depth2_weak_empdeq;
+    Alcotest.test_case "sim: ms-fences simulates at depth 2" `Slow
+      test_msfences_depth2;
+    Alcotest.test_case "sim: a pass from an unfinished search is incomplete"
+      `Quick test_incomplete_pass;
     Alcotest.test_case "sim: agrees with outcome-inclusion on the registry"
       `Slow test_sim_agrees_with_refine;
     Alcotest.test_case "sim: verdict invariant under reduce/incremental/jobs"
