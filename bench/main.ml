@@ -380,7 +380,6 @@ let bench_explore ~quick ~check ~force_jobs =
   in
   let slow = ref []
   and inc_speedups = ref []
-  and flat_ratios = ref []
   and reduction_gaps = ref []
   and scale4 = ref [] in
   let run_row (r : Explore.report) (t, minor, majors) extra =
@@ -407,18 +406,6 @@ let bench_explore ~quick ~check ~force_jobs =
     inc_speedups :=
       (name, if rate seq seq_t > 0. then rate inc inc_t /. rate seq seq_t else 0.)
       :: !inc_speedups;
-    (* The same incremental exploration against the map-backend oracle:
-       the within-host measure of what the flat data plane buys, and the
-       host-independent CI gate (both runs share whatever hardware this
-       is). *)
-    let map_config = { Machine.default_config with Machine.backend = `Map } in
-    let map, map_t, map_mw, map_mc =
-      time_gc (fun () -> Explore.dfs ~max_execs ~config:map_config (mk ()))
-    in
-    let flat_ratio =
-      if inc_t > 0. then rate inc inc_t /. rate map map_t else 0.
-    in
-    flat_ratios := (name, flat_ratio) :: !flat_ratios;
     let speedup t =
       ( "speedup_vs_sequential",
         Jsonout.Float (if t > 0. then seq_t /. t else 0.) )
@@ -481,9 +468,6 @@ let bench_explore ~quick ~check ~force_jobs =
         ("name", Jsonout.Str name);
         ("sequential", run_row seq (seq_t, seq_mw, seq_mc) []);
         ("incremental", run_row inc (inc_t, inc_mw, inc_mc) [ speedup inc_t ]);
-        ( "map_backend",
-          run_row map (map_t, map_mw, map_mc)
-            [ ("flat_speedup_vs_map", Jsonout.Float flat_ratio) ] );
         ("jobs", Jsonout.List jobs_rows);
         ( "incremental_reduced",
           run_row red (red_t, red_mw, red_mc)
@@ -622,26 +606,6 @@ let bench_explore ~quick ~check ~force_jobs =
           Format.printf "perf-smoke: incremental %.2fx sequential on %s@." s
             name)
       (List.rev !inc_speedups);
-    (* Flat-vs-map holds the *algorithm* fixed (both incremental), so it
-       isolates the representation alone: histories are a minor share of
-       per-execution cost next to the machine and the spec checkers, and
-       the honest like-for-like ratio is ~1.15x.  Gate it as a
-       no-regression bound with noise margin — the representation's real
-       payoff is gated above. *)
-    let min_flat_ratio = 0.9 in
-    List.iter
-      (fun (name, r) ->
-        if r < min_flat_ratio then begin
-          Format.printf
-            "perf-smoke FAILED: flat backend %.2fx the map oracle on %s \
-             (no-regression gate %.1fx)@."
-            r name min_flat_ratio;
-          failed := true
-        end
-        else
-          Format.printf "perf-smoke: flat backend %.2fx the map oracle on %s@."
-            r name)
-      (List.rev !flat_ratios);
     (* DPOR must reduce at least as hard as sleep sets on the mp-queue
        battery (on a complete search it explores a subset of the
        sleep-set representatives, so equality is the worst legal case). *)

@@ -31,9 +31,8 @@
    [--reduce[=sleep|dpor|dpor-rf|none]] (partial-order reduction: sleep
    sets, source-DPOR with wakeup sequences, or source-DPOR counting one
    execution per reads-from class; bare [--reduce] means sleep),
-   [--incremental BOOL] (checkpoint/restore exploration, default on;
-   false = replay-from-root oracle) and [--stride N] (checkpoint
-   spacing).
+   and [--incremental BOOL] (checkpoint/restore exploration, default on;
+   false = replay-from-root oracle).
 *)
 
 open Cmdliner
@@ -115,13 +114,6 @@ let incremental =
   in
   Arg.(value & opt bool true & info [ "incremental" ] ~docv:"BOOL" ~doc)
 
-let stride =
-  let doc = "Checkpoint every $(docv) decisions in incremental mode." in
-  Arg.(
-    value
-    & opt int Compass_machine.Explore.default_stride
-    & info [ "stride" ] ~docv:"N" ~doc)
-
 let queue_arg =
   let impls =
     Arg.enum [ ("ms", Msqueue.instantiate); ("hw", Hwqueue.instantiate) ]
@@ -146,9 +138,9 @@ let style_arg =
   in
   Arg.(value & opt impls Styles.Hb & info [ "style"; "s" ] ~docv:"STYLE" ~doc)
 
-let run_mode ~random ~execs ~seed ~jobs ~reduce ~incremental ~stride sc =
+let run_mode ~random ~execs ~seed ~jobs ~reduce ~incremental sc =
   if random then Explore.random ~execs ~seed sc
-  else Explore.dfs ~jobs ~max_execs:execs ~reduce ~incremental ~stride sc
+  else Explore.dfs ~jobs ~max_execs:execs ~reduce ~incremental sc
 
 let finish report =
   Format.printf "%a@." Explore.pp_report report;
@@ -212,7 +204,7 @@ let litmus_cmd =
     let doc = "Use the Gap timestamp policy (enables mo-middle insertion, e.g. 2+2W)." in
     Arg.(value & flag & info [ "gap" ] ~doc)
   in
-  let run gap execs jobs reduce incremental stride =
+  let run gap execs jobs reduce incremental =
     let config =
       { Machine.default_config with policy = (if gap then `Gap else `Append) }
     in
@@ -223,7 +215,7 @@ let litmus_cmd =
     List.iter
       (fun (t : Litmus.t) ->
         let ok, report, obs =
-          Litmus.verdict ~max_execs:execs ~config ~jobs ~reduce ~incremental ~stride t
+          Litmus.verdict ~max_execs:execs ~config ~jobs ~reduce ~incremental t
         in
         if not ok then code := 1;
         Format.printf "%-12s %-42s expect %-10s observed %-8d execs %-8d %s@."
@@ -239,7 +231,7 @@ let litmus_cmd =
   let doc = "Run the litmus-test battery against the ORC11 substrate." in
   Cmd.v (Cmd.info "litmus" ~doc)
     Term.(
-      const run $ gap $ execs $ jobs $ reduce $ incremental $ stride)
+      const run $ gap $ execs $ jobs $ reduce $ incremental)
 
 (* -- client -------------------------------------------------------------------- *)
 
@@ -268,17 +260,17 @@ let client_cmd =
           None
       & info [] ~docv:"CLIENT" ~doc)
   in
-  let run which factory random execs seed jobs reduce incremental stride =
+  let run which factory random execs seed jobs reduce incremental =
     match which with
     | `Mp ->
         let st = Mp.fresh_stats () in
-        let r = run_mode ~random ~execs ~seed ~jobs ~reduce ~incremental ~stride (Mp.make factory st) in
+        let r = run_mode ~random ~execs ~seed ~jobs ~reduce ~incremental (Mp.make factory st) in
         let code = finish r in
         Format.printf "%a@." Mp.pp_stats st;
         if st.Mp.right_empty > 0 then 1 else code
     | `Mp_weak ->
         let st = Mp.fresh_stats () in
-        let r = run_mode ~random ~execs ~seed ~jobs ~reduce ~incremental ~stride (Mp.make_weak factory st) in
+        let r = run_mode ~random ~execs ~seed ~jobs ~reduce ~incremental (Mp.make_weak factory st) in
         let code = finish r in
         Format.printf "%a@." Mp.pp_stats st;
         Format.printf
@@ -288,20 +280,20 @@ let client_cmd =
     | `Spsc ->
         let st = Spsc_client.fresh_stats () in
         let r =
-          run_mode ~random ~execs ~seed ~jobs ~reduce ~incremental ~stride (Spsc_client.make ~n:3 factory st)
+          run_mode ~random ~execs ~seed ~jobs ~reduce ~incremental (Spsc_client.make ~n:3 factory st)
         in
         finish r
     | `Pipeline ->
         let st = Pipeline.fresh_stats () in
         let r =
-          run_mode ~random ~execs ~seed ~jobs ~reduce ~incremental ~stride
+          run_mode ~random ~execs ~seed ~jobs ~reduce ~incremental
             (Pipeline.make ~n:2 factory Hwqueue.instantiate st)
         in
         finish r
     | `Resource ->
         let st = Resource_exchange.fresh_stats () in
         let r =
-          run_mode ~random ~execs ~seed ~jobs ~reduce ~incremental ~stride (Resource_exchange.make ~threads:2 st)
+          run_mode ~random ~execs ~seed ~jobs ~reduce ~incremental (Resource_exchange.make ~threads:2 st)
         in
         let code = finish r in
         Format.printf "swaps %d, failed exchanges %d@."
@@ -310,7 +302,7 @@ let client_cmd =
     | `Es ->
         let st = Es_compose.fresh_stats () in
         let r =
-          run_mode ~random ~execs ~seed ~jobs ~reduce ~incremental ~stride
+          run_mode ~random ~execs ~seed ~jobs ~reduce ~incremental
             (Es_compose.make ~pushers:2 ~poppers:2 ~ops:1 st)
         in
         let code = finish r in
@@ -320,7 +312,7 @@ let client_cmd =
     | `Mp_stack ->
         let st = Mp_stack.fresh_stats () in
         let r =
-          run_mode ~random ~execs ~seed ~jobs ~reduce ~incremental ~stride (Mp_stack.make Treiber.instantiate st)
+          run_mode ~random ~execs ~seed ~jobs ~reduce ~incremental (Mp_stack.make Treiber.instantiate st)
         in
         let code = finish r in
         Format.printf "right pop: got %d, empty %d@." st.Mp_stack.right_got
@@ -328,11 +320,11 @@ let client_cmd =
         code
     | `Strong_fifo ->
         let st = Strong_fifo.fresh_stats () in
-        let r = run_mode ~random ~execs ~seed ~jobs ~reduce ~incremental ~stride (Strong_fifo.make factory st) in
+        let r = run_mode ~random ~execs ~seed ~jobs ~reduce ~incremental (Strong_fifo.make factory st) in
         let code = finish r in
         let broke = ref 0 in
         let rc =
-          run_mode ~random ~execs:(execs / 2) ~seed ~jobs ~reduce ~incremental ~stride
+          run_mode ~random ~execs:(execs / 2) ~seed ~jobs ~reduce ~incremental
             (Strong_fifo.make_control factory broke)
         in
         Format.printf
@@ -343,7 +335,7 @@ let client_cmd =
     | `Ws ->
         let st = Ws_client.fresh_stats () in
         let r =
-          run_mode ~random ~execs ~seed ~jobs ~reduce ~incremental ~stride
+          run_mode ~random ~execs ~seed ~jobs ~reduce ~incremental
             (Ws_client.make ~tasks:2 ~thieves:1 ~steals:1 st)
         in
         let code = finish r in
@@ -365,7 +357,7 @@ let client_cmd =
   Cmd.v (Cmd.info "client" ~doc)
     Term.(
       const run $ which $ queue_arg $ random_mode $ execs $ seed $ jobs $ reduce
-      $ incremental $ stride)
+      $ incremental)
 
 (* -- check --------------------------------------------------------------------- *)
 
@@ -405,7 +397,7 @@ let check_cmd =
            ~doc:"Operations per thread.")
   in
   let run which struct_key style threads ops random execs seed jobs reduce
-      incremental stride =
+      incremental =
     let impl =
       match (struct_key, which) with
       | Some key, _ -> (
@@ -442,7 +434,7 @@ let check_cmd =
                 ~ops ()
         in
         finish
-          (run_mode ~random ~execs ~seed ~jobs ~reduce ~incremental ~stride sc)
+          (run_mode ~random ~execs ~seed ~jobs ~reduce ~incremental sc)
   in
   let doc =
     "Explore a workload on an implementation (resolved through the spec \
@@ -452,7 +444,7 @@ let check_cmd =
   Cmd.v (Cmd.info "check" ~doc)
     Term.(
       const run $ which $ struct_key $ style_arg $ threads $ ops $ random_mode
-      $ execs $ seed $ jobs $ reduce $ incremental $ stride)
+      $ execs $ seed $ jobs $ reduce $ incremental)
 
 (* -- specs --------------------------------------------------------------------- *)
 
@@ -887,7 +879,7 @@ let dot_cmd =
 (* -- axioms ------------------------------------------------------------------------ *)
 
 let axioms_cmd =
-  let run execs jobs reduce incremental stride =
+  let run execs jobs reduce incremental =
     (* Differential validation: every execution of the litmus battery and
        a workload per structure must satisfy the RC11 axioms when rebuilt
        declaratively from the recorded accesses. *)
@@ -913,7 +905,7 @@ let axioms_cmd =
     let code = ref 0 in
     let run_sc sc =
       let r =
-        Explore.dfs ~jobs ~max_execs:execs ~reduce ~incremental ~stride
+        Explore.dfs ~jobs ~max_execs:execs ~reduce ~incremental
           ~config (with_rc11 sc)
       in
       if not (Explore.ok r) then code := 1;
@@ -933,7 +925,7 @@ let axioms_cmd =
      axioms (po/rf/mo/fr/sw/hb rebuilt from recorded accesses)."
   in
   Cmd.v (Cmd.info "axioms" ~doc)
-    Term.(const run $ execs $ jobs $ reduce $ incremental $ stride)
+    Term.(const run $ execs $ jobs $ reduce $ incremental)
 
 (* -- analyze ----------------------------------------------------------------------- *)
 
@@ -957,7 +949,7 @@ let contains ~sub s =
   n = 0 || go 0
 
 let analyze_races_cmd =
-  let run struct_key execs reduce incremental stride strict json =
+  let run struct_key execs reduce incremental strict json =
     with_entry struct_key (fun e ->
         let agg = Races.agg_create () in
         let config =
@@ -970,7 +962,7 @@ let analyze_races_cmd =
                   Races.agg_add agg log)
             in
             let r =
-              Explore.dfs ~max_execs:execs ~reduce ~incremental ~stride ~config
+              Explore.dfs ~max_execs:execs ~reduce ~incremental ~config
                 sc
             in
             Format.printf "%-38s %7d executions analysed@." r.Explore.name
@@ -994,7 +986,7 @@ let analyze_races_cmd =
   in
   Cmd.v (Cmd.info "races" ~doc)
     Term.(
-      const run $ struct_arg $ execs $ analyze_reduce $ incremental $ stride
+      const run $ struct_arg $ execs $ analyze_reduce $ incremental
       $ strict_arg $ json_arg)
 
 let analyze_modes_cmd =

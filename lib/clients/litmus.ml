@@ -174,14 +174,13 @@ let corr () =
 (* Coherence (CoWW): one thread's writes to a location take mo in program
    order — the final value is the program-order-last write, under either
    timestamp policy. *)
-let coww ?(policy = `Append) () =
+let coww () =
   let observed = ref 0 in
   let scenario =
     {
       Explore.name = "CoWW";
       build =
         (fun m ->
-          ignore policy;
           let x = alloc0 m "x" in
           let w =
             let* () = Prog.store x (vi 1) Mode.Rlx in
@@ -431,10 +430,9 @@ let all () =
    distinguished outcome is invariant under commuting independent
    steps). *)
 let verdict ?(max_execs = 100_000) ?config ?(jobs = 1)
-    ?(reduce = Machine.RNone) ?(incremental = true)
-    ?(stride = Explore.default_stride) t =
+    ?(reduce = Machine.RNone) ?(incremental = true) t =
   let report =
-    Explore.dfs ~jobs ~max_execs ~reduce ~incremental ~stride ?config t.scenario
+    Explore.dfs ~jobs ~max_execs ~reduce ~incremental ?config t.scenario
   in
   let obs = !(t.observed) in
   let ok =

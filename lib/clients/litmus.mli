@@ -28,7 +28,7 @@ val mp_fences : unit -> t
 val corr : unit -> t
 (** coherence: anti-mo read pairs forbidden *)
 
-val coww : ?policy:[ `Append | `Gap ] -> unit -> t
+val coww : unit -> t
 (** coherence: one thread's writes take mo in program order *)
 
 val cowr : unit -> t
@@ -65,7 +65,6 @@ val verdict :
   ?jobs:int ->
   ?reduce:Machine.reduction ->
   ?incremental:bool ->
-  ?stride:int ->
   t ->
   bool * Explore.report * int
 (** run exhaustively; [true] iff the expectation holds (and no

@@ -331,20 +331,18 @@ let run_tree ~config ~reduction ~mk_oracle ~classify scenario st script =
    along the current path.  To run the next script, it finds the deepest
    checkpoint whose depth is within the common prefix of the new script
    and the previous run's decisions, restores it (O(#locations + #graphs)
-   pointer copies — the underlying maps are persistent), and re-executes
+   copies — history lengths and persistent-map pointers), and re-executes
    only the decision suffix.  Since the driver runs the *deepest* pending
    divergence next, the suffix is usually a handful of steps.
 
-   A checkpoint is taken every [stride] decisions (at machine-step
-   boundaries); on backtrack at most [stride] decisions' worth of steps
-   are replayed from the restored state.  The scenario is built exactly
-   once per engine: thread programs are free-monad values and judges read
+   A checkpoint is taken at every decision (at machine-step boundaries),
+   so on backtrack only the steps past the divergence are replayed from
+   the restored state.  The scenario is built exactly once per engine:
+   thread programs are free-monad values and judges read
    machine state that [restore] rolls back in place, so per-execution
    behaviour — and hence every report field — matches replay-from-root
    decision for decision (the differential suite in test/test_explore.ml
    asserts this). *)
-
-let default_stride = 1
 
 type checkpoint = {
   c_depth : int;  (** oracle decisions consumed when the snapshot was taken *)
@@ -355,7 +353,6 @@ type checkpoint = {
 type engine = {
   e_machine : Machine.t;
   e_judge : Machine.outcome -> verdict;
-  e_stride : int;
   mutable e_stack : checkpoint list;
       (** deepest first; the bottom element is the post-build root and is
           never popped.  Invariant: every checkpoint is a state along the
@@ -363,8 +360,7 @@ type engine = {
   mutable e_prev : Decision.trace;  (** the previous run's decision trace *)
 }
 
-let engine ?(stride = default_stride) ~config scenario =
-  if stride < 1 then invalid_arg "Explore.engine: stride < 1";
+let engine ~config scenario =
   let m = Machine.create ~config () in
   let judge = scenario.build m in
   (* Prime before the root snapshot so every run — including one restored
@@ -375,7 +371,6 @@ let engine ?(stride = default_stride) ~config scenario =
   {
     e_machine = m;
     e_judge = judge;
-    e_stride = stride;
     e_stack = [ root ];
     e_prev = [||];
   }
@@ -410,7 +405,7 @@ let engine_run eng ~reduction ~mk_oracle ~classify st script =
   let top_step = ref (Machine.steps m) in
   let on_step () =
     let d = Oracle.position oracle in
-    if d >= !top + eng.e_stride then begin
+    if d > !top then begin
       top := d;
       top_step := Machine.steps m;
       eng.e_stack <-
@@ -445,9 +440,9 @@ let engine_run eng ~reduction ~mk_oracle ~classify st script =
    machine for its whole lifetime instead of allocating a machine, hash
    tables and scenario closures per execution. *)
 let make_runner ?(mk_oracle = default_mk_oracle) ?(classify = default_classify)
-    ~incremental ~stride ~config ~reduction scenario =
+    ~incremental ~config ~reduction scenario =
   if incremental then begin
-    let eng = engine ~stride ~config scenario in
+    let eng = engine ~config scenario in
     fun st script -> engine_run eng ~reduction ~mk_oracle ~classify st script
   end
   else fun st script ->
@@ -668,8 +663,7 @@ let split_exec run st (script, lock) =
    classes.  Every run still feeds {!Dpor.integrate}: duplicates can
    still own unexplored data siblings. *)
 
-let dpor_exec ~state ~reduction ~classify ~incremental ~stride ~config
-    scenario st =
+let dpor_exec ~state ~reduction ~classify ~incremental ~config scenario st =
   (* Per-run driver state, rebound by [mk_oracle] before each run. *)
   let cur_task = ref Dpor.root_task in
   let cur_m = ref None in
@@ -764,8 +758,7 @@ let dpor_exec ~state ~reduction ~classify ~incremental ~stride ~config
     Oracle.resume_make ~sched_aware:true ~pos ~log pick
   in
   let run =
-    make_runner ~mk_oracle ~classify ~incremental ~stride ~config ~reduction
-      scenario
+    make_runner ~mk_oracle ~classify ~incremental ~config ~reduction scenario
   in
   fun task ->
     cur_task := task;
@@ -779,9 +772,8 @@ let dpor_exec ~state ~reduction ~classify ~incremental ~stride ~config
    mutant, not the full census (a run cut short this way reports
    [complete = false]). *)
 let dfs ?(jobs = 1) ?(max_execs = 100_000) ?(reduce = Machine.RNone)
-    ?(incremental = true) ?(stride = default_stride)
-    ?(until_violation = false) ?(config = Machine.default_config)
-    (scenario : scenario) =
+    ?(incremental = true) ?(until_violation = false)
+    ?(config = Machine.default_config) (scenario : scenario) =
   let drive root make_exec =
     drive ~jobs:(max 1 jobs) ~max_execs ~until_violation ~name:scenario.name
       ~root make_exec
@@ -790,8 +782,7 @@ let dfs ?(jobs = 1) ?(max_execs = 100_000) ?(reduce = Machine.RNone)
   | Machine.RNone | Machine.RSleep ->
       drive ([||], 0) (fun st ->
           split_exec
-            (make_runner ~incremental ~stride ~config ~reduction:reduce
-               scenario)
+            (make_runner ~incremental ~config ~reduction:reduce scenario)
             st)
   | Machine.RDpor | Machine.RDporRf ->
       let rf = reduce = Machine.RDporRf in
@@ -816,8 +807,8 @@ let dfs ?(jobs = 1) ?(max_execs = 100_000) ?(reduce = Machine.RNone)
         end
       in
       drive Dpor.root_task
-        (dpor_exec ~state ~reduction:reduce ~classify ~incremental ~stride
-           ~config scenario)
+        (dpor_exec ~state ~reduction:reduce ~classify ~incremental ~config
+           scenario)
 
 (* Random sampling: [execs] seeded executions.  Decision vectors are
    fingerprinted so the report can say how many *distinct* executions the
@@ -843,10 +834,10 @@ let random ?(execs = 1_000) ?(seed = 0) ?(config = Machine.default_config)
 type mode = Dfs of { max_execs : int } | Random of { execs : int; seed : int }
 
 let run ?(config = Machine.default_config) ?(jobs = 1)
-    ?(reduce = Machine.RNone) ?(incremental = true) ?(stride = default_stride)
-    ?(until_violation = false) ~mode scenario =
+    ?(reduce = Machine.RNone) ?(incremental = true) ?(until_violation = false)
+    ~mode scenario =
   match mode with
   | Dfs { max_execs } ->
-      dfs ~jobs ~max_execs ~reduce ~incremental ~stride ~until_violation
-        ~config scenario
+      dfs ~jobs ~max_execs ~reduce ~incremental ~until_violation ~config
+        scenario
   | Random { execs; seed } -> random ~execs ~seed ~config scenario

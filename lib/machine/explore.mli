@@ -112,18 +112,11 @@ val rf_class_key : outcome:Machine.outcome -> Access.t list -> string
     execution graph (same per-thread accesses, rf edges and mo order).
     Requires the access log ([record_accesses]). *)
 
-val default_stride : int
-(** decisions between checkpoints in the incremental engine (1: checkpoint
-    every decision — maximal reuse; memory is bounded by the decision
-    depth either way, so larger strides only trade replayed suffix steps
-    for fewer snapshots) *)
-
 val dfs :
   ?jobs:int ->
   ?max_execs:int ->
   ?reduce:Machine.reduction ->
   ?incremental:bool ->
-  ?stride:int ->
   ?until_violation:bool ->
   ?config:Machine.config ->
   scenario ->
@@ -175,12 +168,12 @@ val dfs :
 
     [incremental] (default on) explores with the checkpoint/restore
     engine: one machine per worker built once, a stack of snapshots
-    keyed by decision depth, and only the decision suffix past the
-    deepest valid checkpoint re-executed per run — instead of replaying
-    every execution from the root.  Reports are field-for-field
-    identical either way (the replay path, [~incremental:false], is kept
-    as the differential-testing oracle); [stride] sets the checkpoint
-    spacing in decisions.
+    keyed by decision depth (one per decision), and only the decision
+    suffix past the deepest valid checkpoint re-executed per run —
+    instead of replaying every execution from the root.  Reports are
+    field-for-field identical either way (the replay path,
+    [~incremental:false], is kept as the differential-testing
+    oracle).
 
     [until_violation] (default off) stops the search at the first kept
     violation — what the mode-necessity audit uses to witness a broken
@@ -196,10 +189,9 @@ val run :
   ?jobs:int ->
   ?reduce:Machine.reduction ->
   ?incremental:bool ->
-  ?stride:int ->
   ?until_violation:bool ->
   mode:mode ->
   scenario ->
   report
-(** dispatch on [mode]: [Dfs] runs {!dfs} with [jobs], [reduce],
-    [incremental] and [stride]; random sampling ignores them *)
+(** dispatch on [mode]: [Dfs] runs {!dfs} with [jobs], [reduce] and
+    [incremental]; random sampling ignores them *)

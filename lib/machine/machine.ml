@@ -18,9 +18,6 @@ open Compass_event
 type config = {
   max_steps : int;  (** per concurrent phase; exceeding yields [Bounded] *)
   policy : Memory.policy;
-  backend : Memory.backend;
-      (** history representation; [`Flat] is the fast path, [`Map] the
-          differential oracle ([`Gap] policy forces [`Map]) *)
   record_trace : bool;
   record_accesses : bool;
       (** record memory accesses for the axiomatic differential check
@@ -35,7 +32,6 @@ let default_config =
   {
     max_steps = 10_000;
     policy = `Append;
-    backend = `Flat;
     record_trace = false;
     record_accesses = false;
     overrides = Override.empty;
@@ -154,7 +150,7 @@ type t = {
 let create ?(config = default_config) () =
   {
     config;
-    mem = Memory.create ~policy:config.policy ~backend:config.backend ();
+    mem = Memory.create ~policy:config.policy ();
     reg = Registry.create ();
     setup_tv = Tview.init;
     threads = [||];
@@ -259,8 +255,8 @@ let mk_res ?(success = true) ~value ~view ~lview () =
   { Prog.value; view; lview; success }
 
 (* Execute the write half of a store/RMW: pick a timestamp, compute the
-   message views, insert the message.  Returns the inserted message ref and
-   the per-message result. *)
+   message views, insert the message.  Returns the inserted message ref, so
+   commits can patch it. *)
 let do_write m (th : thread) oracle ?site ~l ~value ~mode ?rmw_read () =
   let above = View.get th.tv.Tview.cur l in
   let ts =
@@ -297,18 +293,10 @@ let do_write m (th : thread) oracle ?site ~l ~value ~mode ?rmw_read () =
   let tv', view, lview = Tview.write th.tv ~l ~ts ~mode ?rmw_read () in
   th.tv <- tv';
   let msg = Msg.make ~loc:l ~ts ~value ~view ~lview ~wtid:th.tid in
-  Memory.add_msg m.mem msg;
-  (* Fetch the ref just inserted so commits can patch it: a new mo-maximal
-     write is [latest]; only a [`Gap] midpoint needs the search. *)
-  let mref =
-    if Memory.max_ts m.mem l = ts then Memory.latest m.mem l
-    else Option.get (History.find_opt (Memory.hist m.mem l) ts)
-  in
-  mref
+  Memory.add_msg m.mem msg
 
 (* Read choice for an atomic load: count, decide, index — no choice list
-   is ever built (on the flat backend the readable set is an index
-   range). *)
+   is ever built (the readable set is an index range of the history). *)
 let pick_read m (th : thread) oracle ?site l =
   let from = View.get th.tv.Tview.cur l in
   let arity = Memory.read_arity m.mem l ~from in

@@ -18,9 +18,9 @@ open Compass_event
 type config = {
   max_steps : int;  (** per concurrent phase; exceeding yields [Bounded] *)
   policy : Memory.policy;
-  backend : Memory.backend;
-      (** history representation; [`Flat] (default) is the fast path,
-          [`Map] the differential oracle ([`Gap] policy forces [`Map]) *)
+      (** timestamp allocation for writes; under [`Gap] a write may also
+          land at a free midpoint between existing writes (2+2W needs
+          this), and the oracle picks among the candidates *)
   record_trace : bool;
   record_accesses : bool;
       (** record memory accesses for the axiomatic differential check

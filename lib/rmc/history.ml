@@ -7,134 +7,93 @@
    machine can patch a commit write's logical view in the same atomic step
    that creates the event.
 
-   Two backends share the interface:
+   A history is a pair of growable parallel arrays, timestamps ascending.
+   Lookup is a binary search; enumeration of readable messages is an index
+   range, which gives the machine its allocation-free
+   [readable_arity]/[readable_nth] hot path.
 
-   - [Flat] (default): parallel growable arrays, timestamps ascending.
-     Exploration with the [`Append] policy only ever appends, so a
-     snapshot is the current length and restore is a truncation — O(1)
-     both ways, no rebuilding.  Lookup is a binary search; enumeration of
-     readable messages is an index range, which gives the machine its
-     allocation-free [readable_arity]/[readable_nth] hot path.
+   Rollback state is the live length alone.  Under the [`Append] policy
+   every write lands past the end, so a past state is a prefix and restore
+   is a truncation.  A [`Gap] midpoint lands *between* existing writes and
+   shifts the suffix up one slot; such an insertion also records
+   [(length before, slot)] on an undo log, and [truncate] takes those
+   insertions back out, newest first, before it cuts the length.  Under
+   [`Append] the log stays empty. *)
 
-   - [Map]: the original persistent [Map.Make(Int)].  It supports
-     mid-history insertion, which the [`Gap] timestamp policy needs
-     (midpoint timestamps land *between* existing writes, so a truncating
-     restore would be unsound), and serves as the differential oracle for
-     the flat backend. *)
-
-module Tsmap = Map.Make (Int)
-
-type flat = {
-  mutable f_ts : int array; (* sorted strictly ascending; [f_len] live *)
-  mutable f_msgs : Msg.t ref array;
-  mutable f_len : int;
+type t = {
+  mutable ts : int array;  (* sorted strictly ascending; [len] live *)
+  mutable msgs : Msg.t ref array;
+  mutable len : int;
+  mutable undo : (int * int) list;
+      (* mid-history insertions, newest first: (length before, slot) *)
 }
 
-type t = Flat of flat | Map of { mutable msgs : Msg.t ref Tsmap.t }
-
-let create ?(backend = `Flat) ~loc ~init_value () =
+let create ~loc ~init_value () =
   let m0 = ref (Msg.init ~loc ~value:init_value) in
-  match backend with
-  | `Flat ->
-      let cap = 8 in
-      let f_ts = Array.make cap 0 and f_msgs = Array.make cap m0 in
-      f_ts.(0) <- Timestamp.init;
-      Flat { f_ts; f_msgs; f_len = 1 }
-  | `Map -> Map { msgs = Tsmap.singleton Timestamp.init m0 }
+  let cap = 8 in
+  let ts = Array.make cap 0 and msgs = Array.make cap m0 in
+  ts.(0) <- Timestamp.init;
+  { ts; msgs; len = 1; undo = [] }
 
-(* First index in [0, f_len) whose timestamp is >= [k] (so [f_len] when all
-   are below): the only search the flat backend ever needs. *)
-let lower_bound fl k =
-  let lo = ref 0 and hi = ref fl.f_len in
+(* First index in [0, len) whose timestamp is >= [k] (so [len] when all
+   are below): the only search a history ever needs. *)
+let lower_bound h k =
+  let lo = ref 0 and hi = ref h.len in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if Array.unsafe_get fl.f_ts mid < k then lo := mid + 1 else hi := mid
+    if Array.unsafe_get h.ts mid < k then lo := mid + 1 else hi := mid
   done;
   !lo
 
-let max_ts = function
-  | Flat fl -> fl.f_ts.(fl.f_len - 1)
-  | Map m -> fst (Tsmap.max_binding m.msgs)
-
-let latest = function
-  | Flat fl -> fl.f_msgs.(fl.f_len - 1)
-  | Map m -> snd (Tsmap.max_binding m.msgs)
-
-let find_opt h ts =
-  match h with
-  | Flat fl ->
-      let i = lower_bound fl ts in
-      if i < fl.f_len && fl.f_ts.(i) = ts then Some fl.f_msgs.(i) else None
-  | Map m -> Tsmap.find_opt ts m.msgs
-
-let mem h ts =
-  match h with
-  | Flat fl ->
-      let i = lower_bound fl ts in
-      i < fl.f_len && fl.f_ts.(i) = ts
-  | Map m -> Tsmap.mem ts m.msgs
-
-let cardinal = function
-  | Flat fl -> fl.f_len
-  | Map m -> Tsmap.cardinal m.msgs
+let max_ts h = h.ts.(h.len - 1)
+let latest h = h.msgs.(h.len - 1)
+let length h = h.len
 
 let add h (msg : Msg.t) =
-  match h with
-  | Flat fl ->
-      (* The flat backend is append-only: exploration under the [`Append]
-         policy produces strictly ascending timestamps, and that invariant
-         is what makes truncating restores sound.  Mid-history insertion
-         ([`Gap] midpoints) must use the [Map] backend. *)
-      assert (msg.ts > fl.f_ts.(fl.f_len - 1));
-      let cap = Array.length fl.f_ts in
-      if fl.f_len = cap then begin
-        let ncap = cap * 2 in
-        let ts = Array.make ncap 0 and msgs = Array.make ncap fl.f_msgs.(0) in
-        Array.blit fl.f_ts 0 ts 0 fl.f_len;
-        Array.blit fl.f_msgs 0 msgs 0 fl.f_len;
-        fl.f_ts <- ts;
-        fl.f_msgs <- msgs
-      end;
-      fl.f_ts.(fl.f_len) <- msg.ts;
-      fl.f_msgs.(fl.f_len) <- ref msg;
-      fl.f_len <- fl.f_len + 1
-  | Map m ->
-      assert (not (Tsmap.mem msg.ts m.msgs));
-      m.msgs <- Tsmap.add msg.ts (ref msg) m.msgs
+  let n = h.len in
+  let slot = if msg.ts > h.ts.(n - 1) then n else lower_bound h msg.ts in
+  assert (slot = n || h.ts.(slot) <> msg.ts);
+  let cap = Array.length h.ts in
+  if n = cap then begin
+    let ncap = cap * 2 in
+    let ts = Array.make ncap 0 and msgs = Array.make ncap h.msgs.(0) in
+    Array.blit h.ts 0 ts 0 n;
+    Array.blit h.msgs 0 msgs 0 n;
+    h.ts <- ts;
+    h.msgs <- msgs
+  end;
+  if slot < n then begin
+    Array.blit h.ts slot h.ts (slot + 1) (n - slot);
+    Array.blit h.msgs slot h.msgs (slot + 1) (n - slot);
+    h.undo <- (n, slot) :: h.undo
+  end;
+  let r = ref msg in
+  h.ts.(slot) <- msg.ts;
+  h.msgs.(slot) <- r;
+  h.len <- n + 1;
+  r
 
-(* -- snapshot / restore ------------------------------------------------------
+(* Roll back to the state the history had at length [n], a state along
+   the current execution.  A logged insertion made at length >= [n] is not
+   part of that state; taking those out newest first finds each one still
+   at its slot, since every later insertion below it was taken out before
+   it and appends only ever land above it.  What remains past [n] is then
+   appends alone, which the truncation drops.
 
-   Flat: the history is append-only, so its past states are exactly its
-   prefixes — a snapshot is the length, restore truncates.  Map: the
-   timestamp map is persistent, so a snapshot is one pointer.  In both
-   backends the message refs behind the structure are shared, which is
-   sound because a ref is only mutated (commit-view patching) during the
-   machine step that inserts it: snapshots are taken at step boundaries,
-   after which every reachable message is immutable. *)
-
-type snapshot = S_len of int | S_map of Msg.t ref Tsmap.t
-
-let snapshot = function
-  | Flat fl -> S_len fl.f_len
-  | Map m -> S_map m.msgs
-
-let restore h s =
-  match (h, s) with
-  | Flat fl, S_len n -> fl.f_len <- n
-  | Map m, S_map msgs -> m.msgs <- msgs
-  | _ -> invalid_arg "History.restore: snapshot from a different backend"
-
-(* Unboxed snapshot path for flat histories: the entire rollback state is
-   one integer, so a store of flat histories can checkpoint itself as a
-   plain int array instead of an array of [S_len] boxes. *)
-let flat_length = function
-  | Flat fl -> fl.f_len
-  | Map _ -> invalid_arg "History.flat_length: map backend"
-
-let truncate h n =
-  match h with
-  | Flat fl -> fl.f_len <- n
-  | Map _ -> invalid_arg "History.truncate: map backend"
+   Message refs are shared with earlier states, which is sound because a
+   ref is only mutated (commit-view patching) during the machine step that
+   inserts it: lengths are captured at step boundaries, after which every
+   reachable message is immutable. *)
+let rec truncate h n =
+  match h.undo with
+  | (before, slot) :: rest when before >= n ->
+      let tail = h.len - slot - 1 in
+      Array.blit h.ts (slot + 1) h.ts slot tail;
+      Array.blit h.msgs (slot + 1) h.msgs slot tail;
+      h.len <- h.len - 1;
+      h.undo <- rest;
+      truncate h n
+  | _ -> h.len <- n
 
 (* -- readable messages -------------------------------------------------------
 
@@ -142,132 +101,54 @@ let truncate h n =
    coherence forbids reading below the view, nothing forbids reading above.
    Ascending timestamp order throughout.
 
-   The arity/nth pair is the machine's hot path: on the flat backend the
-   readable set is the index range [lower_bound .. f_len), so counting and
-   indexing allocate nothing.  The [sat_]* variants fold a predicate in
+   The readable set is the index range [lower_bound .. len), so counting
+   and indexing allocate nothing.  The [sat_]* variants fold a predicate in
    (RMW and await steps) without materialising the filtered list. *)
 
-let readable_arity h ~from =
-  match h with
-  | Flat fl -> fl.f_len - lower_bound fl from
-  | Map m ->
-      Tsmap.fold
-        (fun ts _ acc -> if Timestamp.leq from ts then acc + 1 else acc)
-        m.msgs 0
-
-let readable_nth h ~from n =
-  match h with
-  | Flat fl -> fl.f_msgs.(lower_bound fl from + n)
-  | Map m ->
-      let k = ref n and r = ref None in
-      (try
-         Tsmap.iter
-           (fun ts msg ->
-             if Timestamp.leq from ts then
-               if !k = 0 then begin
-                 r := Some msg;
-                 raise Exit
-               end
-               else decr k)
-           m.msgs
-       with Exit -> ());
-      Option.get !r
+let readable_arity h ~from = h.len - lower_bound h from
+let readable_nth h ~from n = h.msgs.(lower_bound h from + n)
 
 let sat_arity h ~from ~sat =
-  match h with
-  | Flat fl ->
-      let n = ref 0 in
-      for i = lower_bound fl from to fl.f_len - 1 do
-        if sat (Array.unsafe_get fl.f_msgs i) then incr n
-      done;
-      !n
-  | Map m ->
-      Tsmap.fold
-        (fun ts msg acc ->
-          if Timestamp.leq from ts && sat msg then acc + 1 else acc)
-        m.msgs 0
+  let n = ref 0 in
+  for i = lower_bound h from to h.len - 1 do
+    if sat (Array.unsafe_get h.msgs i) then incr n
+  done;
+  !n
 
 let sat_exists h ~from ~sat =
-  match h with
-  | Flat fl ->
-      let rec go i =
-        i < fl.f_len && (sat (Array.unsafe_get fl.f_msgs i) || go (i + 1))
-      in
-      go (lower_bound fl from)
-  | Map m -> Tsmap.exists (fun ts msg -> Timestamp.leq from ts && sat msg) m.msgs
+  let rec go i = i < h.len && (sat (Array.unsafe_get h.msgs i) || go (i + 1)) in
+  go (lower_bound h from)
 
 let sat_nth h ~from ~sat n =
-  match h with
-  | Flat fl ->
-      let k = ref n and r = ref None and i = ref (lower_bound fl from) in
-      while !r = None do
-        let msg = fl.f_msgs.(!i) in
-        if sat msg then
-          if !k = 0 then r := Some msg else decr k;
-        incr i
-      done;
-      Option.get !r
-  | Map m ->
-      let k = ref n and r = ref None in
-      (try
-         Tsmap.iter
-           (fun ts msg ->
-             if Timestamp.leq from ts && sat msg then
-               if !k = 0 then begin
-                 r := Some msg;
-                 raise Exit
-               end
-               else decr k)
-           m.msgs
-       with Exit -> ());
-      Option.get !r
+  let k = ref n and r = ref None and i = ref (lower_bound h from) in
+  while !r = None do
+    let msg = h.msgs.(!i) in
+    if sat msg then
+      if !k = 0 then r := Some msg else decr k;
+    incr i
+  done;
+  Option.get !r
 
-let readable h ~from =
-  match h with
-  | Flat fl ->
-      let lo = lower_bound fl from in
-      let rec go i acc =
-        if i < lo then acc else go (i - 1) (fl.f_msgs.(i) :: acc)
-      in
-      go (fl.f_len - 1) []
-  | Map m ->
-      Tsmap.fold
-        (fun ts msg acc -> if Timestamp.leq from ts then msg :: acc else acc)
-        m.msgs []
-      |> List.rev
-
-let to_list = function
-  | Flat fl -> Array.to_list (Array.sub fl.f_msgs 0 fl.f_len)
-  | Map m -> Tsmap.bindings m.msgs |> List.map snd
-
-let timestamps = function
-  | Flat fl -> Array.to_list (Array.sub fl.f_ts 0 fl.f_len)
-  | Map m -> Tsmap.bindings m.msgs |> List.map fst
+let to_list h = Array.to_list (Array.sub h.msgs 0 h.len)
 
 (* Next unused timestamp strictly above [above], per the allocation policy:
-   [`Append] always goes past the maximum; [`Gap] may land between existing
-   writes when a midpoint slot is free.  Returns candidates (ascending).
-   [`Gap] enumeration works on either backend (it only reads), but the
-   resulting midpoint *writes* require the [Map] backend. *)
+   [`Append] always goes past the maximum; [`Gap] may also land strictly
+   between two adjacent writes above [above] — a slot that is free by
+   construction.  Returns candidates (ascending). *)
 let fresh_ts h ~policy ~above =
   let top = Timestamp.max (max_ts h) above in
   match policy with
   | `Append -> [ top + 1 ]
   | `Gap ->
-      let tss = timestamps h in
-      let rec mids = function
-        | a :: (b :: _ as rest) ->
-            let here =
-              if Timestamp.lt above b then
-                match Timestamp.midpoint (Timestamp.max a above) b with
-                | Some m when not (mem h m) -> [ m ]
-                | _ -> []
-              else []
-            in
-            here @ mids rest
-        | _ -> []
+      let rec mids i =
+        if i + 1 >= h.len then [ top + Timestamp.stride ]
+        else
+          let lo = Timestamp.max h.ts.(i) above in
+          match Timestamp.midpoint lo h.ts.(i + 1) with
+          | Some m -> m :: mids (i + 1)
+          | None -> mids (i + 1)
       in
-      mids tss @ [ top + Timestamp.stride ]
+      mids 0
 
 let pp ppf h =
   Format.fprintf ppf "[@[%a@]]"

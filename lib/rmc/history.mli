@@ -2,61 +2,52 @@
     keyed by timestamp — its modification order.  This is the [h] of the
     paper's atomic points-to assertion (Section 2.3).
 
-    Two backends share the interface.  [`Flat] (the default) stores the
-    history as growable parallel arrays in ascending timestamp order:
-    append-only, O(1) length-snapshots, truncating restores, and
-    allocation-free readable-message enumeration — the exploration hot
-    path.  [`Map] is the original persistent map: it additionally supports
-    mid-history insertion (required by the [`Gap] timestamp policy) and
-    serves as the differential oracle for the flat backend. *)
+    A history is a pair of growable parallel arrays in ascending timestamp
+    order, with allocation-free readable-message enumeration — the
+    exploration hot path.  Its whole rollback state is its {!length}:
+    writes past the end are undone by truncation, and [`Gap] midpoint
+    writes, which land between existing writes, also go on an undo log
+    that {!truncate} replays.
+
+    Restores must only go back along the current execution: the length
+    passed to {!truncate} must have been read by {!length} on a state the
+    current one was reached from, never on a sibling branch that was
+    since rolled back.  The incremental explorer only ever restores
+    checkpoints on the path that led to the current state, which meets
+    this. *)
 
 type t
 
-val create :
-  ?backend:[ `Flat | `Map ] -> loc:Loc.t -> init_value:Value.t -> unit -> t
+val create : loc:Loc.t -> init_value:Value.t -> unit -> t
 
 val max_ts : t -> Timestamp.t
 val latest : t -> Msg.t ref
-val find_opt : t -> Timestamp.t -> Msg.t ref option
-val mem : t -> Timestamp.t -> bool
-val cardinal : t -> int
 
-val add : t -> Msg.t -> unit
-(** insert a message at a fresh timestamp.  The [`Flat] backend is
-    append-only: the timestamp must be strictly above {!max_ts} (the
-    [`Append] policy guarantees this); use the [`Map] backend for [`Gap]
-    midpoint insertion. *)
+val add : t -> Msg.t -> Msg.t ref
+(** insert a message at a fresh timestamp, in timestamp order, and return
+    the ref it is stored behind.  A timestamp below {!max_ts} (a [`Gap]
+    midpoint) is logged so that {!truncate} can take it back out. *)
 
-type snapshot
-(** an O(1) capture of the history: the live length ([`Flat] — restore
-    truncates) or the persistent map pointer ([`Map]).  Message refs are
-    shared — they are immutable after the machine step that inserts
-    them. *)
-
-val snapshot : t -> snapshot
-val restore : t -> snapshot -> unit
-
-val flat_length : t -> int
-(** the live length of a [`Flat] history — its entire rollback state, so
-    stores of flat histories can checkpoint as plain int arrays.
-    @raise Invalid_argument on the [`Map] backend *)
+val length : t -> int
+(** the number of messages — the history's entire rollback state, so a
+    store of histories checkpoints as a plain int array *)
 
 val truncate : t -> int -> unit
-(** roll a [`Flat] history back to a length captured by {!flat_length}.
-    @raise Invalid_argument on the [`Map] backend *)
-
-val readable : t -> from:Timestamp.t -> Msg.t ref list
-(** all messages a thread whose view of this location is [from] may read
-    (coherence forbids reading below the view); ascending timestamp
-    order *)
+(** [truncate h n] rolls [h] back to the state in which {!length} was
+    [n]: logged midpoint insertions made at length [>= n] are removed
+    newest first, then the length is cut to [n].  Only valid for a state
+    along the current execution (see the module comment).  Message refs
+    are shared with the restored state — they are immutable after the
+    machine step that inserts them. *)
 
 val readable_arity : t -> from:Timestamp.t -> int
-(** [List.length (readable h ~from)], without building the list — on the
-    flat backend this is a binary search *)
+(** the number of messages a thread whose view of this location is [from]
+    may read (coherence forbids reading below the view): a binary
+    search *)
 
 val readable_nth : t -> from:Timestamp.t -> int -> Msg.t ref
-(** [List.nth (readable h ~from) n], without building the list — on the
-    flat backend this is an array index *)
+(** the [n]th of those messages in ascending timestamp order: an array
+    index *)
 
 val sat_arity : t -> from:Timestamp.t -> sat:(Msg.t ref -> bool) -> int
 (** number of readable messages satisfying [sat], without materialising
@@ -70,6 +61,7 @@ val sat_nth : t -> from:Timestamp.t -> sat:(Msg.t ref -> bool) -> int -> Msg.t r
     [n] must be below the corresponding {!sat_arity} *)
 
 val to_list : t -> Msg.t ref list
+(** all messages, ascending timestamps *)
 
 val fresh_ts :
   t -> policy:[ `Append | `Gap ] -> above:Timestamp.t -> Timestamp.t list

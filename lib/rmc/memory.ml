@@ -1,36 +1,25 @@
 (* Global simulated memory: an allocator plus one history per location.
 
-   Memory is mutable and created fresh for every execution (the model
-   checker is stateless: it re-runs executions from decision scripts rather
-   than snapshotting state).
+   Memory is mutable: an explorer either creates a fresh store per
+   execution or checkpoints one store with [snapshot] and rolls it back
+   with [restore].
 
    Locations get *dense ids*: blocks are numbered in allocation order and a
    block's cells occupy a contiguous id range, so [loc -> history] is two
    array reads and a bounds check — no hashing on the hot path, and a
    snapshot walk is an array sweep.  Deallocation only happens via
    [restore], which rolls the allocator back to a prefix, so the id space
-   truncates exactly like everything else.
-
-   The [backend] selects the {!History} representation: [`Flat] (default)
-   is the append-only array form with O(1) truncating restores; [`Map] is
-   the persistent-map oracle.  The [`Gap] timestamp policy inserts
-   midpoint timestamps *between* existing writes, which the flat form
-   cannot restore by truncation — so [`Gap] forces the [`Map] backend. *)
+   truncates exactly like everything else. *)
 
 type policy = [ `Append | `Gap ]
-type backend = [ `Flat | `Map ]
-
-type hist_snaps =
-  | S_flat of int array
-      (** flat backend: the live length of each history — unboxed, one
-          int array for the whole store *)
-  | S_gen of History.snapshot array  (** map backend: per-history snapshots *)
 
 type snapshot = {
   s_version : int;
   s_n_blocks : int;
   s_n_locs : int;
-  s_hists : hist_snaps;  (** aligned with {!t.hists} *)
+  s_lens : int array;
+      (** the length of each history, aligned with {!t.hists} — its whole
+          rollback state, unboxed *)
 }
 
 type t = {
@@ -40,7 +29,6 @@ type t = {
   mutable hists : History.t array;  (** indexed by dense location id *)
   mutable n_locs : int;
   policy : policy;
-  backend : backend;
   mutable version : int;
       (** identifies the store's content: fresh after every mutation, set
           back to the snapshot's version on restore — so an unchanged
@@ -66,13 +54,7 @@ exception Error of error
 
 let error e = raise (Error e)
 
-let create ?(policy = `Append) ?backend () =
-  let backend =
-    match (policy, backend) with
-    | `Gap, _ -> `Map (* midpoint insertion: truncating restore unsound *)
-    | `Append, Some b -> b
-    | `Append, None -> `Flat
-  in
+let create ?(policy = `Append) () =
   {
     block_start = [||];
     block_size = [||];
@@ -80,13 +62,10 @@ let create ?(policy = `Append) ?backend () =
     hists = [||];
     n_locs = 0;
     policy;
-    backend;
     version = 0;
     vnext = 1;
     snap_cache = None;
   }
-
-let backend mem = mem.backend
 
 let touch mem =
   mem.version <- mem.vnext;
@@ -112,7 +91,7 @@ let alloc mem ~name ~size ~init_value =
   Loc.register_name ~base ~name;
   for off = 0 to size - 1 do
     let loc = Loc.make ~base ~off in
-    let h = History.create ~backend:mem.backend ~loc ~init_value () in
+    let h = History.create ~loc ~init_value () in
     let cap = Array.length mem.hists in
     if mem.n_locs >= cap then begin
       let r = Array.make (if cap = 0 then 16 else 2 * cap) h in
@@ -135,12 +114,9 @@ let loc_id mem (l : Loc.t) =
 
 let hist mem l = mem.hists.(loc_id mem l)
 
-(* All messages a thread with view-of-[l] [from] may read.  Non-atomic reads
-   are handled separately in [na_read]. *)
-let read_choices mem l ~from = History.readable (hist mem l) ~from
-
-(* Allocation-free variants of [read_choices] — the machine's hot path
-   counts choices and indexes into them without building lists. *)
+(* The messages a thread with view-of-[l] [from] may read, counted and
+   indexed without building a list — the machine's hot path.  Non-atomic
+   reads are handled separately in [na_read]. *)
 let read_arity mem l ~from = History.readable_arity (hist mem l) ~from
 let read_nth mem l ~from n = History.readable_nth (hist mem l) ~from n
 let sat_arity mem l ~from ~sat = History.sat_arity (hist mem l) ~from ~sat
@@ -193,35 +169,28 @@ let add_msg mem (m : Msg.t) =
 
 (* -- snapshot / restore ------------------------------------------------------
 
-   A snapshot captures the allocator position plus one {!History.snapshot}
-   per location — an array sweep of O(#locations) O(1) captures (a length
-   for flat histories, a persistent-map pointer for the oracle); nothing
-   message-level is duplicated.
+   A snapshot captures the allocator position plus the {!History.length}
+   of every location — one array sweep; nothing message-level is
+   duplicated.
 
    [restore] mutates the existing {!History.t} records in place (callers
    may hold handles to them) and truncates the allocator, dropping
    locations allocated after the snapshot; re-executing the suffix
    re-allocates them at the same bases and ids.  Restore targets are
    always states along the current execution's prefix, so the snapshotted
-   locations are exactly the first [s_n_locs] ids.
+   locations are exactly the first [s_n_locs] ids, and each history can
+   take back its midpoint writes from its undo log ({!History.truncate}).
 
    Snapshots are version-cached: reads don't [touch] the store, so the
    checkpoint-per-step explorer reuses one snapshot across read-only
    steps instead of rebuilding the array. *)
 
 let build_snapshot mem =
-  let s_hists =
-    match mem.backend with
-    | `Flat ->
-        S_flat (Array.init mem.n_locs (fun i -> History.flat_length mem.hists.(i)))
-    | `Map ->
-        S_gen (Array.init mem.n_locs (fun i -> History.snapshot mem.hists.(i)))
-  in
   {
     s_version = mem.version;
     s_n_blocks = mem.n_blocks;
     s_n_locs = mem.n_locs;
-    s_hists;
+    s_lens = Array.init mem.n_locs (fun i -> History.length mem.hists.(i));
   }
 
 let snapshot mem =
@@ -237,15 +206,9 @@ let restore mem s =
     invalid_arg "Memory.restore: snapshot from a different store";
   mem.n_blocks <- s.s_n_blocks;
   mem.n_locs <- s.s_n_locs;
-  (match s.s_hists with
-  | S_flat lens ->
-      for i = 0 to s.s_n_locs - 1 do
-        History.truncate mem.hists.(i) lens.(i)
-      done
-  | S_gen snaps ->
-      for i = 0 to s.s_n_locs - 1 do
-        History.restore mem.hists.(i) snaps.(i)
-      done);
+  for i = 0 to s.s_n_locs - 1 do
+    History.truncate mem.hists.(i) s.s_lens.(i)
+  done;
   (* The store's content is now exactly what [s] captured. *)
   mem.version <- s.s_version;
   mem.snap_cache <- Some s

@@ -1,19 +1,19 @@
 (** The global simulated store: an allocator plus one {!History} per
     location, with race detection for non-atomic accesses.
 
-    Memory is mutable and created fresh per execution: the model checker
-    is stateless (it replays executions from decision scripts).
+    Memory is mutable: an explorer either creates a fresh store per
+    execution or checkpoints one store with {!snapshot} and rolls it back
+    with {!restore}.
 
     Locations get dense ids — blocks are numbered in allocation order and
     a block's cells occupy a contiguous id range — so location lookup is
     two array reads and a bounds check, and store snapshots are array
-    sweeps.  The [backend] picks the history representation: [`Flat]
-    (default) append-only arrays with O(1) truncating restores, [`Map]
-    the persistent-map differential oracle.  The [`Gap] timestamp policy
-    requires mid-history insertion and therefore forces [`Map]. *)
+    sweeps. *)
 
 type policy = [ `Append | `Gap ]
-type backend = [ `Flat | `Map ]
+(** timestamp allocation for new writes: [`Append] always past the end of
+    the history, [`Gap] also at free midpoints between existing writes *)
+
 type t
 
 type error =
@@ -25,29 +25,21 @@ val pp_error : Format.formatter -> error -> unit
 
 exception Error of error
 
-val create : ?policy:policy -> ?backend:backend -> unit -> t
-(** [backend] defaults to [`Flat]; [~policy:`Gap] overrides it to
-    [`Map] (midpoint timestamps are incompatible with truncating
-    restores) *)
-
-val backend : t -> backend
-(** the history representation actually in use *)
+val create : ?policy:policy -> unit -> t
+(** an empty store; [policy] defaults to [`Append] *)
 
 val alloc : t -> name:string -> size:int -> init_value:Value.t -> Loc.t
 (** allocate a block of [size] cells, each with an initialisation write
     of [init_value]; returns the base location *)
 
-val hist : t -> Loc.t -> History.t
-(** @raise Error ([Unallocated]) for unknown locations *)
-
-val read_choices : t -> Loc.t -> from:Timestamp.t -> Msg.t ref list
-(** the messages an atomic load may read (coherence-filtered, ascending) *)
-
 val read_arity : t -> Loc.t -> from:Timestamp.t -> int
-(** [List.length (read_choices ...)] without building the list *)
+(** the number of messages an atomic load with view [from] of the
+    location may read (coherence-filtered).
+    @raise Error ([Unallocated]) for unknown locations, as do all
+    per-location queries below *)
 
 val read_nth : t -> Loc.t -> from:Timestamp.t -> int -> Msg.t ref
-(** [List.nth (read_choices ...) n] without building the list *)
+(** the [n]th of those messages, ascending timestamps *)
 
 val sat_arity : t -> Loc.t -> from:Timestamp.t -> sat:(Msg.t ref -> bool) -> int
 (** readable messages satisfying [sat], counted without materialising
@@ -83,17 +75,22 @@ val na_read : t -> Loc.t -> tv:Tview.t -> tid:int -> Msg.t ref
     @raise Error ([Race] or [Uninitialised]) *)
 
 val write_ts_choices : t -> Loc.t -> above:Timestamp.t -> Timestamp.t list
-val add_msg : t -> Msg.t -> unit
+
+val add_msg : t -> Msg.t -> Msg.t ref
+(** insert a write message into its location's history; returns the ref
+    it is stored behind (see {!History.add}) *)
 
 type snapshot
-(** allocator position plus one {!History.snapshot} per location:
-    an O(#locations) sweep of O(1) captures *)
+(** allocator position plus the {!History.length} of every location:
+    one unboxed int array *)
 
 val snapshot : t -> snapshot
 
 val restore : t -> snapshot -> unit
 (** roll the store back to [snapshot]: existing histories are mutated in
     place (handles stay valid) and locations allocated after the snapshot
-    are dropped by truncating the allocator *)
+    are dropped by truncating the allocator.  [snapshot] must have been
+    taken on a state the current one was reached from — restores only go
+    back along the current execution (see {!History.truncate}). *)
 
 val pp : Format.formatter -> t -> unit

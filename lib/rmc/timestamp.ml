@@ -12,7 +12,6 @@ let init : t = 0
 let compare = Int.compare
 let equal = Int.equal
 let leq (a : t) (b : t) = a <= b
-let lt (a : t) (b : t) = a < b
 let max = Stdlib.max
 
 (* Spacing between appended timestamps under the [Gap] policy; a midpoint

@@ -12,7 +12,6 @@ val init : t
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val leq : t -> t -> bool
-val lt : t -> t -> bool
 val max : t -> t -> t
 
 val stride : int

@@ -9,8 +9,8 @@ open Prog.Syntax
    on verdicts and on the set of distinct violations everywhere; the
    execution counts must be monotone (dpor <= sleep <= unreduced); and
    the DPOR integration must be engine-independent: replay-from-root,
-   incremental at strides 1/2/5, and work stealing at 1/2/4 jobs all
-   reach the same verdicts.
+   incremental, and work stealing at 1/2/4 jobs all reach the same
+   verdicts.
 
    "Total runs" below counts every machine run the search launched,
    completed or killed: sleep sets keep one execution per Mazurkiewicz
@@ -79,7 +79,7 @@ let test_scenario_differential () =
         (total_runs dpor <= total_runs sleep))
     (scenarios ())
 
-(* -- engine independence: ±incremental, strides, parallel jobs ---------------- *)
+(* -- engine independence: ±incremental, parallel jobs ------------------------- *)
 
 let test_engine_independence () =
   List.iter
@@ -92,24 +92,12 @@ let test_engine_independence () =
         Explore.dfs ~reduce:Machine.RDpor ~incremental:false ~max_execs
           (mk ())
       in
-      (* One driver, one task order: the replay engine and every stride
-         must reproduce the sequential search count for count. *)
+      (* One driver, one task order: the replay engine must reproduce the
+         incremental search count for count. *)
       check_equiv ~name:(name ^ " dpor replay-from-root") reference replay;
       Alcotest.(check int)
         (name ^ ": replay executions")
         reference.Explore.executions replay.Explore.executions;
-      List.iter
-        (fun stride ->
-          let inc =
-            Explore.dfs ~reduce:Machine.RDpor ~stride ~max_execs (mk ())
-          in
-          check_equiv
-            ~name:(Printf.sprintf "%s dpor stride %d" name stride)
-            reference inc;
-          Alcotest.(check int)
-            (Printf.sprintf "%s: stride %d executions" name stride)
-            reference.Explore.executions inc.Explore.executions)
-        [ 1; 2; 5 ];
       (* Parallel workers race on the shared DPOR nodes, so the count may
          wobble; verdicts, violation sets and completeness may not. *)
       List.iter
@@ -404,7 +392,7 @@ let suite =
       test_optimal_count;
     Alcotest.test_case "dpor == sleep == unreduced (clients)" `Slow
       test_scenario_differential;
-    Alcotest.test_case "dpor engine-independent (±inc, strides, jobs)" `Slow
+    Alcotest.test_case "dpor engine-independent (±inc, jobs)" `Slow
       test_engine_independence;
     Alcotest.test_case "dpor preserves litmus verdicts" `Slow
       test_litmus_differential;

@@ -86,16 +86,19 @@ let seeded_mp_violation () =
         | Machine.Pruned -> Explore.Discard "pruned");
   }
 
-(* The equivalence scenarios the spec asks for — an MP queue client, a
-   litmus test, and Treiber stack workloads — plus a seeded violation.
-   The 2-pusher Treiber tree has ~300k executions, so that one runs with
-   reduction on both sides; the small Treiber covers the unreduced
-   path. *)
+(* The equivalence scenarios the spec asks for — MP clients of the
+   Michael-Scott and Herlihy-Wing queues, a litmus test, and Treiber stack
+   workloads — plus a seeded violation.  The 2-pusher Treiber tree has
+   ~300k executions, so that one runs with reduction on both sides; the
+   small Treiber covers the unreduced path. *)
 let equivalence_cases () =
   [
     ( "mp-queue",
       Machine.RNone,
       fun () -> Mp.make Msqueue.instantiate (Mp.fresh_stats ()) );
+    ( "hw-queue",
+      Machine.RNone,
+      fun () -> Mp.make Hwqueue.instantiate (Mp.fresh_stats ()) );
     ("litmus-sb", Machine.RNone, fun () -> (Litmus.sb ()).Litmus.scenario);
     ( "treiber-small",
       Machine.RNone,
@@ -113,8 +116,8 @@ let equivalence_cases () =
    The incremental checkpoint/restore engine must be observationally
    identical to the replay-from-root oracle: same enumeration order, so
    every report field — including the kept violation scripts — must agree
-   exactly, whatever the checkpoint stride, with and without sleep-set
-   reduction, and under work stealing across jobs (per-worker engines). *)
+   exactly, with and without sleep-set reduction, and under work stealing
+   across jobs (per-worker engines). *)
 
 let test_incremental_equivalence () =
   List.iter
@@ -124,41 +127,50 @@ let test_incremental_equivalence () =
           let oracle =
             Explore.dfs ~incremental:false ~reduce ~max_execs:200_000 (mk ())
           in
-          List.iter
-            (fun stride ->
-              let inc =
-                Explore.dfs ~incremental:true ~stride ~reduce
-                  ~max_execs:200_000 (mk ())
-              in
-              report_eq_strict
-                ~name:
-                  (Printf.sprintf "%s (reduce %s, stride %d)" name
-                     (red_name reduce) stride)
-                oracle inc)
-            [ 1; 2; 5 ])
+          let inc =
+            Explore.dfs ~incremental:true ~reduce ~max_execs:200_000 (mk ())
+          in
+          report_eq_strict
+            ~name:(Printf.sprintf "%s (reduce %s)" name (red_name reduce))
+            oracle inc)
         [ Machine.RNone; Machine.RSleep ])
     (equivalence_cases ())
 
+(* A litmus verdict — pass/fail plus observation count — and its report
+   are preserved by the incremental engine.  Litmus judges always pass,
+   so the report alone cannot tell a corrupted history: the observation
+   counts must agree too. *)
+let litmus_incremental_eq ?config ?(reduce = Machine.RNone) mk =
+  let ok_seq, r_seq, obs_seq =
+    Litmus.verdict ?config ~reduce ~incremental:false (mk ())
+  in
+  let ok_inc, r_inc, obs_inc = Litmus.verdict ?config ~reduce (mk ()) in
+  let name =
+    Printf.sprintf "%s (reduce %s)" r_seq.Explore.name (red_name reduce)
+  in
+  Alcotest.(check bool) (name ^ ": verdict preserved incrementally") ok_seq
+    ok_inc;
+  Alcotest.(check int) (name ^ ": observation count preserved") obs_seq obs_inc;
+  report_eq_strict ~name r_seq r_inc
+
 let test_incremental_litmus () =
-  (* Every litmus verdict — pass/fail plus observation counts — is
-     preserved by the incremental engine. *)
-  List.iter
-    (fun mk ->
-      let t_seq = mk () and t_inc = mk () in
-      let ok_seq, r_seq, obs_seq = Litmus.verdict ~incremental:false t_seq in
-      let ok_inc, r_inc, obs_inc = Litmus.verdict ~incremental:true t_inc in
-      Alcotest.(check bool)
-        (r_seq.Explore.name ^ ": verdict preserved incrementally")
-        ok_seq ok_inc;
-      Alcotest.(check int)
-        (r_seq.Explore.name ^ ": observation count preserved")
-        obs_seq obs_inc;
-      report_eq_strict ~name:r_seq.Explore.name r_seq r_inc)
+  List.iter litmus_incremental_eq
     [
       Litmus.sb; Litmus.sb_sc_fences; (fun () -> Litmus.mp ());
       Litmus.mp_fences; Litmus.corr; Litmus.cowr; Litmus.lb; Litmus.wrc;
       (fun () -> Litmus.faa_atomic ());
     ]
+
+let test_incremental_gap () =
+  (* Under [`Gap] timestamps a write may land between existing writes, so
+     a restore must take midpoint writes back out, not just cut lengths. *)
+  let config = { Machine.default_config with policy = `Gap } in
+  List.iter
+    (fun mk ->
+      List.iter
+        (fun reduce -> litmus_incremental_eq ~config ~reduce mk)
+        [ Machine.RNone; Machine.RSleep; Machine.RDpor ])
+    [ Litmus.two_two_w; Litmus.coww; Litmus.corr; (fun () -> Litmus.sb ()) ]
 
 let test_incremental_jobs () =
   (* Work stealing composes with checkpointing: each worker's engine only
@@ -247,79 +259,6 @@ let test_jobs_reduce () =
   in
   report_eq ~name:"reduced jobs 4 vs reduced jobs 1" seq par
 
-(* -- flat vs map backend differential suite ----------------------------------
-
-   The flat array store (growable write-history arrays, truncating
-   restores) must be observationally identical to the persistent-map
-   oracle.  Both backends feed the same machine the same choices in the
-   same order, so the comparison is exact — every report field including
-   the kept violation scripts — with and without sleep-set reduction,
-   replaying from the root or from checkpoints at any stride, and under
-   work stealing at any job count. *)
-
-let map_config = { Machine.default_config with Machine.backend = `Map }
-
-let backend_cases () =
-  ( "hw-queue",
-    Machine.RNone,
-    fun () -> Mp.make Hwqueue.instantiate (Mp.fresh_stats ()) )
-  :: equivalence_cases ()
-
-let test_backend_equivalence () =
-  List.iter
-    (fun (name, _, mk) ->
-      List.iter
-        (fun reduce ->
-          (* Same enumeration order on both sides, so a budget-capped run
-             compares exactly too — the big trees need not exhaust. *)
-          let oracle =
-            Explore.dfs ~config:map_config ~incremental:false ~reduce
-              ~max_execs:60_000 (mk ())
-          in
-          let replay =
-            Explore.dfs ~incremental:false ~reduce ~max_execs:60_000 (mk ())
-          in
-          report_eq_strict
-            ~name:
-              (Printf.sprintf "%s (map vs flat replay, reduce %s)" name
-                 (red_name reduce))
-            oracle replay;
-          List.iter
-            (fun stride ->
-              let inc =
-                Explore.dfs ~incremental:true ~stride ~reduce ~max_execs:60_000
-                  (mk ())
-              in
-              report_eq_strict
-                ~name:
-                  (Printf.sprintf "%s (map vs flat stride %d, reduce %s)" name
-                     stride (red_name reduce))
-                oracle inc)
-            [ 1; 2; 5 ])
-        [ Machine.RNone; Machine.RSleep ])
-    (backend_cases ())
-
-let test_backend_jobs () =
-  (* Parallel flat exploration vs the sequential map oracle: on a
-     complete search the work-stealing partition covers exactly the same
-     executions whatever the job count. *)
-  List.iter
-    (fun (name, reduce, mk) ->
-      let oracle =
-        Explore.dfs ~config:map_config ~reduce ~max_execs:200_000 (mk ())
-      in
-      Alcotest.(check bool)
-        (name ^ ": map oracle exhausts")
-        true oracle.Explore.complete;
-      List.iter
-        (fun jobs ->
-          let par = Explore.dfs ~jobs ~reduce ~max_execs:200_000 (mk ()) in
-          report_eq
-            ~name:(Printf.sprintf "%s (flat jobs %d vs map jobs 1)" name jobs)
-            oracle par)
-        [ 1; 2; 4 ])
-    (backend_cases ())
-
 let test_budget_exact () =
   (* A budget-limited search runs exactly [max_execs] executions whatever
      the job count and reduction: workers spend every budget slot they
@@ -359,10 +298,12 @@ let test_domain_isolation () =
    several jobs) and "dfs" the single-worker one. *)
 let suite =
   [
-    Alcotest.test_case "incremental == replay dfs (strides 1/2/5, ±reduce)"
-      `Slow test_incremental_equivalence;
+    Alcotest.test_case "incremental == replay dfs (±reduce)" `Slow
+      test_incremental_equivalence;
     Alcotest.test_case "incremental preserves litmus verdicts" `Quick
       test_incremental_litmus;
+    Alcotest.test_case "incremental == replay under gap timestamps" `Quick
+      test_incremental_gap;
     Alcotest.test_case "incremental pdfs == replay dfs" `Slow
       test_incremental_jobs;
     Alcotest.test_case "pdfs == dfs (3 scenarios + seeded violation)" `Slow
@@ -372,10 +313,6 @@ let suite =
     Alcotest.test_case "sleep sets keep seeded violations" `Quick
       test_reduce_keeps_violations;
     Alcotest.test_case "reduced pdfs == reduced dfs" `Quick test_jobs_reduce;
-    Alcotest.test_case "flat == map oracle (±reduce, strides 1/2/5)" `Slow
-      test_backend_equivalence;
-    Alcotest.test_case "flat (jobs 1/2/4) == map (jobs 1)" `Slow
-      test_backend_jobs;
     Alcotest.test_case "budget is exact at jobs 1/2/4 (all reductions)" `Quick
       test_budget_exact;
     Alcotest.test_case "two domains explore concurrently" `Slow

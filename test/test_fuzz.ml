@@ -147,26 +147,6 @@ let test_modes_deterministic () =
         (Fz.Fuzz.fingerprint a) (Fz.Fuzz.fingerprint b))
     [ Fz.Fuzz.Uniform; Fz.Fuzz.Pct; Fz.Fuzz.Guided ]
 
-let test_backend_identical () =
-  (* The flat history backend is a pure representation change: for a
-     fixed seed, fuzzing on the map oracle must produce a byte-identical
-     fingerprint in every mode. *)
-  List.iter
-    (fun mode ->
-      let opts = fuzz_opts ~mode ~seed:5 () in
-      let map_opts =
-        {
-          opts with
-          Fz.Fuzz.config = { opts.Fz.Fuzz.config with Machine.backend = `Map };
-        }
-      in
-      let a = Fz.Fuzz.run ~options:opts mp_rlx_scenario in
-      let b = Fz.Fuzz.run ~options:map_opts mp_rlx_scenario in
-      Alcotest.(check string)
-        (Fz.Fuzz.mode_name mode ^ " fingerprint identical across backends")
-        (Fz.Fuzz.fingerprint a) (Fz.Fuzz.fingerprint b))
-    [ Fz.Fuzz.Uniform; Fz.Fuzz.Pct; Fz.Fuzz.Guided ]
-
 (* -- finding the broken queue -------------------------------------------------- *)
 
 (* The seed the CI fuzz-smoke job documents: PCT at depth 3 finds the
@@ -262,8 +242,6 @@ let suite =
       test_pct_deterministic;
     Alcotest.test_case "all modes deterministic" `Slow
       test_modes_deterministic;
-    Alcotest.test_case "fixed-seed fuzz identical across backends" `Slow
-      test_backend_identical;
     Alcotest.test_case "pct finds ms-weak violation (seed 1)" `Slow
       test_pct_finds_ms_weak;
     Alcotest.test_case "corpus mutants never raise" `Slow
