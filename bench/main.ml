@@ -1190,18 +1190,37 @@ let bench_bechamel () =
            | Some r -> Printf.sprintf "%.3f" r
            | None -> "-"))
 
+(* At most one mode flag, plus only the switches that mode reads; no
+   flag at all runs the Bechamel suite.  Anything else is a usage error. *)
 let () =
-  let argv = Array.to_list Sys.argv in
-  if List.mem "--explore" argv then
-    bench_explore ~quick:(List.mem "--quick" argv)
-      ~check:(List.mem "--check" argv)
-      ~force_jobs:(List.mem "--force-jobs" argv)
-  else if List.mem "--fuzz" argv then
-    bench_fuzz ~quick:(List.mem "--quick" argv)
-      ~check:(List.mem "--check" argv)
-  else if List.mem "--static" argv then
-    bench_static ~check:(List.mem "--check" argv)
-  else if List.mem "--sim" argv then
-    bench_sim ~quick:(List.mem "--quick" argv)
-      ~check:(List.mem "--check" argv)
-  else bench_bechamel ()
+  let modes =
+    [
+      ( "--explore",
+        ( [ "--quick"; "--check"; "--force-jobs" ],
+          fun has ->
+            bench_explore ~quick:(has "--quick") ~check:(has "--check")
+              ~force_jobs:(has "--force-jobs") ) );
+      ( "--fuzz",
+        ( [ "--quick"; "--check" ],
+          fun has -> bench_fuzz ~quick:(has "--quick") ~check:(has "--check") ) );
+      ("--static", ([ "--check" ], fun has -> bench_static ~check:(has "--check")));
+      ( "--sim",
+        ( [ "--quick"; "--check" ],
+          fun has -> bench_sim ~quick:(has "--quick") ~check:(has "--check") ) );
+    ]
+  in
+  let args = List.tl (Array.to_list Sys.argv) in
+  let usage () =
+    prerr_endline
+      "usage: main.exe [--explore [--quick] [--check] [--force-jobs] | --fuzz \
+       [--quick] [--check] | --static [--check] | --sim [--quick] [--check]]";
+    exit 2
+  in
+  match List.filter (fun a -> List.mem_assoc a modes) args with
+  | [] -> if args = [] then bench_bechamel () else usage ()
+  | [ mode ] ->
+      let switches, run = List.assoc mode modes in
+      if List.for_all (fun a -> a = mode || List.mem a switches) args then
+        run (fun s -> List.mem s args)
+      else usage ()
+  | _ -> usage ()

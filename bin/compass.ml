@@ -4,9 +4,8 @@
      compass litmus [--gap]
      compass client (mp / mp-weak / spsc / pipeline / resource / es) [--queue ms/hw]
      compass specs [--json FILE]
-     compass check --struct KEY [--style STYLE]   (or legacy: check ms/hw/treiber/es)
-     compass refine --struct KEY [--method outcomes/simulation] [--strict]
-                    [--json FILE] [--expect-violation]
+     compass check --struct KEY [--style STYLE]
+     compass refine --struct KEY [--strict] [--json FILE] [--expect-violation]
      compass sim (--struct KEY / --all) [--client ID] [--mgc-depth D]
                  [--until-violation] [--strict] [--json FILE]
      compass matrix
@@ -25,14 +24,22 @@
      compass shrink --script N,N,... [--struct KEY] [--weaken SITE=MODE]
      compass report [--quick]
 
-   Structure keys ([--struct]) resolve through the central spec registry
-   (Specreg; [compass specs] lists them).  Every exploring subcommand
+   Every flag that several subcommands take is declared once, below, and
+   its value is parsed by one converter: structure keys ([--struct])
+   resolve through the central spec registry (Specreg; [compass specs]
+   lists them), [--script] reads choices like a v1 corpus line, and
+   [--weaken] specs parse as mode overrides.  Every exploring subcommand
    also takes [--jobs N] (N domains share the DFS by work stealing),
    [--reduce[=sleep|dpor|dpor-rf|none]] (partial-order reduction: sleep
    sets, source-DPOR with wakeup sequences, or source-DPOR counting one
    execution per reads-from class; bare [--reduce] means sleep),
    and [--incremental BOOL] (checkpoint/restore exploration, default on;
    false = replay-from-root oracle).
+
+   Exit codes: 0 pass, 1 finding, 2 options that conflict with each
+   other (a [--weaken] site the structure lacks, a structure that cannot
+   be refined, a scenario index out of range), 124 usage error (an
+   unknown option or a malformed value).
 *)
 
 open Cmdliner
@@ -48,11 +55,104 @@ module Static = Compass_static.Static
 module Sim = Compass_sim.Sim
 module J = Compass_util.Jsonout
 
-(* -- shared arguments --------------------------------------------------------- *)
+(* -- the option layer ---------------------------------------------------------- *)
 
-let execs =
-  let doc = "Execution budget for exhaustive (DFS) exploration." in
-  Arg.(value & opt int 100_000 & info [ "execs"; "e" ] ~docv:"N" ~doc)
+(* Converters: a malformed value fails here, as a usage error. *)
+
+let msg fmt = Printf.ksprintf (fun s -> Error (`Msg s)) fmt
+
+let entry_conv =
+  let parse key =
+    match Specreg.find key with
+    | Some e -> Ok e
+    | None ->
+        msg "unknown structure %s (try: %s)" key
+          (String.concat ", " (Specreg.keys ()))
+  in
+  Arg.conv
+    (parse, fun ppf (e : Libspec.entry) -> Format.pp_print_string ppf e.Libspec.key)
+
+(* A bare [--reduce] means [sleep]: the flag began life as a plain
+   switch for sleep sets. *)
+let reduction_conv =
+  let parse s =
+    match String.lowercase_ascii s with
+    | "sleep" -> Ok Machine.RSleep
+    | "dpor" -> Ok Machine.RDpor
+    | "dpor-rf" | "dporrf" | "rf" -> Ok Machine.RDporRf
+    | "none" -> Ok Machine.RNone
+    | _ ->
+        msg "invalid reduction %S (expected 'sleep', 'dpor', 'dpor-rf' or \
+             'none')"
+          s
+  in
+  let print ppf r =
+    Format.pp_print_string ppf
+      (match r with
+      | Machine.RNone -> "none"
+      | Machine.RSleep -> "sleep"
+      | Machine.RDpor -> "dpor"
+      | Machine.RDporRf -> "dpor-rf")
+  in
+  Arg.conv (parse, print)
+
+(* Comma-separated choices, checked like a v1 corpus line: every one a
+   non-negative integer.  A choice past a decision's last alternative is
+   not malformed; replay clamps it and says so. *)
+let pp_script ppf tr =
+  Format.pp_print_string ppf
+    (String.concat ","
+       (List.map string_of_int (Array.to_list (Decision.choices tr))))
+
+let script_conv =
+  let parse s =
+    match
+      Decision.of_choices (if s = "" then [] else String.split_on_char ',' s)
+    with
+    | Some tr -> Ok tr
+    | None ->
+        msg "invalid script %S (expected comma-separated non-negative \
+             choices)"
+          s
+  in
+  Arg.conv (parse, pp_script)
+
+let index_conv =
+  let parse s =
+    match int_of_string_opt s with
+    | Some i when i >= 0 -> Ok i
+    | _ -> msg "invalid index %S (expected a non-negative integer)" s
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let weaken_conv =
+  let parse s = Result.map_error (fun e -> `Msg e) (Override.of_specs [ s ]) in
+  Arg.conv (parse, Override.pp)
+
+(* Options shared by several subcommands.  [execs] and [reduce] take the
+   subcommand's default: it differs between them. *)
+
+let execs default =
+  let doc =
+    "Execution budget: the most executions to explore or sample ($(b,sim): \
+     per generated client)."
+  in
+  Arg.(value & opt int default & info [ "execs"; "e" ] ~docv:"N" ~doc)
+
+let reduce default =
+  let doc =
+    "Partial-order reduction: $(b,sleep) (sleep sets: skip interleavings \
+     that only reorder independent steps), $(b,dpor) (source-DPOR with \
+     wakeup sequences: near one execution per Mazurkiewicz trace), \
+     $(b,dpor-rf) (source-DPOR plus the reads-from reduction: one counted \
+     execution per distinct rf⊕mo class) or $(b,none).  Bare \
+     $(b,--reduce) means $(b,sleep).  Verdicts and violations are the \
+     same under all of them; only the execution count shrinks."
+  in
+  Arg.(
+    value
+    & opt ~vopt:Machine.RSleep reduction_conv default
+    & info [ "reduce" ] ~docv:"RED" ~doc)
 
 let random_mode =
   let doc = "Use seeded random sampling instead of exhaustive DFS." in
@@ -69,42 +169,6 @@ let jobs =
   in
   Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
-(* A bare [--reduce] means [sleep]: the flag began life as a plain
-   switch for sleep sets. *)
-let reduction_conv =
-  let parse s =
-    match String.lowercase_ascii s with
-    | "sleep" -> Ok Machine.RSleep
-    | "dpor" -> Ok Machine.RDpor
-    | "dpor-rf" | "dporrf" | "rf" -> Ok Machine.RDporRf
-    | "none" -> Ok Machine.RNone
-    | _ ->
-        Error
-          (`Msg
-             (Printf.sprintf
-                "invalid reduction %S (expected 'sleep', 'dpor', 'dpor-rf' \
-                 or 'none')"
-                s))
-  in
-  let print ppf r =
-    Format.pp_print_string ppf
-      (match r with
-      | Machine.RNone -> "none"
-      | Machine.RSleep -> "sleep"
-      | Machine.RDpor -> "dpor"
-      | Machine.RDporRf -> "dpor-rf")
-  in
-  Arg.conv (parse, print)
-
-let reduce =
-  let doc =
-    "Partial-order reduction: $(b,sleep) (sleep sets: skip interleavings      that only reorder independent steps), $(b,dpor) (source-DPOR with      wakeup sequences: near one execution per Mazurkiewicz trace),      $(b,dpor-rf) (source-DPOR plus the reads-from reduction: one counted      execution per distinct rfâmo class) or $(b,none).  Bare      $(b,--reduce) means $(b,sleep).  Verdicts and violations are the      same under all of them; only the execution count shrinks."
-  in
-  Arg.(
-    value
-    & opt ~vopt:Machine.RSleep reduction_conv Machine.RNone
-    & info [ "reduce" ] ~docv:"RED" ~doc)
-
 let incremental =
   let doc =
     "Incremental checkpoint/restore exploration (default on): backtrack \
@@ -113,6 +177,62 @@ let incremental =
      the root — the differential-testing oracle, with identical reports."
   in
   Arg.(value & opt bool true & info [ "incremental" ] ~docv:"BOOL" ~doc)
+
+(* [--struct KEY]: [Arg.required] where a structure must be named,
+   [Arg.value] where the plain MP client stands in for it. *)
+let structure =
+  let doc =
+    Printf.sprintf "Registered structure ($(b,compass specs) lists them): %s."
+      (String.concat ", "
+         (List.map (fun k -> Printf.sprintf "$(b,%s)" k) (Specreg.keys ())))
+  in
+  Arg.(opt (some entry_conv) None & info [ "struct" ] ~docv:"KEY" ~doc)
+
+(* [--struct KEY | --all]: exactly one of the two.  [--all] selects every
+   registered structure that [keep] admits. *)
+let structures ~all_doc ~keep =
+  let all = Arg.(value & flag & info [ "all" ] ~doc:all_doc) in
+  let pick one all =
+    match (one, all) with
+    | Some e, false -> `Ok [ e ]
+    | None, true -> `Ok (List.filter keep (Specreg.all ()))
+    | Some _, true -> `Error (true, "--struct and --all are exclusive")
+    | None, false -> `Error (true, "one of --struct or --all is required")
+  in
+  Term.(ret (const pick $ Arg.value structure $ all))
+
+(* Repeatable [--weaken SITE=MODE], folded into one override in command
+   line order (a later spec for the same site wins). *)
+let weaken =
+  let doc =
+    "Weaken a site (repeatable): $(b,site=mode) with an access mode \
+     ($(b,rlx), $(b,acq), $(b,rel), $(b,acq_rel)), a fence mode \
+     ($(b,fence_acq), ...), or $(b,drop) — the spec an audit \
+     counterexample prints."
+  in
+  let merge acc (o : Override.t) =
+    {
+      Override.accesses = o.Override.accesses @ acc.Override.accesses;
+      fences = o.Override.fences @ acc.Override.fences;
+    }
+  in
+  Term.(
+    const (List.fold_left merge Override.empty)
+    $ Arg.(value & opt_all weaken_conv [] & info [ "weaken" ] ~docv:"SITE=MODE" ~doc))
+
+let scenario =
+  let doc =
+    "Scenario index within the structure's registered clients (default 0, \
+     the MP client)."
+  in
+  Arg.(value & opt index_conv 0 & info [ "scenario" ] ~docv:"I" ~doc)
+
+let expect_violation =
+  let doc =
+    "Invert the exit code: succeed only if a violation is found (for \
+     known-broken fixtures in CI)."
+  in
+  Arg.(value & flag & info [ "expect-violation" ] ~doc)
 
 let queue_arg =
   let impls =
@@ -138,42 +258,9 @@ let style_arg =
   in
   Arg.(value & opt impls Styles.Hb & info [ "style"; "s" ] ~docv:"STYLE" ~doc)
 
-let run_mode ~random ~execs ~seed ~jobs ~reduce ~incremental sc =
-  if random then Explore.random ~execs ~seed sc
-  else Explore.dfs ~jobs ~max_execs:execs ~reduce ~incremental sc
-
-let finish report =
-  Format.printf "%a@." Explore.pp_report report;
-  if Explore.ok report then 0 else 1
-
-(* Structure keys resolve through the central spec registry. *)
-
-let struct_arg =
-  let doc =
-    Printf.sprintf "Registered structure ($(b,compass specs) lists them): %s."
-      (String.concat ", "
-         (List.map (fun k -> Printf.sprintf "$(b,%s)" k) (Specreg.keys ())))
-  in
-  Arg.(
-    required
-    & opt (some string) None
-    & info [ "struct" ] ~docv:"KEY" ~doc)
-
 let json_arg =
   let doc = "Also write the analysis report as JSON to $(docv)." in
   Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
-
-let write_json ?seed ~tool path json =
-  Compass_util.Report.write ?seed ~tool ~file:path json;
-  Format.printf "JSON report written to %s@." path
-
-let with_entry key f =
-  match Specreg.find key with
-  | Some e -> f e
-  | None ->
-      Format.eprintf "unknown structure %s (try: %s)@." key
-        (String.concat ", " (Specreg.keys ()));
-      2
 
 (* CI gate: [--strict] turns findings into a nonzero exit, not just
    internal errors (race pairs for [analyze races], over-strong/unknown
@@ -196,6 +283,57 @@ let mgc_depth_arg =
      flag-handoff position)."
   in
   Arg.(value & opt int 2 & info [ "mgc-depth" ] ~docv:"D" ~doc)
+
+(* [client] and [check] explore under six options: [--random] samples
+   [--execs] executions from [--seed], otherwise the DFS runs with the
+   [--execs] budget, [--jobs], [--reduce] and [--incremental].  One call
+   may override the budget, or force sampling. *)
+type explorer = {
+  budget : int;
+  explore : ?random:bool -> ?execs:int -> Explore.scenario -> Explore.report;
+}
+
+let explorer =
+  let make random budget seed jobs reduce incremental =
+    let explore ?(random = random) ?(execs = budget) sc =
+      if random then Explore.random ~execs ~seed sc
+      else Explore.dfs ~jobs ~max_execs:execs ~reduce ~incremental sc
+    in
+    { budget; explore }
+  in
+  Term.(
+    const make $ random_mode $ execs 100_000 $ seed $ jobs
+    $ reduce Machine.RNone $ incremental)
+
+(* -- shared output and exit policy ---------------------------------------------- *)
+
+let finish report =
+  Format.printf "%a@." Explore.pp_report report;
+  if Explore.ok report then 0 else 1
+
+let write_json ?seed ~tool path json =
+  Compass_util.Report.write ?seed ~tool ~file:path json;
+  Format.printf "JSON report written to %s@." path
+
+let not_refinable (e : Libspec.entry) =
+  Format.eprintf "structure %s is not refinable@." e.Libspec.key
+
+(* The line a [refine] or [sim] witness prints to reproduce itself;
+   [client] selects the judging client. *)
+let replay_hint (e : Libspec.entry) client trace =
+  Format.printf "replay it: compass replay --struct %s %s --script %a@."
+    e.Libspec.key client pp_script trace
+
+(* The exit code of a [refine] or [sim] verdict.  [--strict] compares it
+   with the registry's [expect_violation] (like [analyze static]), so
+   checked-in broken fixtures gate as green when they do fail, and counts
+   a pass only from a complete search.  Otherwise a failure exits 1,
+   inverted by [--expect-violation]. *)
+let verdict_code ~strict ~expect (e : Libspec.entry) ~complete ok =
+  if strict then
+    if ok = e.Libspec.expect_violation || (ok && not complete) then 1 else 0
+  else if ok = expect then 1
+  else 0
 
 (* -- litmus -------------------------------------------------------------------- *)
 
@@ -231,7 +369,8 @@ let litmus_cmd =
   let doc = "Run the litmus-test battery against the ORC11 substrate." in
   Cmd.v (Cmd.info "litmus" ~doc)
     Term.(
-      const run $ gap $ execs $ jobs $ reduce $ incremental)
+      const run $ gap $ execs 100_000 $ jobs $ reduce Machine.RNone
+      $ incremental)
 
 (* -- client -------------------------------------------------------------------- *)
 
@@ -260,18 +399,16 @@ let client_cmd =
           None
       & info [] ~docv:"CLIENT" ~doc)
   in
-  let run which factory random execs seed jobs reduce incremental =
+  let run which factory { budget; explore } =
     match which with
     | `Mp ->
         let st = Mp.fresh_stats () in
-        let r = run_mode ~random ~execs ~seed ~jobs ~reduce ~incremental (Mp.make factory st) in
-        let code = finish r in
+        let code = finish (explore (Mp.make factory st)) in
         Format.printf "%a@." Mp.pp_stats st;
         if st.Mp.right_empty > 0 then 1 else code
     | `Mp_weak ->
         let st = Mp.fresh_stats () in
-        let r = run_mode ~random ~execs ~seed ~jobs ~reduce ~incremental (Mp.make_weak factory st) in
-        let code = finish r in
+        let code = finish (explore (Mp.make_weak factory st)) in
         Format.printf "%a@." Mp.pp_stats st;
         Format.printf
           "(the empty outcome above is the point: no synchronisation, no \
@@ -279,53 +416,36 @@ let client_cmd =
         code
     | `Spsc ->
         let st = Spsc_client.fresh_stats () in
-        let r =
-          run_mode ~random ~execs ~seed ~jobs ~reduce ~incremental (Spsc_client.make ~n:3 factory st)
-        in
-        finish r
+        finish (explore (Spsc_client.make ~n:3 factory st))
     | `Pipeline ->
         let st = Pipeline.fresh_stats () in
-        let r =
-          run_mode ~random ~execs ~seed ~jobs ~reduce ~incremental
-            (Pipeline.make ~n:2 factory Hwqueue.instantiate st)
-        in
-        finish r
+        finish (explore (Pipeline.make ~n:2 factory Hwqueue.instantiate st))
     | `Resource ->
         let st = Resource_exchange.fresh_stats () in
-        let r =
-          run_mode ~random ~execs ~seed ~jobs ~reduce ~incremental (Resource_exchange.make ~threads:2 st)
-        in
-        let code = finish r in
+        let code = finish (explore (Resource_exchange.make ~threads:2 st)) in
         Format.printf "swaps %d, failed exchanges %d@."
           st.Resource_exchange.swaps st.Resource_exchange.fails;
         code
     | `Es ->
         let st = Es_compose.fresh_stats () in
-        let r =
-          run_mode ~random ~execs ~seed ~jobs ~reduce ~incremental
-            (Es_compose.make ~pushers:2 ~poppers:2 ~ops:1 st)
+        let code =
+          finish (explore (Es_compose.make ~pushers:2 ~poppers:2 ~ops:1 st))
         in
-        let code = finish r in
         Format.printf "ops via base stack %d, eliminated pairs %d@."
           st.Es_compose.via_base st.Es_compose.eliminated;
         code
     | `Mp_stack ->
         let st = Mp_stack.fresh_stats () in
-        let r =
-          run_mode ~random ~execs ~seed ~jobs ~reduce ~incremental (Mp_stack.make Treiber.instantiate st)
-        in
-        let code = finish r in
+        let code = finish (explore (Mp_stack.make Treiber.instantiate st)) in
         Format.printf "right pop: got %d, empty %d@." st.Mp_stack.right_got
           st.Mp_stack.right_empty;
         code
     | `Strong_fifo ->
         let st = Strong_fifo.fresh_stats () in
-        let r = run_mode ~random ~execs ~seed ~jobs ~reduce ~incremental (Strong_fifo.make factory st) in
-        let code = finish r in
+        let code = finish (explore (Strong_fifo.make factory st)) in
         let broke = ref 0 in
         let rc =
-          run_mode ~random ~execs:(execs / 2) ~seed ~jobs ~reduce ~incremental
-            (Strong_fifo.make_control factory broke)
+          explore ~execs:(budget / 2) (Strong_fifo.make_control factory broke)
         in
         Format.printf
           "bare control: lhb non-total in %d/%d executions (the lock is what \
@@ -334,17 +454,15 @@ let client_cmd =
         code
     | `Ws ->
         let st = Ws_client.fresh_stats () in
-        let r =
-          run_mode ~random ~execs ~seed ~jobs ~reduce ~incremental
-            (Ws_client.make ~tasks:2 ~thieves:1 ~steals:1 st)
+        let code =
+          finish (explore (Ws_client.make ~tasks:2 ~thieves:1 ~steals:1 st))
         in
-        let code = finish r in
         Format.printf "%a@." Ws_client.pp_stats st;
         code
     | `Ws_weak ->
         let st = Ws_client.fresh_stats () in
         let r =
-          Explore.random ~execs ~seed
+          explore ~random:true
             (Ws_client.make ~weak_fences:true ~tasks:2 ~thieves:1 ~steals:2 st)
         in
         ignore (finish r);
@@ -354,40 +472,11 @@ let client_cmd =
         0
   in
   let doc = "Model-check one of the paper's client verifications." in
-  Cmd.v (Cmd.info "client" ~doc)
-    Term.(
-      const run $ which $ queue_arg $ random_mode $ execs $ seed $ jobs $ reduce
-      $ incremental)
+  Cmd.v (Cmd.info "client" ~doc) Term.(const run $ which $ queue_arg $ explorer)
 
 (* -- check --------------------------------------------------------------------- *)
 
 let check_cmd =
-  let which =
-    let doc =
-      "Implementation (legacy positional form; prefer $(b,--struct)): \
-       $(b,ms), $(b,hw), $(b,treiber), or $(b,es)."
-    in
-    Arg.(
-      value
-      & pos 0 (some (enum
-                       [
-                         ("ms", `Q Msqueue.instantiate);
-                         ("hw", `Q Hwqueue.instantiate);
-                         ("treiber", `S Treiber.instantiate);
-                         ("es", `S Elimination.instantiate);
-                       ]))
-          None
-      & info [] ~docv:"IMPL" ~doc)
-  in
-  let struct_key =
-    let doc =
-      Printf.sprintf
-        "Registered structure to check ($(b,compass specs) lists them): %s."
-        (String.concat ", "
-           (List.map (fun k -> Printf.sprintf "$(b,%s)" k) (Specreg.keys ())))
-    in
-    Arg.(value & opt (some string) None & info [ "struct" ] ~docv:"KEY" ~doc)
-  in
   let threads =
     Arg.(value & opt int 2 & info [ "threads"; "t" ] ~docv:"N"
            ~doc:"Producer and consumer threads (each).")
@@ -396,45 +485,24 @@ let check_cmd =
     Arg.(value & opt int 1 & info [ "ops"; "o" ] ~docv:"N"
            ~doc:"Operations per thread.")
   in
-  let run which struct_key style threads ops random execs seed jobs reduce
-      incremental =
-    let impl =
-      match (struct_key, which) with
-      | Some key, _ -> (
-          match Specreg.find key with
-          | None ->
-              Error
-                (Printf.sprintf "unknown structure %s (try: %s)" key
-                   (String.concat ", " (Specreg.keys ())))
-          | Some e -> (
-              match e.Libspec.impl with
-              | Specreg.Queue f -> Ok (`Q f)
-              | Specreg.Stack f -> Ok (`S f)
-              | _ ->
-                  Error
-                    (Printf.sprintf
-                       "%s has no generic workload factory — run its \
-                        registered clients via compass analyze/fuzz"
-                       key)))
-      | None, Some w -> Ok w
-      | None, None -> Error "give --struct KEY (or a positional IMPL)"
-    in
-    match impl with
-    | Error msg ->
-        Format.eprintf "%s@." msg;
-        2
-    | Ok w ->
-        let sc =
-          match w with
-          | `Q f ->
-              Harness.queue_workload ~style f ~enqers:threads ~deqers:threads
-                ~ops ()
-          | `S f ->
-              Harness.stack_workload ~style f ~pushers:threads ~poppers:threads
-                ~ops ()
-        in
+  let run (e : Libspec.entry) style threads ops { explore; _ } =
+    match e.Libspec.impl with
+    | Specreg.Queue f ->
         finish
-          (run_mode ~random ~execs ~seed ~jobs ~reduce ~incremental sc)
+          (explore
+             (Harness.queue_workload ~style f ~enqers:threads ~deqers:threads
+                ~ops ()))
+    | Specreg.Stack f ->
+        finish
+          (explore
+             (Harness.stack_workload ~style f ~pushers:threads
+                ~poppers:threads ~ops ()))
+    | _ ->
+        Format.eprintf
+          "%s has no generic workload factory — run its registered clients \
+           via compass analyze/fuzz@."
+          e.Libspec.key;
+        2
   in
   let doc =
     "Explore a workload on an implementation (resolved through the spec \
@@ -443,8 +511,7 @@ let check_cmd =
   in
   Cmd.v (Cmd.info "check" ~doc)
     Term.(
-      const run $ which $ struct_key $ style_arg $ threads $ ops $ random_mode
-      $ execs $ seed $ jobs $ reduce $ incremental)
+      const run $ Arg.required structure $ style_arg $ threads $ ops $ explorer)
 
 (* -- specs --------------------------------------------------------------------- *)
 
@@ -529,125 +596,43 @@ let specs_cmd =
 (* -- refine -------------------------------------------------------------------- *)
 
 let refine_cmd =
-  let expect_violation =
-    let doc =
-      "Invert the exit code: succeed only if refinement fails (for \
-       known-broken fixtures in CI)."
-    in
-    Arg.(value & flag & info [ "expect-violation" ] ~doc)
-  in
-  let method_arg =
-    let doc =
-      "Refinement method: $(b,outcomes) (per-client outcome inclusion in \
-       the exhaustively explored spec object) or $(b,simulation) \
-       (stepwise forward simulation over most-general clients — \
-       strictly stronger; see $(b,compass sim))."
-    in
-    Arg.(
-      value
-      & opt (enum [ ("outcomes", `Outcomes); ("simulation", `Simulation) ])
-          `Outcomes
-      & info [ "method" ] ~docv:"METHOD" ~doc)
-  in
-  (* Exit-code policy shared with [compass sim]: [--strict] compares the
-     verdict against the registry's [expect_violation] expectation (like
-     [analyze static]), so checked-in broken fixtures gate as green when
-     they do fail — and a pass counts only from a complete search. *)
-  let exit_code ~strict ~expect ~expect_violation ~complete ok =
-    if strict then
-      if ok then if expect_violation || not complete then 1 else 0
-      else if expect_violation then 0
-      else 1
-    else if expect then if ok then 1 else 0
-    else if ok then 0
-    else 1
-  in
-  let run struct_key execs jobs reduce meth depth strict json expect =
-    with_entry struct_key (fun e ->
-        if not e.Libspec.refinable then begin
-          Format.eprintf "structure %s is not refinable@." struct_key;
-          2
-        end
-        else
-          match meth with
-          | `Outcomes ->
-              let options =
-                { Refine.default_options with max_execs = execs; jobs; reduce }
-              in
-              let r = Refine.run ~options e in
-              Format.printf "%a@." Refine.pp r;
-              (match r.Refine.counterexample with
-              | Some (i, f) ->
-                  Format.printf
-                    "replay it: compass replay --struct %s --refine-client %d \
-                     --script %s@."
-                    struct_key i
-                    (String.concat ","
-                       (List.map string_of_int
-                          (Array.to_list (Explore.failure_script f))))
-              | None -> ());
-              Option.iter
-                (fun file ->
-                  write_json ~tool:"refine" file (Refine.to_json r))
-                json;
-              exit_code ~strict ~expect
-                ~expect_violation:e.Libspec.expect_violation
-                ~complete:r.Refine.complete r.Refine.ok
-          | `Simulation ->
-              let options =
-                {
-                  Sim.default_options with
-                  mgc_depth = depth;
-                  max_execs = execs;
-                  jobs;
-                  reduce;
-                }
-              in
-              let r = Sim.run ~options e in
-              Format.printf "%a@." Sim.pp r;
-              (match r.Sim.witness with
-              | Some w ->
-                  Format.printf
-                    "replay it: compass replay --struct %s --sim-client %s \
-                     --script %s@."
-                    struct_key w.Sim.w_client
-                    (String.concat ","
-                       (List.map string_of_int
-                          (Array.to_list (Decision.choices w.Sim.w_trace))))
-              | None -> ());
-              Option.iter
-                (fun file -> write_json ~tool:"refine" file (Sim.to_json r))
-                json;
-              exit_code ~strict ~expect
-                ~expect_violation:e.Libspec.expect_violation
-                ~complete:r.Sim.complete r.Sim.ok)
+  let run (e : Libspec.entry) execs jobs reduce strict json expect =
+    if not e.Libspec.refinable then begin
+      not_refinable e;
+      2
+    end
+    else
+      let options =
+        { Refine.default_options with max_execs = execs; jobs; reduce }
+      in
+      let r = Refine.run ~options e in
+      Format.printf "%a@." Refine.pp r;
+      Option.iter
+        (fun (i, f) ->
+          replay_hint e (Printf.sprintf "--refine-client %d" i) f.Explore.trace)
+        r.Refine.counterexample;
+      Option.iter
+        (fun file -> write_json ~tool:"refine" file (Refine.to_json r))
+        json;
+      verdict_code ~strict ~expect e ~complete:r.Refine.complete r.Refine.ok
   in
   let doc =
     "Check refinement of an implementation against its spec object \
-     (spec-as-implementation).  $(b,--method=outcomes): for each \
-     observation client, every implementation outcome must be admitted \
-     by the exhaustively explored spec object, and no execution may \
-     fault.  $(b,--method=simulation): stepwise forward simulation over \
-     generated most-general clients.  Violations come with replayable \
-     counterexample scripts; $(b,--strict) gates against the registry's \
-     expectation."
+     (spec-as-implementation): for each observation client, every \
+     implementation outcome must be admitted by the exhaustively explored \
+     spec object, and no execution may fault.  Violations come with \
+     replayable counterexample scripts; $(b,--strict) gates against the \
+     registry's expectation.  $(b,compass sim) runs the stronger, stepwise \
+     forward simulation over generated most-general clients."
   in
   Cmd.v (Cmd.info "refine" ~doc)
     Term.(
-      const run $ struct_arg $ execs $ jobs $ reduce $ method_arg
-      $ mgc_depth_arg $ strict_arg $ json_arg $ expect_violation)
+      const run $ Arg.required structure $ execs 100_000 $ jobs
+      $ reduce Machine.RNone $ strict_arg $ json_arg $ expect_violation)
 
 (* -- sim ------------------------------------------------------------------------ *)
 
 let sim_cmd =
-  let struct_opt_arg =
-    let doc = "Check one registered structure ($(b,compass specs) lists them)." in
-    Arg.(value & opt (some string) None & info [ "struct" ] ~docv:"KEY" ~doc)
-  in
-  let all_arg =
-    let doc = "Check every refinable registered structure." in
-    Arg.(value & flag & info [ "all" ] ~doc)
-  in
   let client_arg =
     let doc =
       "Restrict to one generated client id (e.g. $(b,ii|r+h2.1)) instead \
@@ -661,113 +646,69 @@ let sim_cmd =
     in
     Arg.(value & flag & info [ "until-violation" ] ~doc)
   in
-  (* Like the analyzers, simulation defaults to sleep-set reduction: the
-     verdict is reduction-invariant (it only reads event graphs, which
-     reductions preserve per Mazurkiewicz trace), so reduction is pure
-     speedup. *)
-  let sim_reduce =
-    let doc =
-      "Partial-order reduction (default $(b,sleep); $(b,dpor) switches \
-       to source-DPOR, $(b,--reduce=none) explores the full tree).  \
-       Simulation verdicts are invariant under all three."
+  let run entries client depth execs jobs reduce incremental until strict
+      json =
+    let options =
+      {
+        Sim.default_options with
+        mgc_depth = depth;
+        max_execs = execs;
+        jobs;
+        reduce;
+        incremental;
+        until_violation = until;
+        only_client = client;
+      }
     in
-    Arg.(
-      value
-      & opt ~vopt:Machine.RSleep reduction_conv Machine.RSleep
-      & info [ "reduce" ] ~docv:"RED" ~doc)
-  in
-  let sim_execs =
-    let doc = "Exploration budget per generated client." in
-    Arg.(value & opt int 50_000 & info [ "execs"; "e" ] ~docv:"N" ~doc)
-  in
-  let run struct_opt all client depth execs jobs reduce incremental until
-      strict json =
-    let entries =
-      match (struct_opt, all) with
-      | Some key, false -> (
-          match Specreg.find key with
-          | Some e -> Ok [ e ]
-          | None -> Error key)
-      | None, true ->
-          Ok (List.filter (fun e -> e.Libspec.refinable) (Specreg.all ()))
-      | Some _, true -> Error "--struct and --all are exclusive"
-      | None, false -> Error "one of --struct or --all is required"
+    let code = ref 0 in
+    let reports =
+      List.filter_map
+        (fun (e : Libspec.entry) ->
+          if not e.Libspec.refinable then begin
+            not_refinable e;
+            code := 2;
+            None
+          end
+          else begin
+            let r = Sim.run ~options e in
+            Format.printf "%a@." Sim.pp r;
+            Option.iter
+              (fun w ->
+                replay_hint e
+                  (Printf.sprintf "--sim-client %s --mgc-depth %d"
+                     w.Sim.w_client depth)
+                  w.Sim.w_trace)
+              r.Sim.witness;
+            code :=
+              max !code
+                (verdict_code ~strict ~expect:false e ~complete:r.Sim.complete
+                   r.Sim.ok);
+            if strict && r.Sim.ok = e.Libspec.expect_violation then
+              Format.printf
+                "EXPECTATION MISMATCH: %s %s but the registry expects %s@."
+                e.Libspec.key
+                (if r.Sim.ok then "simulates" else "breaks")
+                (if e.Libspec.expect_violation then "a violation"
+                 else "success")
+            else if strict && r.Sim.ok && not r.Sim.complete then
+              Format.printf
+                "INCOMPLETE: %s found no violation but the search did not \
+                 finish; --strict needs a complete one@."
+                e.Libspec.key;
+            Some r
+          end)
+        entries
     in
-    match entries with
-    | Error what ->
-        Format.eprintf "compass sim: %s (try: %s)@." what
-          (String.concat ", " (Specreg.keys ()));
-        2
-    | Ok entries ->
-        let options =
-          {
-            Sim.default_options with
-            mgc_depth = depth;
-            max_execs = execs;
-            jobs;
-            reduce;
-            incremental;
-            until_violation = until;
-            only_client = client;
-          }
+    Option.iter
+      (fun file ->
+        let json =
+          match reports with
+          | [ r ] -> Sim.to_json r
+          | rs -> J.Obj [ ("structures", J.List (List.map Sim.to_json rs)) ]
         in
-        let code = ref 0 in
-        let reports =
-          List.map
-            (fun (e : Libspec.entry) ->
-              if not e.Libspec.refinable then begin
-                Format.eprintf "structure %s is not refinable@."
-                  e.Libspec.key;
-                code := 2;
-                None
-              end
-              else begin
-                let r = Sim.run ~options e in
-                Format.printf "%a@." Sim.pp r;
-                (match r.Sim.witness with
-                | Some w ->
-                    Format.printf
-                      "replay it: compass replay --struct %s --sim-client \
-                       %s --mgc-depth %d --script %s@."
-                      e.Libspec.key w.Sim.w_client depth
-                      (String.concat ","
-                         (List.map string_of_int
-                            (Array.to_list (Decision.choices w.Sim.w_trace))))
-                | None -> ());
-                let mismatch = r.Sim.ok = e.Libspec.expect_violation in
-                let unfinished = r.Sim.ok && not r.Sim.complete in
-                let bad =
-                  if strict then mismatch || unfinished else not r.Sim.ok
-                in
-                if bad && !code = 0 then code := 1;
-                if strict && mismatch then
-                  Format.printf
-                    "EXPECTATION MISMATCH: %s %s but the registry expects \
-                     %s@."
-                    e.Libspec.key
-                    (if r.Sim.ok then "simulates" else "breaks")
-                    (if e.Libspec.expect_violation then "a violation"
-                     else "success")
-                else if strict && unfinished then
-                  Format.printf
-                    "INCOMPLETE: %s found no violation but the search did \
-                     not finish; --strict needs a complete one@."
-                    e.Libspec.key;
-                Some r
-              end)
-            entries
-          |> List.filter_map Fun.id
-        in
-        Option.iter
-          (fun file ->
-            let json =
-              match reports with
-              | [ r ] -> Sim.to_json r
-              | rs -> J.Obj [ ("structures", J.List (List.map Sim.to_json rs)) ]
-            in
-            write_json ~tool:"sim" file json)
-          json;
-        !code
+        write_json ~tool:"sim" file json)
+      json;
+    !code
   in
   let doc =
     "Forward-simulation refinement over most-general clients: enumerate \
@@ -778,11 +719,18 @@ let sim_cmd =
      failure yields a shrunk, replayable witness naming the exact commit \
      point (or faulting step) where the abstraction relation breaks."
   in
+  (* Like the analyzers, simulation defaults to sleep-set reduction: the
+     verdict is reduction-invariant (it only reads event graphs, which
+     reductions preserve per Mazurkiewicz trace), so reduction is pure
+     speedup. *)
   Cmd.v (Cmd.info "sim" ~doc)
     Term.(
-      const run $ struct_opt_arg $ all_arg $ client_arg $ mgc_depth_arg
-      $ sim_execs $ jobs $ sim_reduce $ incremental $ until_arg
-      $ strict_arg $ json_arg)
+      const run
+      $ structures ~all_doc:"Check every refinable registered structure."
+          ~keep:(fun e -> e.Libspec.refinable)
+      $ client_arg $ mgc_depth_arg $ execs 50_000 $ jobs
+      $ reduce Machine.RSleep $ incremental $ until_arg $ strict_arg
+      $ json_arg)
 
 (* -- matrix --------------------------------------------------------------------- *)
 
@@ -799,7 +747,8 @@ let matrix_cmd =
     "Run the spec-style satisfaction matrix (experiment E2): every \
      implementation against every spec style."
   in
-  Cmd.v (Cmd.info "matrix" ~doc) Term.(const run $ execs $ jobs $ reduce)
+  Cmd.v (Cmd.info "matrix" ~doc)
+    Term.(const run $ execs 100_000 $ jobs $ reduce Machine.RNone)
 
 (* -- dot ------------------------------------------------------------------------ *)
 
@@ -925,57 +874,48 @@ let axioms_cmd =
      axioms (po/rf/mo/fr/sw/hb rebuilt from recorded accesses)."
   in
   Cmd.v (Cmd.info "axioms" ~doc)
-    Term.(const run $ execs $ jobs $ reduce $ incremental)
+    Term.(
+      const run $ execs 100_000 $ jobs $ reduce Machine.RNone $ incremental)
 
 (* -- analyze ----------------------------------------------------------------------- *)
-
-(* Unlike the exploring subcommands, analysis defaults to sleep-set
-   reduction: the audit needs *complete* explorations to call a mode
-   over-strong, and reduction keeps them small without losing
-   violations. *)
-let analyze_reduce =
-  let doc =
-    "Partial-order reduction (default $(b,sleep); $(b,dpor) switches to \
-     source-DPOR, $(b,--reduce=none) explores the full tree)."
-  in
-  Arg.(
-    value
-    & opt ~vopt:Machine.RSleep reduction_conv Machine.RSleep
-    & info [ "reduce" ] ~docv:"RED" ~doc)
 
 let contains ~sub s =
   let n = String.length sub and m = String.length s in
   let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
   n = 0 || go 0
 
+(* Unlike the exploring subcommands, analysis defaults to sleep-set
+   reduction: the audit needs *complete* explorations to call a mode
+   over-strong, and reduction keeps them small without losing
+   violations. *)
+
 let analyze_races_cmd =
-  let run struct_key execs reduce incremental strict json =
-    with_entry struct_key (fun e ->
-        let agg = Races.agg_create () in
-        let config =
-          { Machine.default_config with record_accesses = true }
+  let run (e : Libspec.entry) execs reduce incremental strict json =
+    let agg = Races.agg_create () in
+    let config =
+      { Machine.default_config with record_accesses = true }
+    in
+    List.iter
+      (fun mk ->
+        let sc =
+          Instrument.with_accesses (mk ()) (fun log ->
+              Races.agg_add agg log)
         in
-        List.iter
-          (fun mk ->
-            let sc =
-              Instrument.with_accesses (mk ()) (fun log ->
-                  Races.agg_add agg log)
-            in
-            let r =
-              Explore.dfs ~max_execs:execs ~reduce ~incremental ~config
-                sc
-            in
-            Format.printf "%-38s %7d executions analysed@." r.Explore.name
-              r.Explore.executions)
-          e.Libspec.scenarios;
-        let s = Races.summary agg in
-        Format.printf "@.%a@." Races.pp_summary s;
-        Option.iter
-          (fun f -> write_json ~tool:"analyze-races" f (Races.summary_to_json s))
-          json;
-        if s.Races.mismatch_count > 0 then 1
-        else if strict && s.Races.total_pairs > 0 then 1
-        else 0)
+        let r =
+          Explore.dfs ~max_execs:execs ~reduce ~incremental ~config
+            sc
+        in
+        Format.printf "%-38s %7d executions analysed@." r.Explore.name
+          r.Explore.executions)
+      e.Libspec.scenarios;
+    let s = Races.summary agg in
+    Format.printf "@.%a@." Races.pp_summary s;
+    Option.iter
+      (fun f -> write_json ~tool:"analyze-races" f (Races.summary_to_json s))
+      json;
+    if s.Races.mismatch_count > 0 then 1
+    else if strict && s.Races.total_pairs > 0 then 1
+    else 0
   in
   let doc =
     "Explore a structure's registered clients with access recording on, detect \
@@ -986,8 +926,8 @@ let analyze_races_cmd =
   in
   Cmd.v (Cmd.info "races" ~doc)
     Term.(
-      const run $ struct_arg $ execs $ analyze_reduce $ incremental
-      $ strict_arg $ json_arg)
+      const run $ Arg.required structure $ execs 100_000
+      $ reduce Machine.RSleep $ incremental $ strict_arg $ json_arg)
 
 let analyze_modes_cmd =
   let site_arg =
@@ -1006,42 +946,41 @@ let analyze_modes_cmd =
       & opt (Arg.enum [ ("none", `None); ("static", `Static) ]) `None
       & info [ "prioritize" ] ~docv:"ORDER" ~doc)
   in
-  let run struct_key execs jobs reduce site prio strict json =
-    with_entry struct_key (fun e ->
-        let options = { Audit.default_options with execs; jobs; reduce } in
-        let site_filter =
-          match site with
-          | None -> fun _ -> true
-          | Some sub -> fun s -> contains ~sub s
-        in
-        let prioritize, verdict_first =
-          match prio with
-          | `None -> ([], fun _ -> false)
-          | `Static ->
-              let st =
-                Static.analyze ~subject:e.Libspec.key e.Libspec.scenarios
-              in
-              let predicted = st.Static.predicted_necessary in
-              Format.printf "static priority: %s@."
-                (match predicted @ st.Static.over_strong with
-                | [] -> "(none)"
-                | order -> String.concat ", " order);
-              ( predicted @ st.Static.over_strong,
-                fun s -> List.mem s predicted )
-        in
-        let report =
-          Audit.run ~options ~site_filter ~prioritize ~verdict_first
-            ~log:(fun line -> Format.printf "%s@." line)
-            ~probe:e.Libspec.key e.Libspec.scenarios
-        in
-        Format.printf "@.%a@." Audit.pp_report report;
-        Option.iter
-          (fun f -> write_json ~tool:"analyze-modes" f (Audit.report_to_json report))
-          json;
-        if not report.Audit.baseline_ok then 1
-        else
-          let _, over_strong, unknown, _ = Audit.counts report in
-          if strict && over_strong + unknown > 0 then 1 else 0)
+  let run (e : Libspec.entry) execs jobs reduce site prio strict json =
+    let options = { Audit.default_options with execs; jobs; reduce } in
+    let site_filter =
+      match site with
+      | None -> fun _ -> true
+      | Some sub -> fun s -> contains ~sub s
+    in
+    let prioritize, verdict_first =
+      match prio with
+      | `None -> ([], fun _ -> false)
+      | `Static ->
+          let st =
+            Static.analyze ~subject:e.Libspec.key e.Libspec.scenarios
+          in
+          let predicted = st.Static.predicted_necessary in
+          Format.printf "static priority: %s@."
+            (match predicted @ st.Static.over_strong with
+            | [] -> "(none)"
+            | order -> String.concat ", " order);
+          ( predicted @ st.Static.over_strong,
+            fun s -> List.mem s predicted )
+    in
+    let report =
+      Audit.run ~options ~site_filter ~prioritize ~verdict_first
+        ~log:(fun line -> Format.printf "%s@." line)
+        ~probe:e.Libspec.key e.Libspec.scenarios
+    in
+    Format.printf "@.%a@." Audit.pp_report report;
+    Option.iter
+      (fun f -> write_json ~tool:"analyze-modes" f (Audit.report_to_json report))
+      json;
+    if not report.Audit.baseline_ok then 1
+    else
+      let _, over_strong, unknown, _ = Audit.counts report in
+      if strict && over_strong + unknown > 0 then 1 else 0
   in
   let doc =
     "The mode-necessity audit: for every labeled atomic site (and fence) \
@@ -1055,93 +994,49 @@ let analyze_modes_cmd =
   in
   Cmd.v (Cmd.info "modes" ~doc)
     Term.(
-      const run $ struct_arg $ execs $ jobs $ analyze_reduce $ site_arg
-      $ prioritize_arg $ strict_arg $ json_arg)
+      const run $ Arg.required structure $ execs 100_000 $ jobs
+      $ reduce Machine.RSleep $ site_arg $ prioritize_arg $ strict_arg
+      $ json_arg)
 
 let analyze_static_cmd =
-  let struct_opt_arg =
-    let doc =
-      Printf.sprintf "Structure to lint ($(b,compass specs) lists them): %s."
-        (String.concat ", "
-           (List.map (fun k -> Printf.sprintf "$(b,%s)" k) (Specreg.keys ())))
+  let run entries overrides strict json =
+    let mismatched = ref [] in
+    let reports =
+      List.map
+        (fun (e : Libspec.entry) ->
+          let r =
+            Static.analyze ~overrides ~subject:e.Libspec.key
+              e.Libspec.scenarios
+          in
+          Format.printf "%a@." Static.pp_report r;
+          (* With an explicit [--weaken] the registry expectation does not
+             apply — strict then simply demands a clean report. *)
+          let ok =
+            if Override.is_empty overrides then
+              Static.clean r = not e.Libspec.expect_violation
+            else Static.clean r
+          in
+          Format.printf "verdict: %s%s@.@."
+            (if Static.clean r then "clean" else "flagged")
+            (if ok then ""
+             else if Override.is_empty overrides then
+               Printf.sprintf " (expected %s)"
+                 (if e.Libspec.expect_violation then "flagged" else "clean")
+             else "");
+          if not ok then mismatched := e.Libspec.key :: !mismatched;
+          Static.report_to_json r)
+        entries
     in
-    Arg.(value & opt (some string) None & info [ "struct" ] ~docv:"KEY" ~doc)
-  in
-  let all_arg =
-    let doc = "Lint every registered structure." in
-    Arg.(value & flag & info [ "all" ] ~doc)
-  in
-  let weaken_arg =
-    let doc =
-      "Lint under a hypothetical weakening (repeatable): $(b,site=mode), \
-       the same specs $(b,compass replay --weaken) takes."
-    in
-    Arg.(value & opt_all string [] & info [ "weaken" ] ~docv:"SITE=MODE" ~doc)
-  in
-  let run struct_key all weaken strict json =
-    match Override.of_specs weaken with
-    | Error e ->
-        Format.eprintf "bad --weaken spec: %s@." e;
-        2
-    | Ok overrides -> (
-        let entries =
-          match (struct_key, all) with
-          | None, true -> Ok (Specreg.all ())
-          | Some k, false -> (
-              match Specreg.find k with
-              | Some e -> Ok [ e ]
-              | None ->
-                  Error
-                    (Printf.sprintf "unknown structure %s (try: %s)" k
-                       (String.concat ", " (Specreg.keys ()))))
-          | None, false | Some _, true ->
-              Error "pass exactly one of --struct KEY or --all"
-        in
-        match entries with
-        | Error msg ->
-            Format.eprintf "%s@." msg;
-            2
-        | Ok entries ->
-            let mismatched = ref [] in
-            let reports =
-              List.map
-                (fun (e : Libspec.entry) ->
-                  let r =
-                    Static.analyze ~overrides ~subject:e.Libspec.key
-                      e.Libspec.scenarios
-                  in
-                  Format.printf "%a@." Static.pp_report r;
-                  (* With an explicit [--weaken] the registry expectation
-                     does not apply — strict then simply demands a clean
-                     report. *)
-                  let ok =
-                    if Override.is_empty overrides then
-                      Static.clean r = not e.Libspec.expect_violation
-                    else Static.clean r
-                  in
-                  Format.printf "verdict: %s%s@.@."
-                    (if Static.clean r then "clean" else "flagged")
-                    (if ok then ""
-                     else if Override.is_empty overrides then
-                       Printf.sprintf " (expected %s)"
-                         (if e.Libspec.expect_violation then "flagged"
-                          else "clean")
-                     else "");
-                  if not ok then mismatched := e.Libspec.key :: !mismatched;
-                  Static.report_to_json r)
-                entries
-            in
-            Option.iter
-              (fun f ->
-                write_json ~tool:"analyze-static" f
-                  (J.Obj [ ("structures", J.List reports) ]))
-              json;
-            match List.rev !mismatched with
-            | [] -> 0
-            | keys ->
-                Format.eprintf "expectation mismatch: %s@."
-                  (String.concat ", " keys);
-                if strict then 1 else 0)
+    Option.iter
+      (fun f ->
+        write_json ~tool:"analyze-static" f
+          (J.Obj [ ("structures", J.List reports) ]))
+      json;
+    match List.rev !mismatched with
+    | [] -> 0
+    | keys ->
+        Format.eprintf "expectation mismatch: %s@." (String.concat ", " keys);
+        if strict then 1 else 0
   in
   let doc =
     "The static synchronization linter: evaluate a structure's registered \
@@ -1150,14 +1045,16 @@ let analyze_static_cmd =
      safety, acquire pairing, relaxed-CAS-success misuse, non-atomic race \
      candidates — plus a hypothetical-weakening pass splitting the \
      labeled sites into predicted-necessary and over-strong candidates.  \
-     $(b,--strict) exits nonzero when a verdict contradicts the \
-     registry's expectation (expect-violation structures must be \
-     flagged, the rest clean)."
+     $(b,--weaken) lints under a hypothetical weakening.  $(b,--strict) \
+     exits nonzero when a verdict contradicts the registry's expectation \
+     (expect-violation structures must be flagged, the rest clean)."
   in
   Cmd.v (Cmd.info "static" ~doc)
     Term.(
-      const run $ struct_opt_arg $ all_arg $ weaken_arg $ strict_arg
-      $ json_arg)
+      const run
+      $ structures ~all_doc:"Lint every registered structure."
+          ~keep:(fun _ -> true)
+      $ weaken $ strict_arg $ json_arg)
 
 let analyze_cmd =
   let doc =
@@ -1175,32 +1072,7 @@ let replay_cmd =
       "Decision script: comma-separated choices (from a report's \
        counterexample)."
     in
-    Arg.(value & opt string "" & info [ "script" ] ~docv:"N,N,..." ~doc)
-  in
-  let weaken_arg =
-    let doc =
-      "Weaken a site while replaying (repeatable): $(b,site=mode) with an \
-       access mode ($(b,rlx), $(b,acq), $(b,rel), $(b,acq_rel)), a fence \
-       mode ($(b,fence_acq), ...), or $(b,drop) — the spec an audit \
-       counterexample prints."
-    in
-    Arg.(value & opt_all string [] & info [ "weaken" ] ~docv:"SITE=MODE" ~doc)
-  in
-  let probe_arg =
-    let doc =
-      "Replay against a registered structure's client scenario instead of \
-       the plain MP client (same scenarios the audit runs; see \
-       $(b,compass analyze))."
-    in
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "struct"; "probe" ] ~docv:"KEY" ~doc)
-  in
-  let scenario_arg =
-    let doc = "Scenario index within the structure's registered clients \
-               (default 0, the MP client)." in
-    Arg.(value & opt int 0 & info [ "scenario" ] ~docv:"I" ~doc)
+    Arg.(value & opt script_conv [||] & info [ "script" ] ~docv:"N,N,..." ~doc)
   in
   let refine_client_arg =
     let doc =
@@ -1209,7 +1081,7 @@ let replay_cmd =
        registered scenarios — for $(b,compass refine) counterexamples."
     in
     Arg.(
-      value & opt (some int) None & info [ "refine-client" ] ~docv:"I" ~doc)
+      value & opt (some index_conv) None & info [ "refine-client" ] ~docv:"I" ~doc)
   in
   let sim_client_arg =
     let doc =
@@ -1230,118 +1102,84 @@ let replay_cmd =
     in
     Arg.(value & flag & info [ "trace" ] ~doc)
   in
-  let run factory script_str weaken probe scenario_idx refine_client
+  let run factory script overrides probe scenario_idx refine_client
       sim_client mgc_depth show_trace =
-    let script =
-      if script_str = "" then [||]
-      else
-        String.split_on_char ',' script_str
-        |> List.map int_of_string |> Array.of_list |> Decision.of_ints
+    let sc =
+      match (probe, refine_client, sim_client) with
+      | None, _, _ -> Some (Mp.make factory (Mp.fresh_stats ()))
+      | Some e, _, Some id -> Sim.client_scenario ~depth:mgc_depth e id
+      | Some e, Some i, None -> Refine.client_scenario e i
+      | Some e, None, None ->
+          Option.map (fun mk -> mk ()) (Specreg.scenario e scenario_idx)
     in
-    match Override.of_specs weaken with
-    | Error e ->
-        Format.eprintf "bad --weaken spec: %s@." e;
+    match sc with
+    | None ->
+        Format.eprintf "unknown structure/scenario (try: %s)@."
+          (String.concat ", " (Specreg.keys ()));
         2
-    | Ok overrides -> (
-        let sc =
-          match (probe, refine_client, sim_client) with
-          | None, _, _ -> Some (Mp.make factory (Mp.fresh_stats ()))
-          | Some key, _, Some id -> (
-              match Specreg.find key with
-              | Some e -> Sim.client_scenario ~depth:mgc_depth e id
-              | None -> None)
-          | Some key, Some i, None -> (
-              match Specreg.find key with
-              | Some e -> Refine.client_scenario e i
-              | None -> None)
-          | Some key, None, None -> (
-              match Specreg.find key with
-              | Some e -> (
-                  match Specreg.scenario e scenario_idx with
-                  | Some mk -> Some (mk ())
-                  | None -> None)
-              | None -> None)
+    | Some sc ->
+        (* An override naming a site that does not exist would silently
+           replay unweakened; check the labels the static analyzer
+           discovers for the chosen probe first. *)
+        let valid_sites =
+          if Override.is_empty overrides then []
+          else
+            match probe with
+            | Some e -> List.map fst (Specreg.sites e)
+            | None ->
+                List.map fst
+                  (Static.site_modes
+                     [ (fun () -> Mp.make factory (Mp.fresh_stats ())) ])
         in
-        match sc with
-        | None ->
-            Format.eprintf "unknown structure/scenario (try: %s)@."
-              (String.concat ", " (Specreg.keys ()));
-            2
-        | Some sc ->
-            (* An override naming a site that does not exist would
-               silently replay unweakened; check the labels the static
-               analyzer discovers for the chosen probe first. *)
-            let valid_sites =
-              if Override.is_empty overrides then []
-              else
-                match probe with
-                | Some key -> (
-                    match Specreg.find key with
-                    | Some e -> List.map fst (Specreg.sites e)
-                    | None -> [])
-                | None ->
-                    List.map fst
-                      (Static.site_modes
-                         [ (fun () -> Mp.make factory (Mp.fresh_stats ())) ])
-            in
-            let unknown_sites =
-              Override.spec_strings overrides
-              |> List.filter_map (fun spec ->
-                     match String.index_opt spec '=' with
-                     | Some i ->
-                         let site = String.sub spec 0 i in
-                         if List.mem site valid_sites then None
-                         else Some site
-                     | None -> None)
-            in
-            if unknown_sites <> [] then begin
-              Format.eprintf
-                "unknown --weaken site(s): %s@.valid sites: %s@."
-                (String.concat ", " unknown_sites)
-                (String.concat ", " valid_sites);
-              2
-            end
-            else begin
-            if not (Override.is_empty overrides) then
-              Format.printf "weakened: %a@." Override.pp overrides;
-            let config = { Machine.default_config with overrides } in
-            let r = Explore.replay ~config sc script in
-            if r.Explore.r_clamped > 0 then
-              Format.printf
-                "note: %d out-of-range choice(s) clamped to the last \
-                 alternative@."
-                r.Explore.r_clamped;
-            Format.printf "outcome: %a@.verdict: %s@.@.%a@."
-              Machine.pp_outcome r.Explore.r_outcome
-              (match r.Explore.r_verdict with
-              | Explore.Pass -> "pass"
-              | Explore.Violation s -> "VIOLATION: " ^ s
-              | Explore.Discard s -> "discard: " ^ s)
-              Trace.pp (Machine.trace r.Explore.r_machine);
-            if show_trace then
-              Format.printf "@.decision trace:@.%a@." Decision.pp_trace
-                r.Explore.r_trace;
-            0
-            end)
+        let unknown_sites =
+          List.rev_map fst overrides.Override.accesses
+          @ List.rev_map fst overrides.Override.fences
+          |> List.filter (fun site -> not (List.mem site valid_sites))
+        in
+        if unknown_sites <> [] then begin
+          Format.eprintf "unknown --weaken site(s): %s@.valid sites: %s@."
+            (String.concat ", " unknown_sites)
+            (String.concat ", " valid_sites);
+          2
+        end
+        else begin
+          if not (Override.is_empty overrides) then
+            Format.printf "weakened: %a@." Override.pp overrides;
+          let config = { Machine.default_config with overrides } in
+          let r = Explore.replay ~config sc script in
+          if r.Explore.r_clamped > 0 then
+            Format.printf
+              "note: %d out-of-range choice(s) clamped to the last \
+               alternative@."
+              r.Explore.r_clamped;
+          Format.printf "outcome: %a@.verdict: %s@.@.%a@." Machine.pp_outcome
+            r.Explore.r_outcome
+            (match r.Explore.r_verdict with
+            | Explore.Pass -> "pass"
+            | Explore.Violation s -> "VIOLATION: " ^ s
+            | Explore.Discard s -> "discard: " ^ s)
+            Trace.pp (Machine.trace r.Explore.r_machine);
+          if show_trace then
+            Format.printf "@.decision trace:@.%a@." Decision.pp_trace
+              r.Explore.r_trace;
+          0
+        end
   in
   let doc =
     "Replay one execution from a decision script with full tracing — \
      optionally under the same $(b,--weaken) mode overrides an audit \
      mutant ran with, so its counterexamples replay exactly (empty \
-     script = first path)."
+     script = first path).  Without $(b,--struct), the plain MP client \
+     over $(b,--queue) runs; with it, the structure's registered client \
+     scenario (the same ones the audit runs; see $(b,compass analyze))."
   in
   Cmd.v (Cmd.info "replay" ~doc)
     Term.(
-      const run $ queue_arg $ script_arg $ weaken_arg $ probe_arg
-      $ scenario_arg $ refine_client_arg $ sim_client_arg $ mgc_depth_arg
+      const run $ queue_arg $ script_arg $ weaken $ Arg.value structure
+      $ scenario $ refine_client_arg $ sim_client_arg $ mgc_depth_arg
       $ trace_arg)
 
 (* -- fuzz ---------------------------------------------------------------------- *)
-
-let scenario_idx_arg =
-  let doc = "Scenario index within the structure's registered clients \
-             (default 0)." in
-  Arg.(value & opt int 0 & info [ "scenario" ] ~docv:"I" ~doc)
 
 let fuzz_cmd =
   let mode_arg =
@@ -1373,10 +1211,6 @@ let fuzz_cmd =
     in
     Arg.(value & opt int 0 & info [ "pct-len" ] ~docv:"N" ~doc)
   in
-  let fuzz_execs =
-    let doc = "Fuzzing execution budget." in
-    Arg.(value & opt int 4000 & info [ "execs"; "e" ] ~docv:"N" ~doc)
-  in
   let corpus_arg =
     let doc =
       "Seed the guided corpus from $(docv) (missing file = empty) and save \
@@ -1388,71 +1222,63 @@ let fuzz_cmd =
     let doc = "Shrink the first violation before reporting (default on)." in
     Arg.(value & opt bool true & info [ "shrink" ] ~docv:"BOOL" ~doc)
   in
-  let expect_violation =
-    let doc =
-      "Invert the exit code: succeed only if a violation was found (for \
-       known-broken fixtures in CI)."
-    in
-    Arg.(value & flag & info [ "expect-violation" ] ~doc)
-  in
-  let run struct_key scenario_idx mode depth len execs seed jobs corpus shrink
-      json expect =
-    with_entry struct_key (fun e ->
-        match Specreg.scenario e scenario_idx with
-        | None ->
-            Format.eprintf "structure %s has no scenario %d@." struct_key
-              scenario_idx;
-            2
-        | Some mk ->
-            let corpus_in = Option.map Fz.Corpus.load corpus in
-            let options =
-              {
-                Fz.Fuzz.default_options with
-                mode;
-                execs;
-                seed;
-                jobs;
-                pct_depth = depth;
-                sched_len = len;
-                shrink;
-                corpus_in;
-              }
-            in
-            let o = Fz.Fuzz.run ~options mk in
-            Format.printf "%a@." Fz.Fuzz.pp_outcome o;
-            let confirmed =
-              match o.Fz.Fuzz.violations with
-              | [] -> false
-              | f :: _ -> (
-                  (* the reported (shrunk) script must still replay to the
-                     same violation *)
-                  let r =
-                    Explore.replay ~config:options.Fz.Fuzz.config (mk ())
-                      f.Explore.trace
-                  in
-                  match r.Explore.r_verdict with
-                  | Explore.Violation m when m = f.Explore.message ->
-                      Format.printf "replay confirms the violation@.";
-                      true
-                  | _ ->
-                      Format.printf
-                        "WARNING: replay does not reproduce the violation@.";
-                      false)
-            in
-            Option.iter
-              (fun file ->
-                Fz.Corpus.save o.Fz.Fuzz.corpus file;
-                Format.printf "corpus (%d entries) saved to %s@."
-                  (Fz.Corpus.size o.Fz.Fuzz.corpus)
-                  file)
-              corpus;
-            Option.iter
-              (fun file ->
-                write_json ~tool:"fuzz" ~seed file (Fz.Fuzz.outcome_to_json o))
-              json;
-            if expect then if confirmed then 0 else 1
-            else if o.Fz.Fuzz.violations = [] then 0
-            else 1)
+  let run (e : Libspec.entry) scenario_idx mode depth len execs seed jobs
+      corpus shrink json expect =
+    match Specreg.scenario e scenario_idx with
+    | None ->
+        Format.eprintf "structure %s has no scenario %d@." e.Libspec.key
+          scenario_idx;
+        2
+    | Some mk ->
+        let corpus_in = Option.map Fz.Corpus.load corpus in
+        let options =
+          {
+            Fz.Fuzz.default_options with
+            mode;
+            execs;
+            seed;
+            jobs;
+            pct_depth = depth;
+            sched_len = len;
+            shrink;
+            corpus_in;
+          }
+        in
+        let o = Fz.Fuzz.run ~options mk in
+        Format.printf "%a@." Fz.Fuzz.pp_outcome o;
+        let confirmed =
+          match o.Fz.Fuzz.violations with
+          | [] -> false
+          | f :: _ -> (
+              (* the reported (shrunk) script must still replay to the
+                 same violation *)
+              let r =
+                Explore.replay ~config:options.Fz.Fuzz.config (mk ())
+                  f.Explore.trace
+              in
+              match r.Explore.r_verdict with
+              | Explore.Violation m when m = f.Explore.message ->
+                  Format.printf "replay confirms the violation@.";
+                  true
+              | _ ->
+                  Format.printf
+                    "WARNING: replay does not reproduce the violation@.";
+                  false)
+        in
+        Option.iter
+          (fun file ->
+            Fz.Corpus.save o.Fz.Fuzz.corpus file;
+            Format.printf "corpus (%d entries) saved to %s@."
+              (Fz.Corpus.size o.Fz.Fuzz.corpus)
+              file)
+          corpus;
+        Option.iter
+          (fun file ->
+            write_json ~tool:"fuzz" ~seed file (Fz.Fuzz.outcome_to_json o))
+          json;
+        if expect then if confirmed then 0 else 1
+        else if o.Fz.Fuzz.violations = [] then 0
+        else 1
   in
   let doc =
     "Schedule-fuzz a structure probe: sample executions under a search \
@@ -1463,8 +1289,8 @@ let fuzz_cmd =
   in
   Cmd.v (Cmd.info "fuzz" ~doc)
     Term.(
-      const run $ struct_arg $ scenario_idx_arg $ mode_arg $ pct_depth
-      $ pct_len $ fuzz_execs $ seed $ jobs $ corpus_arg $ shrink_arg
+      const run $ Arg.required structure $ scenario $ mode_arg $ pct_depth
+      $ pct_len $ execs 4000 $ seed $ jobs $ corpus_arg $ shrink_arg
       $ json_arg $ expect_violation)
 
 (* -- shrink -------------------------------------------------------------------- *)
@@ -1474,91 +1300,58 @@ let shrink_cmd =
     let doc = "Violating decision script to shrink (comma-separated)." in
     Arg.(
       required
-      & opt (some string) None
+      & opt (some script_conv) None
       & info [ "script" ] ~docv:"N,N,..." ~doc)
-  in
-  let weaken_arg =
-    let doc =
-      "Shrink under mode overrides (repeatable): $(b,site=mode), as \
-       printed by audit counterexamples."
-    in
-    Arg.(value & opt_all string [] & info [ "weaken" ] ~docv:"SITE=MODE" ~doc)
-  in
-  let probe_arg =
-    let doc =
-      "Shrink against a registered structure's client scenario instead of \
-       the plain MP client."
-    in
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "struct"; "probe" ] ~docv:"KEY" ~doc)
   in
   let max_replays =
     let doc = "Replay budget for the shrinker." in
     Arg.(value & opt int 20_000 & info [ "max-replays" ] ~docv:"N" ~doc)
   in
-  let run factory script_str weaken probe scenario_idx max_replays =
-    let script =
-      String.split_on_char ',' script_str
-      |> List.filter (fun s -> s <> "")
-      |> List.map int_of_string |> Array.of_list |> Decision.of_ints
+  let run factory script overrides probe scenario_idx max_replays =
+    let mk =
+      match probe with
+      | None -> Some (fun () -> Mp.make factory (Mp.fresh_stats ()))
+      | Some e -> Specreg.scenario e scenario_idx
     in
-    match Override.of_specs weaken with
-    | Error e ->
-        Format.eprintf "bad --weaken spec: %s@." e;
+    match mk with
+    | None ->
+        Format.eprintf "unknown structure/scenario (try: %s)@."
+          (String.concat ", " (Specreg.keys ()));
         2
-    | Ok overrides -> (
-        let mk =
-          match probe with
-          | None -> Some (fun () -> Mp.make factory (Mp.fresh_stats ()))
-          | Some key -> (
-              match Specreg.find key with
-              | Some e -> Specreg.scenario e scenario_idx
-              | None -> None)
-        in
-        match mk with
-        | None ->
-            Format.eprintf "unknown structure/scenario (try: %s)@."
-              (String.concat ", " (Specreg.keys ()));
-            2
-        | Some mk -> (
-            let config = { Machine.default_config with overrides } in
-            let r = Explore.replay ~config (mk ()) script in
-            match r.Explore.r_verdict with
-            | Explore.Violation message ->
-                let stats, small =
-                  Fz.Shrink.minimize ~config ~max_replays ~scenario:(mk ())
-                    ~message script
-                in
-                Format.printf
-                  "violation: %s@ script: %d -> %d choices in %d replays%s@ \
-                   shrunk: %s@."
-                  message stats.Fz.Shrink.initial_len
-                  stats.Fz.Shrink.final_len stats.Fz.Shrink.replays
-                  (if stats.Fz.Shrink.clamped > 0 then
-                     Printf.sprintf " (%d choices clamped)"
-                       stats.Fz.Shrink.clamped
-                   else "")
-                  (String.concat ","
-                     (List.map string_of_int
-                        (Array.to_list (Decision.choices small))));
-                0
-            | Explore.Pass | Explore.Discard _ ->
-                Format.eprintf
-                  "the script does not produce a violation — nothing to \
-                   shrink@.";
-                1))
+    | Some mk -> (
+        let config = { Machine.default_config with overrides } in
+        let r = Explore.replay ~config (mk ()) script in
+        match r.Explore.r_verdict with
+        | Explore.Violation message ->
+            let stats, small =
+              Fz.Shrink.minimize ~config ~max_replays ~scenario:(mk ())
+                ~message script
+            in
+            Format.printf
+              "violation: %s@ script: %d -> %d choices in %d replays%s@ \
+               shrunk: %a@."
+              message stats.Fz.Shrink.initial_len stats.Fz.Shrink.final_len
+              stats.Fz.Shrink.replays
+              (if stats.Fz.Shrink.clamped > 0 then
+                 Printf.sprintf " (%d choices clamped)" stats.Fz.Shrink.clamped
+               else "")
+              pp_script small;
+            0
+        | Explore.Pass | Explore.Discard _ ->
+            Format.eprintf
+              "the script does not produce a violation — nothing to shrink@.";
+            1)
   in
   let doc =
     "Delta-debug a violating decision script (e.g. from a fuzz or audit \
      report) down to a 1-minimal script producing the same violation, \
-     optionally under the same $(b,--weaken) overrides."
+     optionally under the same $(b,--weaken) overrides.  Without \
+     $(b,--struct), the plain MP client over $(b,--queue) runs."
   in
   Cmd.v (Cmd.info "shrink" ~doc)
     Term.(
-      const run $ queue_arg $ script_arg $ weaken_arg $ probe_arg
-      $ scenario_idx_arg $ max_replays)
+      const run $ queue_arg $ script_arg $ weaken $ Arg.value structure
+      $ scenario $ max_replays)
 
 (* -- report ---------------------------------------------------------------------- *)
 
@@ -1594,7 +1387,8 @@ let report_cmd =
     if ok = List.length lines && ar.Audit.baseline_ok then 0 else 1
   in
   let doc = "Run the full experiment battery (E1-E8) and print paper-vs-measured." in
-  Cmd.v (Cmd.info "report" ~doc) Term.(const run $ quick $ jobs $ reduce)
+  Cmd.v (Cmd.info "report" ~doc)
+    Term.(const run $ quick $ jobs $ reduce Machine.RNone)
 
 (* -- main ------------------------------------------------------------------------- *)
 

@@ -152,10 +152,8 @@ let explore_one opts override mk =
   in
   let sc = mk () in
   let r =
-    Explore.run ~config ~jobs:opts.jobs ~reduce:opts.reduce
-      ~until_violation:true
-      ~mode:(Explore.Dfs { max_execs = opts.execs })
-      sc
+    Explore.dfs ~config ~jobs:opts.jobs ~max_execs:opts.execs
+      ~reduce:opts.reduce ~until_violation:true sc
   in
   (sc.Explore.name, r)
 

@@ -122,6 +122,14 @@ let token_of d =
   | None -> ());
   Buffer.contents b
 
+(* A choice is a non-negative integer; anything else is malformed. *)
+let choice_of_string s =
+  match int_of_string_opt s with Some c when c >= 0 -> c | _ -> raise Exit
+
+let of_choices tokens =
+  try Some (of_ints (Array.of_list (List.map choice_of_string tokens)))
+  with Exit -> None
+
 let token_to s =
   let fail () = raise Exit in
   let colon = try String.index s ':' with Not_found -> fail () in
@@ -153,7 +161,7 @@ let token_to s =
         (String.sub rest 0 at, Some { rf_ts = ts; rf_wtid = wtid })
   in
   let slash = try String.index rest '/' with Not_found -> fail () in
-  let choice = try int_of_string (String.sub rest 0 slash) with _ -> fail () in
+  let choice = choice_of_string (String.sub rest 0 slash) in
   let arity =
     try int_of_string (String.sub rest (slash + 1) (String.length rest - slash - 1))
     with _ -> fail ()
@@ -170,11 +178,7 @@ let of_line s =
   match split_ws s with
   | "v2" :: tokens -> (
       try Some (Array.of_list (List.map token_to tokens)) with Exit -> None)
-  | [] -> Some [||]
-  | tokens -> (
-      (* v1: plain space-separated choice ints *)
-      try Some (of_ints (Array.of_list (List.map int_of_string tokens)))
-      with _ -> None)
+  | tokens -> of_choices tokens
 
 (* -- JSON (emit-only; replays re-derive provenance from the choices) -- *)
 

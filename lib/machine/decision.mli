@@ -80,7 +80,13 @@ val to_line : trace -> string
 
 val of_line : string -> trace option
 (** parse {!to_line} output {e or} a legacy v1 line of space-separated
-    choice ints (lifted via {!of_ints}); [None] on malformed input *)
+    choice ints (read by {!of_choices}); [None] on malformed input,
+    including a negative choice *)
+
+val of_choices : string list -> trace option
+(** a v1 script from its choice tokens, lifted via {!of_ints}; [None]
+    unless every token is a non-negative integer (the CLI's [--script]
+    reads its comma-separated tokens with this too) *)
 
 val to_json : t -> Compass_util.Jsonout.t
 val trace_to_json : trace -> Compass_util.Jsonout.t

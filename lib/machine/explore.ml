@@ -830,14 +830,3 @@ let random ?(execs = 1_000) ?(seed = 0) ?(config = Machine.default_config)
   done;
   to_report ~distinct:(Hashtbl.length seen) ~name:scenario.name ~complete:false
     st
-
-type mode = Dfs of { max_execs : int } | Random of { execs : int; seed : int }
-
-let run ?(config = Machine.default_config) ?(jobs = 1)
-    ?(reduce = Machine.RNone) ?(incremental = true) ?(until_violation = false)
-    ~mode scenario =
-  match mode with
-  | Dfs { max_execs } ->
-      dfs ~jobs ~max_execs ~reduce ~incremental ~until_violation ~config
-        scenario
-  | Random { execs; seed } -> random ~execs ~seed ~config scenario

@@ -181,17 +181,3 @@ val dfs :
     this way reports [complete = false]. *)
 
 val random : ?execs:int -> ?seed:int -> ?config:Machine.config -> scenario -> report
-
-type mode = Dfs of { max_execs : int } | Random of { execs : int; seed : int }
-
-val run :
-  ?config:Machine.config ->
-  ?jobs:int ->
-  ?reduce:Machine.reduction ->
-  ?incremental:bool ->
-  ?until_violation:bool ->
-  mode:mode ->
-  scenario ->
-  report
-(** dispatch on [mode]: [Dfs] runs {!dfs} with [jobs], [reduce] and
-    [incremental]; random sampling ignores them *)

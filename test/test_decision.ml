@@ -96,12 +96,12 @@ let test_pinned_v1_line () =
   (match Decision.of_line "" with
   | Some [||] -> ()
   | _ -> Alcotest.fail "empty line is the empty trace");
-  (match Decision.of_line "1 two 3" with
-  | None -> ()
-  | Some _ -> Alcotest.fail "malformed v1 line must be rejected");
-  match Decision.of_line "v2 q:1/2" with
-  | None -> ()
-  | Some _ -> Alcotest.fail "malformed v2 token must be rejected"
+  List.iter
+    (fun line ->
+      match Decision.of_line line with
+      | None -> ()
+      | Some _ -> Alcotest.failf "malformed line %S must be rejected" line)
+    [ "1 two 3"; "-1 0 0"; "0 -2"; "v2 s0:-1/2"; "v2 q:1/2" ]
 
 (* -- legacy corpus loading ---------------------------------------------------- *)
 
