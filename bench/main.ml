@@ -1,26 +1,19 @@
-(* COMPASS-OCaml benchmark harness.
+(* COMPASS-OCaml benchmark harness: the machine-readable ledgers.
 
-   One Bechamel group per experiment of DESIGN.md's index (E1-E6; E7 is a
-   report, produced by [bin/compass report]).  The paper's evaluation is a
-   body of verifications, so what we measure is the *cost of checking*: the
-   model checker's execution throughput per structure and client, and the
-   per-execution cost of each spec-style checker — the operational
-   counterpart of proof effort.  Absolute numbers are machine-dependent;
-   the interesting shape is the relative cost of spec styles (LAThist's
-   search > graph checks > abstract-state replay) and of structures
-   (elimination stack > its parts). *)
+   Each mode measures one subsystem and writes its [BENCH_*.json] ledger
+   into the current directory; [--check] turns the mode's gates into the
+   exit code.  [--explore]: exploration throughput per engine, reduction
+   and job count.  [--fuzz]: PCT and coverage-guided fuzzing against
+   uniform sampling.  [--static]: the statically prioritised audit order
+   against declaration order.  [--sim]: forward-simulation verdicts over
+   the most-general clients.  End-to-end time to a verdict is measured by
+   [bench/suite]. *)
 
-open Bechamel
-open Toolkit
 open Compass_rmc
 open Compass_machine
-open Compass_spec
-open Compass_dstruct
 open Compass_clients
 open Compass_util
 module Fz = Compass_fuzz
-
-let vi n = Value.Int n
 
 (* Structures resolve through the central spec registry, like the CLI. *)
 let queue_factory key =
@@ -32,275 +25,6 @@ let stack_factory key =
   match Specreg.find key with
   | Some { Compass_spec.Libspec.impl = Specreg.Stack f; _ } -> f
   | _ -> failwith ("no registered stack implementation: " ^ key)
-
-(* -- graph sampling: one representative finished execution ------------------- *)
-
-let sample_queue_graph (factory : Iface.queue_factory) ~enqers ~deqers ~ops
-    ~seed =
-  let rec try_seed seed =
-    let m = Machine.create () in
-    let q = factory.make_queue m ~name:"q" in
-    Machine.spawn m
-      (List.init enqers (fun tid ->
-           Prog.returning_unit
-             (Prog.for_ 0 (ops - 1) (fun i ->
-                  q.Iface.enq (Harness.val_of ~tid ~i))))
-      @ List.init deqers (fun _ ->
-            Prog.returning_unit
-              (Prog.for_ 0 (ops - 1) (fun _ ->
-                   Prog.bind (q.Iface.deq ()) (fun _ -> Prog.return ())))));
-    match Machine.run m (Oracle.random ~seed) with
-    | Machine.Finished _ -> q.Iface.q_graph
-    | _ -> try_seed (seed + 1)
-  in
-  try_seed seed
-
-let sample_stack_graph (factory : Iface.stack_factory) ~pushers ~poppers ~ops
-    ~seed =
-  let rec try_seed seed =
-    let m = Machine.create () in
-    let s = factory.make_stack m ~name:"s" in
-    Machine.spawn m
-      (List.init pushers (fun tid ->
-           Prog.returning_unit
-             (Prog.for_ 0 (ops - 1) (fun i ->
-                  s.Iface.push (Harness.val_of ~tid ~i))))
-      @ List.init poppers (fun _ ->
-            Prog.returning_unit
-              (Prog.for_ 0 (ops - 1) (fun _ ->
-                   Prog.bind (s.Iface.pop ()) (fun _ -> Prog.return ())))));
-    match Machine.run m (Oracle.random ~seed) with
-    | Machine.Finished _ -> s.Iface.s_graph
-    | _ -> try_seed (seed + 1)
-  in
-  try_seed seed
-
-let explore_n ~execs sc () = ignore (Explore.random ~execs ~seed:17 sc)
-
-(* -- E1: the MP client (Figure 1 + Figure 3) --------------------------------- *)
-
-let e1_mp =
-  Test.make_grouped ~name:"E1-mp"
-    [
-      Test.make ~name:"ms-queue/rel-acq"
-        (Staged.stage (fun () ->
-             explore_n ~execs:20 (Mp.make Msqueue.instantiate (Mp.fresh_stats ())) ()));
-      Test.make ~name:"ms-queue/weak-flag"
-        (Staged.stage (fun () ->
-             explore_n ~execs:20 (Mp.make_weak Msqueue.instantiate (Mp.fresh_stats ())) ()));
-      Test.make ~name:"hw-queue/rel-acq"
-        (Staged.stage (fun () ->
-             explore_n ~execs:20 (Mp.make Hwqueue.instantiate (Mp.fresh_stats ())) ()));
-      Test.make ~name:"hw-queue/weak-flag"
-        (Staged.stage (fun () ->
-             explore_n ~execs:20 (Mp.make_weak Hwqueue.instantiate (Mp.fresh_stats ())) ()));
-    ]
-
-(* -- E2: spec-style matrix — per-execution checking cost --------------------- *)
-
-let e2_matrix =
-  let ms = sample_queue_graph Msqueue.instantiate ~enqers:2 ~deqers:2 ~ops:2 ~seed:3 in
-  let hw = sample_queue_graph Hwqueue.instantiate ~enqers:2 ~deqers:2 ~ops:2 ~seed:3 in
-  let tr = sample_stack_graph Treiber.instantiate ~pushers:2 ~poppers:2 ~ops:2 ~seed:3 in
-  let mk name style kind g =
-    Test.make ~name (Staged.stage (fun () -> ignore (Styles.check style kind g)))
-  in
-  Test.make_grouped ~name:"E2-spec-styles"
-    [
-      mk "ms/LATso-abs" Styles.So_abs Styles.Queue ms;
-      mk "ms/LAThb" Styles.Hb Styles.Queue ms;
-      mk "ms/LAThb-abs" Styles.Hb_abs Styles.Queue ms;
-      mk "ms/LAThist" Styles.Hist Styles.Queue ms;
-      mk "hw/LAThb" Styles.Hb Styles.Queue hw;
-      mk "hw/LAThist" Styles.Hist Styles.Queue hw;
-      mk "treiber/LAThb" Styles.Hb Styles.Stack tr;
-      mk "treiber/LAThist" Styles.Hist Styles.Stack tr;
-    ]
-
-(* -- E3: Herlihy-Wing — abstract states vs graph conditions ------------------ *)
-
-let e3_hw =
-  let hw = sample_queue_graph Hwqueue.instantiate ~enqers:3 ~deqers:2 ~ops:2 ~seed:5 in
-  Test.make_grouped ~name:"E3-hw-queue"
-    [
-      Test.make ~name:"abstract-state-replay"
-        (Staged.stage (fun () -> ignore (Queue_spec.abstract_state hw)));
-      Test.make ~name:"graph-consistency"
-        (Staged.stage (fun () -> ignore (Queue_spec.consistent hw)));
-      Test.make ~name:"explore"
-        (Staged.stage
-           (explore_n ~execs:20
-              (Harness.queue_workload Hwqueue.instantiate ~enqers:2 ~deqers:2
-                 ~ops:2 ())));
-    ]
-
-(* -- E4: SPSC and the two-queue pipeline (Section 3.2) ------------------------ *)
-
-let e4_spsc =
-  Test.make_grouped ~name:"E4-spsc"
-    [
-      Test.make ~name:"ms-queue"
-        (Staged.stage (fun () ->
-             explore_n ~execs:10
-               (Spsc_client.make ~n:3 Msqueue.instantiate (Spsc_client.fresh_stats ()))
-               ()));
-      Test.make ~name:"hw-queue"
-        (Staged.stage (fun () ->
-             explore_n ~execs:10
-               (Spsc_client.make ~n:3 Hwqueue.instantiate (Spsc_client.fresh_stats ()))
-               ()));
-      Test.make ~name:"pipeline-ms-hw"
-        (Staged.stage (fun () ->
-             explore_n ~execs:10
-               (Pipeline.make ~n:2 Msqueue.instantiate Hwqueue.instantiate
-                  (Pipeline.fresh_stats ()))
-               ()));
-    ]
-
-(* -- E5: Treiber LAThist — commit order vs search (Figure 4) ------------------ *)
-
-let e5_linearize =
-  let tr = sample_stack_graph Treiber.instantiate ~pushers:2 ~poppers:2 ~ops:2 ~seed:9 in
-  let hw = sample_queue_graph Hwqueue.instantiate ~enqers:2 ~deqers:2 ~ops:2 ~seed:9 in
-  Test.make_grouped ~name:"E5-linearize"
-    [
-      Test.make ~name:"treiber/commit-order"
-        (Staged.stage (fun () ->
-             ignore (Linearize.commit_order_valid Linearize.Stack tr)));
-      Test.make ~name:"treiber/search"
-        (Staged.stage (fun () -> ignore (Linearize.search Linearize.Stack tr)));
-      Test.make ~name:"hw/search"
-        (Staged.stage (fun () -> ignore (Linearize.search Linearize.Queue hw)));
-    ]
-
-(* -- E6: exchanger and elimination stack (Section 4) -------------------------- *)
-
-let e6_exchanger =
-  Test.make_grouped ~name:"E6-exchanger-es"
-    [
-      Test.make ~name:"exchanger-pair"
-        (Staged.stage
-           (explore_n ~execs:20 (Harness.exchanger_workload ~threads:2 ())));
-      Test.make ~name:"resource-exchange"
-        (Staged.stage (fun () ->
-             explore_n ~execs:20
-               (Resource_exchange.make ~threads:2 (Resource_exchange.fresh_stats ()))
-               ()));
-      Test.make ~name:"treiber-workload"
-        (Staged.stage
-           (explore_n ~execs:10
-              (Harness.stack_workload Treiber.instantiate ~pushers:2 ~poppers:2
-                 ~ops:1 ())));
-      Test.make ~name:"es-workload"
-        (Staged.stage
-           (explore_n ~execs:10
-              (Harness.stack_workload Elimination.instantiate ~pushers:2
-                 ~poppers:2 ~ops:1 ())));
-      Test.make ~name:"es-compose-check"
-        (Staged.stage (fun () ->
-             explore_n ~execs:10
-               (Es_compose.make ~pushers:2 ~poppers:2 ~ops:1
-                  (Es_compose.fresh_stats ()))
-               ()));
-    ]
-
-(* -- E8: Chase-Lev work-stealing deque (Section 6 future work) ----------------- *)
-
-let e8_chaselev =
-  Test.make_grouped ~name:"E8-chaselev"
-    [
-      Test.make ~name:"explore-sc-fences"
-        (Staged.stage (fun () ->
-             explore_n ~execs:20
-               (Ws_client.make ~tasks:2 ~thieves:1 ~steals:1
-                  (Ws_client.fresh_stats ()))
-               ()));
-      Test.make ~name:"explore-weak-fences"
-        (Staged.stage (fun () ->
-             explore_n ~execs:20
-               (Ws_client.make ~weak_fences:true ~tasks:2 ~thieves:1 ~steals:2
-                  (Ws_client.fresh_stats ()))
-               ()));
-      Test.make ~name:"explore-contended"
-        (Staged.stage (fun () ->
-             explore_n ~execs:10
-               (Ws_client.make ~tasks:3 ~thieves:2 ~steals:2
-                  (Ws_client.fresh_stats ()))
-               ()));
-    ]
-
-(* -- substrate microbenchmarks ------------------------------------------------ *)
-
-let micro =
-  let view =
-    List.fold_left
-      (fun v i -> View.extend v (Loc.make ~base:i ~off:0) i)
-      View.bot
-      (List.init 16 (fun i -> i))
-  in
-  Test.make_grouped ~name:"micro"
-    [
-      Test.make ~name:"view-join"
-        (Staged.stage (fun () -> ignore (View.join view view)));
-      Test.make ~name:"machine-steps-1k"
-        (Staged.stage (fun () ->
-             let m = Machine.create () in
-             let x = Machine.alloc m ~name:"x" ~init:(vi 0) 1 in
-             ignore
-               (Machine.solo m
-                  (Prog.map
-                     (Prog.for_ 1 500 (fun _ ->
-                          Prog.bind (Prog.load x Mode.Rlx) (fun _ ->
-                              Prog.store x (vi 1) Mode.Rlx)))
-                     (fun () -> Value.Unit)))));
-      Test.make ~name:"solo-msqueue-5-enq-deq"
-        (Staged.stage (fun () ->
-             let m = Machine.create () in
-             let t = Msqueue.create m ~name:"q" in
-             ignore
-               (Machine.solo m
-                  (Prog.map
-                     (Prog.for_ 1 5 (fun i ->
-                          Prog.bind (Msqueue.enq t (vi i)) (fun () ->
-                              Prog.bind (Msqueue.deq t) (fun _ -> Prog.return ()))))
-                     (fun () -> Value.Unit)))));
-    ]
-
-(* -- scaling: checker cost vs history size ------------------------------------- *)
-
-(* Build progressively larger stack graphs (sequentially, so they are
-   valid) and measure how each checker's cost grows — the operational
-   analogue of "proof effort scales with history length". *)
-let scaling =
-  let graph_of_size n =
-    let m = Machine.create () in
-    let t = Treiber.create ~fuel:64 m ~name:"s" in
-    ignore
-      (Machine.solo m
-         (Prog.map
-            (Prog.for_ 1 n (fun i ->
-                 Prog.bind (Treiber.push t (vi i)) (fun () ->
-                     if i mod 2 = 0 then
-                       Prog.bind (Treiber.pop t) (fun _ -> Prog.return ())
-                     else Prog.return ())))
-            (fun () -> Value.Unit)));
-    Treiber.graph t
-  in
-  let sizes = [ 4; 8; 16; 32 ] in
-  Test.make_grouped ~name:"scaling"
-    (List.concat_map
-       (fun n ->
-         let g = graph_of_size n in
-         [
-           Test.make
-             ~name:(Printf.sprintf "graph-consistency/%d-ops" n)
-             (Staged.stage (fun () -> ignore (Stack_spec.consistent g)));
-           Test.make
-             ~name:(Printf.sprintf "linearize-search/%d-ops" n)
-             (Staged.stage (fun () ->
-                  ignore (Linearize.search Linearize.Stack g)));
-         ])
-       sizes)
 
 (* -- explore-throughput mode (--explore [--quick] [--check]) -------------------
 
@@ -1156,42 +880,8 @@ let bench_sim ~quick ~check =
 
 (* -- driver ------------------------------------------------------------------- *)
 
-let bench_bechamel () =
-  let tests =
-    Test.make_grouped ~name:"compass"
-      [
-        e1_mp; e2_matrix; e3_hw; e4_spsc; e5_linearize; e6_exchanger;
-        e8_chaselev; scaling; micro;
-      ]
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:None () in
-  let raw = Benchmark.all cfg instances tests in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  Format.printf "%-50s %11s %8s@." "benchmark" "time/run" "r^2";
-  Format.printf "%s@." (String.make 72 '-');
-  Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) results []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  |> List.iter (fun (name, ols) ->
-         let est =
-           match Analyze.OLS.estimates ols with Some (t :: _) -> t | _ -> nan
-         in
-         let pp_time ppf ns =
-           if ns >= 1e9 then Format.fprintf ppf "%8.2f s " (ns /. 1e9)
-           else if ns >= 1e6 then Format.fprintf ppf "%8.2f ms" (ns /. 1e6)
-           else if ns >= 1e3 then Format.fprintf ppf "%8.2f us" (ns /. 1e3)
-           else Format.fprintf ppf "%8.2f ns" ns
-         in
-         Format.printf "%-50s %a %8s@." name pp_time est
-           (match Analyze.OLS.r_square ols with
-           | Some r -> Printf.sprintf "%.3f" r
-           | None -> "-"))
-
-(* At most one mode flag, plus only the switches that mode reads; no
-   flag at all runs the Bechamel suite.  Anything else is a usage error. *)
+(* Exactly one mode flag, plus only the switches that mode reads.
+   Anything else, no arguments included, is a usage error. *)
 let () =
   let modes =
     [
@@ -1212,12 +902,11 @@ let () =
   let args = List.tl (Array.to_list Sys.argv) in
   let usage () =
     prerr_endline
-      "usage: main.exe [--explore [--quick] [--check] [--force-jobs] | --fuzz \
-       [--quick] [--check] | --static [--check] | --sim [--quick] [--check]]";
+      "usage: main.exe (--explore [--quick] [--check] [--force-jobs] | --fuzz \
+       [--quick] [--check] | --static [--check] | --sim [--quick] [--check])";
     exit 2
   in
   match List.filter (fun a -> List.mem_assoc a modes) args with
-  | [] -> if args = [] then bench_bechamel () else usage ()
   | [ mode ] ->
       let switches, run = List.assoc mode modes in
       if List.for_all (fun a -> a = mode || List.mem a switches) args then

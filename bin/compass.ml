@@ -146,8 +146,10 @@ let reduce default =
      wakeup sequences: near one execution per Mazurkiewicz trace), \
      $(b,dpor-rf) (source-DPOR plus the reads-from reduction: one counted \
      execution per distinct rf⊕mo class) or $(b,none).  Bare \
-     $(b,--reduce) means $(b,sleep).  Verdicts and violations are the \
-     same under all of them; only the execution count shrinks."
+     $(b,--reduce) means $(b,sleep).  $(b,sleep) and $(b,dpor) keep \
+     every verdict and violation of the unreduced search.  $(b,dpor-rf) \
+     can miss one: on $(b,ms) with $(b,msqueue.enq.next_load) weakened to \
+     $(b,rlx) it completes without the fault the other modes find."
   in
   Arg.(
     value

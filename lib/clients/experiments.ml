@@ -372,12 +372,12 @@ let e5 ?(max_execs = 40_000) ?(jobs = 1) ?(reduce = Machine.RNone) () =
           fun _ ->
             incr total;
             let g = Treiber.graph t in
-            if Linearize.commit_order_valid Linearize.Stack g then incr direct
-            else begin
-              match Linearize.search Linearize.Stack g with
-              | Linearize.Linearizable _ -> incr searched
-              | _ -> ()
-            end;
+            (match Libspec.search Libspec.Stack g with
+            | { outcome = Libspec.Witness order; committed; _ } ->
+                if List.equal ( == ) order (Array.to_list committed) then
+                  incr direct
+                else incr searched
+            | _ -> ());
             if Stack_spec.consistent g = [] then Explore.Pass
             else Explore.Violation "inconsistent" ))
   in

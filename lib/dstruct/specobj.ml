@@ -19,29 +19,6 @@ open Prog.Syntax
    atomic with the commit (and replays identically under the incremental
    checkpoint/restore engine, which restores graphs in place). *)
 
-(* -- the labeled-transition interface ----------------------------------------
-
-   One spec step, checked against an observed result: from abstract state
-   [st], does performing [op] legally produce the event [result]?  The
-   spec's [transition] is deterministic, so legality is equality of the
-   produced event type (which pins FIFO/LIFO removal order: a queue in
-   state [(a, _); (b, _)] admits [Deq a] but not [Deq b]).  The returned
-   so edges are the spec's predicted insertion-to-removal matching, which
-   simulation checkers compare against the edges the implementation
-   committed. *)
-
-let step kind st ~id ~op ~result =
-  let st', typ, so = Libspec.transition kind st ~id op in
-  if Event.typ_equal typ result then Some (st', so) else None
-
-(* Step by observed event alone: derive the request from the event type.
-   [None] when the event is outside the kind's vocabulary or illegal from
-   [st]. *)
-let step_event kind st (e : Event.data) =
-  match Libspec.op_of_typ e.Event.typ with
-  | None -> None
-  | Some op -> step kind st ~id:e.Event.id ~op ~result:e.Event.typ
-
 let kind_of (spec : Libspec.t) =
   match spec.Libspec.kind with
   | Some k -> k

@@ -1,4 +1,3 @@
-open Compass_event
 open Compass_spec
 
 (** Spec-as-implementation: reference objects derived from a spec.
@@ -20,38 +19,6 @@ open Compass_spec
     refinement driver ({!Compass_clients.Refine}) uses it as the
     differential oracle: a correct implementation's outcomes must be a
     subset of the spec object's. *)
-
-(** {1 The labeled-transition interface}
-
-    The spec as an explicit LTS over abstract states: one step performs
-    an operation and checks the observed result for legality.  This is
-    the single spec-stepping primitive — the refinement drivers
-    ({!Compass_clients.Refine} via the spec-object factories below, and
-    the forward-simulation checker in [lib/sim]) both go through it, and
-    {!Libspec.replay} folds the same [transition] it wraps. *)
-
-val step :
-  Libspec.kind ->
-  Libspec.astate ->
-  id:int ->
-  op:Libspec.op_req ->
-  result:Event.typ ->
-  (Libspec.astate * (int * int) list) option
-(** [step kind st ~id ~op ~result] is [Some (st', so)] when performing
-    [op] from [st] legally yields the event [result] (committed with id
-    [id]): the successor state and the spec's predicted
-    insertion-to-removal [so] edges.  [None] when the result is illegal —
-    a queue in state [a; b] admits [Deq a] but not [Deq b] (FIFO), a
-    stack admits only the most recent push (LIFO), and empty removals are
-    legal only from the empty state. *)
-
-val step_event :
-  Libspec.kind ->
-  Libspec.astate ->
-  Event.data ->
-  (Libspec.astate * (int * int) list) option
-(** {!step} with the request derived from the observed event ([None] for
-    events outside the kind's vocabulary) *)
 
 val queue : ?spec:Libspec.t -> unit -> Iface.queue_factory
 (** defaults to {!Libspec.queue}; [q_name] is ["spec:" ^ spec name] *)

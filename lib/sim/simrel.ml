@@ -1,11 +1,9 @@
 open Compass_event
 open Compass_spec
-open Compass_dstruct
 
-(* Forward simulation of one execution against the spec LTS: search for a
-   commit-point assignment — an lhb-respecting total order of the
-   committed events that steps the spec legally and reproduces the
-   recorded so edges.  See simrel.mli. *)
+(* Forward simulation of one execution against the spec LTS: the
+   commit-point search of [Libspec.search], read as a simulation verdict.
+   See simrel.mli. *)
 
 type break_ = {
   at : Event.data;
@@ -19,85 +17,16 @@ type result =
   | Breaks of break_
   | Gave_up of { states : int }
 
-exception Found
-exception Out_of_budget
-
-let check ?(max_states = 200_000) kind g =
-  let evs =
-    Array.of_list
-      (List.filter
-         (fun (e : Event.data) -> Libspec.op_of_typ e.Event.typ <> None)
-         (Graph.events_by_cix g))
-  in
-  let n = Array.length evs in
-  let states = ref 0 in
-  if n > 62 then Gave_up { states = 0 }
-  else begin
-    (* Observed so sources per event (sorted id list): the spec's
-       predicted matching must equal them exactly. *)
-    let so_in =
-      Array.map
-        (fun (e : Event.data) ->
-          List.sort compare (Graph.so_in g e.Event.id))
-        evs
-    in
-    (* lhb predecessors as bitmasks.  Logical views only ever contain
-       already-committed events, so lhb edges point backwards in commit
-       order — predecessors of position i live strictly below i. *)
-    let preds = Array.make n 0 in
-    for i = 0 to n - 1 do
-      for j = 0 to i - 1 do
-        if Graph.lhb g ~before:evs.(j).Event.id ~after:evs.(i).Event.id then
-          preds.(i) <- preds.(i) lor (1 lsl j)
-      done
-    done;
-    (* Is there a legal assignment covering the first [k] events? *)
-    let linearizes k =
-      let full = (1 lsl k) - 1 in
-      let memo = Hashtbl.create 64 in
-      let rec go mask st =
-        if mask = full then raise Found;
-        let key = (mask, st) in
-        if not (Hashtbl.mem memo key) then begin
-          Hashtbl.add memo key ();
-          for i = 0 to k - 1 do
-            if mask land (1 lsl i) = 0 && preds.(i) land mask = preds.(i)
-            then begin
-              incr states;
-              if !states > max_states then raise Out_of_budget;
-              match Specobj.step_event kind st evs.(i) with
-              | Some (st', so_pred)
-                when List.sort compare (List.map fst so_pred) = so_in.(i) ->
-                  go (mask lor (1 lsl i)) st'
-              | _ -> ()
-            end
-          done
-        end
-      in
-      try
-        go 0 [];
-        `No
-      with
-      | Found -> `Yes
-      | Out_of_budget -> `Budget
-    in
-    match linearizes n with
-    | `Yes -> Simulates { states = !states }
-    | `Budget -> Gave_up { states = !states }
-    | `No ->
-        (* Earliest breaking commit point: the smallest commit-order
-           prefix no assignment covers.  k = n fails, so the scan
-           terminates; a budget exhaustion mid-scan falls back to the
-           full set. *)
-        let rec find k = if k >= n then n else
-          match linearizes k with `No -> k | _ -> find (k + 1)
-        in
-        let k = find 1 in
-        Breaks
-          {
-            at = evs.(k - 1);
-            index = k - 1;
-            prefix = Array.to_list (Array.sub evs 0 (k - 1));
-            states = !states;
-          }
-  end
+let check kind g =
+  let { Libspec.committed; states; outcome } = Libspec.search kind g in
+  match outcome with
+  | Libspec.Witness _ -> Simulates { states }
+  | Libspec.Gave_up -> Gave_up { states }
+  | Libspec.Breaks_at index ->
+      Breaks
+        {
+          at = committed.(index);
+          index;
+          prefix = Array.to_list (Array.sub committed 0 index);
+          states;
+        }

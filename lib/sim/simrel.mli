@@ -13,17 +13,18 @@ open Compass_spec
     - respects [lhb] (derived from logical views, so the order is
       view-aware: synchronised operations cannot be reordered, unrelated
       ones can);
-    - steps the spec LTS ({!Compass_dstruct.Specobj.step}) legally from
-      the empty abstract state (FIFO/LIFO removal order, empty removals
-      only on the empty state);
+    - steps the spec LTS ({!Libspec.step}) legally from the empty
+      abstract state (FIFO/LIFO removal order, empty removals only on the
+      empty state);
     - reproduces the implementation's [so] edges exactly (the spec's
       predicted matching equals the recorded one).
 
-    The search over candidate orders is the commit-point assignment
-    search; memoised on (used-set, abstract state).  Commit order itself
-    need not be legal — the Herlihy-Wing queue commits enqueues at ticket
-    reservation, before the slot write, and is simulated by assignments
-    that linearise the enqueue later.
+    The search over candidate orders is {!Libspec.search}, the same
+    commit-point search that judges LAThist; memoised on (used-set,
+    abstract state).  Commit order itself need not be legal — the
+    Herlihy-Wing queue commits enqueues at ticket reservation, before the
+    slot write, and is simulated by assignments that linearise the
+    enqueue later.
 
     On failure, the witness is the {e earliest breaking commit point}:
     the smallest commit-order prefix of the event set that no legal
@@ -42,11 +43,11 @@ type break_ = {
 type result =
   | Simulates of { states : int }
       (** a legal commit-point assignment exists; [states] counts the
-          (used-set, abstract state) pairs the search expanded *)
+          candidate steps the search tried ({!Libspec.search}) *)
   | Breaks of break_
   | Gave_up of { states : int }  (** search budget exhausted *)
 
-val check : ?max_states:int -> Libspec.kind -> Graph.t -> result
-(** check one execution's graph (default budget 200k search states).
-    Only events in the kind's vocabulary participate; graphs with more
-    than 62 such events report [Gave_up]. *)
+val check : Libspec.kind -> Graph.t -> result
+(** check one execution's graph (budget 200k search states).  Only
+    events in the kind's vocabulary participate; graphs with more than 62
+    such events report [Gave_up]. *)

@@ -13,7 +13,7 @@ type style = Libspec.style = So_abs | Hb_abs | Hb | Hist | Sc_abs
 let style_name = Libspec.style_name
 let all_styles = Libspec.all_styles
 
-type kind = Linearize.kind = Queue | Stack | Deque
+type kind = Libspec.kind = Queue | Stack | Deque
 
 let graph_consistent kind g = (Libspec.of_kind kind).Libspec.consistent g
 
@@ -24,8 +24,8 @@ let abs_consistent ?require_empty kind g =
 
 (* Check one style on one execution's graph — the generic checker applied
    to the kind's spec instance. *)
-let check ?max_nodes style kind g : Check.violation list =
-  Libspec.check ?max_nodes style (Libspec.of_kind kind) g
+let check style kind g : Check.violation list =
+  Libspec.check style (Libspec.of_kind kind) g
 
 (* Aggregated satisfaction counts across many executions (experiment E2). *)
 type tally = {

@@ -6,7 +6,8 @@ open Compass_event
     - [So_abs]: commit-point abstract state only (Cosmo's demand);
     - [Hb]: graph consistency only (lhb/so conditions) — the LAThb style;
     - [Hb_abs]: both — LAThb-abs;
-    - [Hist]: both plus a linearisable history — LAThist;
+    - [Hist]: graph consistency plus a linearisable history, found by
+      the commit-point search {!Libspec.search} — LAThist;
     - [Sc_abs]: the SC spec of Figure 2 including the truly-empty
       condition — satisfied by no relaxed implementation (Section 2.3's
       "an RMC spec cannot be quite as strong as the SC spec"), only by
@@ -21,14 +22,14 @@ type style = Libspec.style = So_abs | Hb_abs | Hb | Hist | Sc_abs
 val style_name : style -> string
 val all_styles : style list
 
-type kind = Linearize.kind = Queue | Stack | Deque
+type kind = Libspec.kind = Queue | Stack | Deque
 
 val graph_consistent : kind -> Graph.t -> Check.violation list
 val abs_consistent : ?require_empty:bool -> kind -> Graph.t -> Check.violation list
 
-val check : ?max_nodes:int -> style -> kind -> Graph.t -> Check.violation list
-(** check one style on one execution's graph; [max_nodes] bounds the
-    LAThist search *)
+val check : style -> kind -> Graph.t -> Check.violation list
+(** check one style on one execution's graph ({!Libspec.check} on the
+    kind's spec instance) *)
 
 (** {1 Aggregation across executions} *)
 

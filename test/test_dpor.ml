@@ -276,6 +276,44 @@ let test_rf_registry_smoke () =
         (rf.Explore.executions <= dpor.Explore.executions))
     (Specreg.all ())
 
+(* -- a weakened ms-queue: the complete searches find its fault ---------------
+
+   With [msqueue.enq.next_load] weakened to relaxed, an enqueuer's load
+   of [next] can read poison where it expects a pointer.  Sleep sets and
+   dpor, searched to completion, must find that fault on the ms registry
+   workload at every job count and with or without incremental
+   exploration.  dpor-rf completes on this mutant without finding it,
+   because it skips write->read race reversals; it is left unasserted
+   here, so that neither the miss nor its eventual fix is written into
+   this test. *)
+let test_weak_next_load_found () =
+  let overrides =
+    match Override.of_specs [ "msqueue.enq.next_load=rlx" ] with
+    | Ok o -> o
+    | Error e -> Alcotest.fail e
+  in
+  let config = { Machine.default_config with Machine.overrides } in
+  let sc () =
+    match Specreg.find "ms" with
+    | Some e -> (List.nth e.Libspec.scenarios 1) ()
+    | None -> Alcotest.fail "no registered structure named ms"
+  in
+  let finds name (r : Explore.report) =
+    Alcotest.(check bool) (name ^ ": complete") true r.Explore.complete;
+    Alcotest.(check bool) (name ^ ": poisoned read found") true
+      (List.mem "fault: program error: Value.to_loc_exn: POISON"
+         (distinct_msgs r))
+  in
+  finds "sleep"
+    (Explore.dfs ~config ~reduce:Machine.RSleep ~max_execs:400_000 (sc ()));
+  List.iter
+    (fun (jobs, incremental) ->
+      finds
+        (Printf.sprintf "dpor jobs %d incremental %b" jobs incremental)
+        (Explore.dfs ~config ~jobs ~incremental ~reduce:Machine.RDpor
+           ~max_execs:400_000 (sc ())))
+    [ (1, true); (1, false); (2, true); (2, false) ]
+
 (* -- hand-computed optimum: three threads, one write race --------------------- *)
 
 (* t0 and t1 write the same location (dependent), t2 writes another
@@ -398,6 +436,8 @@ let suite =
       test_litmus_differential;
     Alcotest.test_case "acceptance: mp-queue dpor < sleep runs" `Quick
       test_acceptance_mp_queue;
+    Alcotest.test_case "weakened ms next_load: sleep and dpor find it" `Quick
+      test_weak_next_load_found;
     Alcotest.test_case "dpor-rf == exhaustive rf-class census (litmus)" `Slow
       test_rf_census;
     Alcotest.test_case "dpor-rf preserves litmus verdicts" `Slow

@@ -99,9 +99,15 @@ let test_style_names_round_trip () =
 (* --- differential: generic checker vs the legacy compositions ------ *)
 
 (* The per-kind dispatch [Styles.check] used to hand-compose: replicate
-   it here from the primitive spec modules and demand byte-identical
-   violation lists from the generic [Libspec.check] on every explored
-   execution. *)
+   it here from the primitive spec modules, with the LAThist leg decided
+   by the [Linearize] oracle (commit-order fast path, then its own
+   search at the 200k budget the checker gave it), and demand
+   byte-identical violation lists from the generic [Libspec.check]. *)
+let oracle_kind = function
+  | Libspec.Queue -> Linearize.Queue
+  | Libspec.Stack -> Linearize.Stack
+  | Libspec.Deque -> Linearize.Deque
+
 let legacy_check style kind g =
   let consistent, abstract =
     match (kind : Libspec.kind) with
@@ -117,15 +123,10 @@ let legacy_check style kind g =
   | Libspec.Hist -> (
       consistent g
       @
-      let lkind =
-        match kind with
-        | Libspec.Queue -> Linearize.Queue
-        | Libspec.Stack -> Linearize.Stack
-        | Libspec.Deque -> Linearize.Deque
-      in
+      let lkind = oracle_kind kind in
       if Linearize.commit_order_valid lkind g then []
       else
-        match Linearize.search lkind g with
+        match Linearize.search ~max_nodes:200_000 lkind g with
         | Linearize.Linearizable _ -> []
         | Linearize.Not_linearizable ->
             [ Check.v "lathist" "no linearisable total order exists" ]
@@ -134,8 +135,30 @@ let legacy_check style kind g =
 
 let render vs = List.map (fun v -> Format.asprintf "%a" Check.pp_violation v) vs
 
-let differential_battery name kind graph_of sc =
-  let execs = ref 0 in
+(* Compare every style on one graph.  Where the shared search finds a
+   witness, the oracle must validate it; returns whether that witness
+   reorders the commit order. *)
+let compare_graph label kind g =
+  List.iter
+    (fun style ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "%s style %s" label (Libspec.style_name style))
+        (render (legacy_check style kind g))
+        (render (Libspec.check style (Libspec.of_kind kind) g)))
+    Libspec.all_styles;
+  match Libspec.search kind g with
+  | { Libspec.outcome = Libspec.Witness order; committed; _ } ->
+      let ids = List.map (fun (e : Event.data) -> e.Event.id) order in
+      Alcotest.(check bool) (label ^ " witness validates") true
+        (Linearize.validate (oracle_kind kind) g ids);
+      not (List.equal ( == ) order (Array.to_list committed))
+  | _ -> false
+
+(* Run [compare_graph] on every object graph of every finished execution;
+   returns how many graphs needed reordering. *)
+let differential_battery ?(max_execs = 6_000) ?(reduce = Machine.RSleep) name
+    kind sc =
+  let execs = ref 0 and reordered = ref 0 in
   let sc =
     {
       sc with
@@ -146,56 +169,66 @@ let differential_battery name kind graph_of sc =
             (match outcome with
             | Machine.Finished _ ->
                 incr execs;
-                let g = graph_of () in
+                let label = Printf.sprintf "%s exec %d" name !execs in
                 List.iter
-                  (fun style ->
-                    Alcotest.(check (list string))
-                      (Printf.sprintf "%s exec %d style %s" name !execs
-                         (Libspec.style_name style))
-                      (render (legacy_check style kind g))
-                      (render
-                         (Libspec.check style (Libspec.of_kind kind) g)))
-                  Libspec.all_styles
+                  (fun g -> if compare_graph label kind g then incr reordered)
+                  (Registry.graphs (Machine.registry m))
             | _ -> ());
             judge outcome);
     }
   in
-  let r = Explore.dfs ~max_execs:6_000 ~reduce:Machine.RSleep sc in
+  let r = Explore.dfs ~max_execs ~reduce sc in
   Alcotest.(check bool) (name ^ " explored") true (r.Explore.executions > 0);
-  Alcotest.(check bool) (name ^ " checked") true (!execs > 0)
+  Alcotest.(check bool) (name ^ " checked") true (!execs > 0);
+  !reordered
 
 let test_differential_queue () =
-  (* a graph handle that outlives the scenario build *)
-  let g = ref None in
-  let factory =
-    {
-      Iface.q_name = "ms-queue";
-      make_queue =
-        (fun m ~name ->
-          let q = Msqueue.instantiate.Iface.make_queue m ~name in
-          g := Some q.Iface.q_graph;
-          q);
-    }
-  in
-  differential_battery "ms wl" Libspec.Queue
-    (fun () -> Option.get !g)
-    (Harness.queue_workload factory ~enqers:2 ~deqers:1 ~ops:1 ())
+  ignore
+    (differential_battery "ms wl" Libspec.Queue
+       (Harness.queue_workload Msqueue.instantiate ~enqers:2 ~deqers:1 ~ops:1
+          ()))
 
 let test_differential_stack () =
-  let g = ref None in
-  let factory =
-    {
-      Iface.s_name = "treiber";
-      make_stack =
-        (fun m ~name ->
-          let s = Treiber.instantiate.Iface.make_stack m ~name in
-          g := Some s.Iface.s_graph;
-          s);
-    }
+  ignore
+    (differential_battery "treiber wl" Libspec.Stack
+       (Harness.stack_workload Treiber.instantiate ~pushers:2 ~poppers:1 ~ops:1
+          ()))
+
+(* The inputs where the commit order often fails and the search has to
+   reorder: the Herlihy-Wing queue on the hist-hw benchmark's input
+   (unreduced, its first 20k executions), and the Chase-Lev deque under
+   the work-stealing client, whose steals take from the front. *)
+let test_differential_hw () =
+  let reordered =
+    differential_battery ~max_execs:20_000 ~reduce:Machine.RNone "hw wl"
+      Libspec.Queue
+      (Harness.queue_workload Hwqueue.instantiate ~enqers:2 ~deqers:2 ~ops:1 ())
   in
-  differential_battery "treiber wl" Libspec.Stack
-    (fun () -> Option.get !g)
-    (Harness.stack_workload factory ~pushers:2 ~poppers:1 ~ops:1 ())
+  Alcotest.(check int) "hw graphs that need reordering" 12_997 reordered
+
+let test_differential_chaselev () =
+  let reordered =
+    differential_battery "chaselev wl" Libspec.Deque
+      (Ws_client.make ~tasks:2 ~thieves:1 ~steals:1 (Ws_client.fresh_stats ()))
+  in
+  Alcotest.(check bool) "some deque graphs need reordering" true (reordered > 0)
+
+(* Nine pushes no lhb edge orders, then a pop of a value nobody pushed:
+   no order exists, and proving it means trying every order of the
+   pushes, past both searches' budgets. *)
+let test_differential_gave_up () =
+  let pushes =
+    List.init 9 (fun i -> (i, Event.Push (Helpers.vi (i + 1)), [], i + 1))
+  in
+  let g =
+    Helpers.mk_graph (pushes @ [ (9, Event.Pop (Helpers.vi 99), [], 10) ]) []
+  in
+  ignore (compare_graph "gave-up graph" Libspec.Stack g);
+  Alcotest.(check bool) "LAThist reports the exhausted budget" true
+    (List.mem "lathist-budget"
+       (List.map
+          (fun (v : Check.violation) -> v.Check.cond)
+          (Libspec.check Libspec.Hist Libspec.stack g)))
 
 let test_styles_shim_agrees () =
   (* the [Styles] compatibility shim must agree with [Libspec.check] on
@@ -309,6 +342,12 @@ let suite =
       test_differential_queue;
     Alcotest.test_case "check: generic = legacy on treiber executions" `Slow
       test_differential_stack;
+    Alcotest.test_case "check: generic = legacy on hw executions" `Slow
+      test_differential_hw;
+    Alcotest.test_case "check: generic = legacy on chaselev executions" `Slow
+      test_differential_chaselev;
+    Alcotest.test_case "check: generic = legacy when the search gives up"
+      `Slow test_differential_gave_up;
     Alcotest.test_case "check: Styles shim agrees with Libspec" `Quick
       test_styles_shim_agrees;
     Alcotest.test_case "registry: smoke workloads (broken fixtures violate)"

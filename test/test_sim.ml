@@ -2,15 +2,14 @@ open Compass_rmc
 open Compass_event
 open Compass_machine
 open Compass_spec
-open Compass_dstruct
 open Compass_clients
 open Compass_sim
 open Helpers
 
 (* The forward-simulation checker and the most-general-client generator:
 
-   - the Specobj labelled-transition interface respects FIFO/LIFO
-     legality (satellite of the lib/sim work);
+   - the spec's labelled-transition interface ([Libspec.step]) respects
+     FIFO/LIFO legality;
    - Simrel finds commit-point assignments exactly when one exists —
      including the non-monotone case where a commit-order prefix is
      unlinearizable but the full set is (Herlihy-Wing shape), which a
@@ -31,10 +30,10 @@ let entry key =
   | Some e -> e
   | None -> Alcotest.failf "no registered structure named %s" key
 
-(* --- Specobj labelled transitions ---------------------------------- *)
+(* --- the spec LTS: Libspec.step ----------------------------------- *)
 
 let test_step_queue_fifo () =
-  let step st ~id ~op ~result = Specobj.step Libspec.Queue st ~id ~op ~result in
+  let step st ~id ~op ~result = Libspec.step Libspec.Queue st ~id ~op ~result in
   (* empty removal commits EmpDeq, not a value *)
   Alcotest.(check bool) "empty deq illegal" true
     (step [] ~id:0 ~op:Libspec.Remove ~result:(Event.Deq (vi 1)) = None);
@@ -67,7 +66,7 @@ let test_step_queue_fifo () =
     (step st2 ~id:2 ~op:Libspec.Remove ~result:(Event.Pop (vi 1)) = None)
 
 let test_step_stack_lifo () =
-  let step st ~id ~op ~result = Specobj.step Libspec.Stack st ~id ~op ~result in
+  let step st ~id ~op ~result = Libspec.step Libspec.Stack st ~id ~op ~result in
   let st2 =
     match
       step [] ~id:0 ~op:(Libspec.Insert (vi 1)) ~result:(Event.Push (vi 1))
@@ -89,7 +88,7 @@ let test_step_stack_lifo () =
 
 let test_step_event_vocabulary () =
   Alcotest.(check bool) "exchange is outside queue vocabulary" true
-    (Specobj.step_event Libspec.Queue []
+    (Libspec.step_event Libspec.Queue []
        {
          Event.id = 0;
          obj = 0;

@@ -179,9 +179,19 @@ let test_linearize_deque () =
   | Linearize.Linearizable o ->
       Alcotest.(check bool) "validates" true (Linearize.validate Linearize.Deque g o)
   | _ -> Alcotest.fail "expected linearizable");
-  (* Styles dispatch covers Deque. *)
-  Alcotest.(check bool) "styles hb" true
-    (Styles.check Styles.Hb Styles.Deque g = [])
+  (* The shared commit-point search finds a witness too, moving the empty
+     steal off the commit order; the oracle validates it. *)
+  (match Libspec.search Libspec.Deque g with
+  | { Libspec.outcome = Libspec.Witness order; committed; _ } ->
+      Alcotest.(check bool) "shared search reorders" false
+        (List.equal ( == ) order (Array.to_list committed));
+      Alcotest.(check bool) "shared witness validates" true
+        (Linearize.validate Linearize.Deque g
+           (List.map (fun (e : Event.data) -> e.Event.id) order))
+  | _ -> Alcotest.fail "shared search: expected linearizable");
+  (* Styles dispatch covers Deque, LAThist included. *)
+  Alcotest.(check bool) "styles hist" true
+    (Styles.check Styles.Hist Styles.Deque g = [])
 
 let suite =
   [
