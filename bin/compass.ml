@@ -5,7 +5,6 @@
      compass client (mp / mp-weak / spsc / pipeline / resource / es) [--queue ms/hw]
      compass specs [--json FILE]
      compass check --struct KEY [--style STYLE]
-     compass refine --struct KEY [--strict] [--json FILE] [--expect-violation]
      compass sim (--struct KEY / --all) [--client ID] [--mgc-depth D]
                  [--until-violation] [--strict] [--json FILE]
      compass matrix
@@ -17,7 +16,7 @@
      compass analyze static (--struct KEY / --all) [--weaken SITE=MODE]
                             [--strict] [--json FILE]
      compass replay [--script N,N,...] [--weaken SITE=MODE] [--struct KEY]
-                    [--refine-client I] [--sim-client ID [--mgc-depth D]]
+                    [--sim-client ID [--mgc-depth D]]
      compass fuzz --struct KEY [--mode uniform/pct/guided]
                   [--pct-depth D] [--execs N] [--seed S] [--jobs N]
                   [--corpus FILE] [--json FILE] [--expect-violation]
@@ -38,8 +37,9 @@
 
    Exit codes: 0 pass, 1 finding, 2 options that conflict with each
    other (a [--weaken] site the structure lacks, a structure that cannot
-   be refined, a scenario index out of range), 124 usage error (an
-   unknown option or a malformed value).
+   be refined, a scenario index out of range, a client id outside the
+   generated family), 124 usage error (an unknown option or a malformed
+   value).
 *)
 
 open Cmdliner
@@ -53,6 +53,7 @@ open Compass_analysis
 module Fz = Compass_fuzz
 module Static = Compass_static.Static
 module Sim = Compass_sim.Sim
+module Mgc = Compass_sim.Mgc
 module J = Compass_util.Jsonout
 
 (* -- the option layer ---------------------------------------------------------- *)
@@ -229,13 +230,6 @@ let scenario =
   in
   Arg.(value & opt index_conv 0 & info [ "scenario" ] ~docv:"I" ~doc)
 
-let expect_violation =
-  let doc =
-    "Invert the exit code: succeed only if a violation is found (for \
-     known-broken fixtures in CI)."
-  in
-  Arg.(value & flag & info [ "expect-violation" ] ~doc)
-
 let queue_arg =
   let impls =
     Arg.enum [ ("ms", Msqueue.instantiate); ("hw", Hwqueue.instantiate) ]
@@ -268,13 +262,13 @@ let json_arg =
    internal errors (race pairs for [analyze races], over-strong/unknown
    verdicts for [modes], expectation mismatches for [static], registry
    expectation mismatches and passes from unfinished searches for
-   [refine]/[sim]). *)
+   [sim]). *)
 let strict_arg =
   let doc =
     "Strict exit code: exit nonzero on any finding or expectation \
-     mismatch, not only on errors — for CI gates.  For $(b,refine) and \
-     $(b,sim), a pass from a search that hit its execution budget (or \
-     whose commit-point search gave up) also fails."
+     mismatch, not only on errors — for CI gates.  For $(b,sim), a pass \
+     from a search that hit its execution budget (or whose commit-point \
+     search gave up) also fails."
   in
   Arg.(value & flag & info [ "strict" ] ~doc)
 
@@ -320,22 +314,15 @@ let write_json ?seed ~tool path json =
 let not_refinable (e : Libspec.entry) =
   Format.eprintf "structure %s is not refinable@." e.Libspec.key
 
-(* The line a [refine] or [sim] witness prints to reproduce itself;
-   [client] selects the judging client. *)
-let replay_hint (e : Libspec.entry) client trace =
-  Format.printf "replay it: compass replay --struct %s %s --script %a@."
-    e.Libspec.key client pp_script trace
-
-(* The exit code of a [refine] or [sim] verdict.  [--strict] compares it
-   with the registry's [expect_violation] (like [analyze static]), so
-   checked-in broken fixtures gate as green when they do fail, and counts
-   a pass only from a complete search.  Otherwise a failure exits 1,
-   inverted by [--expect-violation]. *)
-let verdict_code ~strict ~expect (e : Libspec.entry) ~complete ok =
+(* The exit code of a [sim] verdict.  [--strict] compares it with the
+   registry's [expect_violation] (like [analyze static]), so checked-in
+   broken fixtures gate as green when they do fail, and counts a pass
+   only from a complete search.  Otherwise a failure exits 1. *)
+let verdict_code ~strict (e : Libspec.entry) ~complete ok =
   if strict then
     if ok = e.Libspec.expect_violation || (ok && not complete) then 1 else 0
-  else if ok = expect then 1
-  else 0
+  else if ok then 0
+  else 1
 
 (* -- litmus -------------------------------------------------------------------- *)
 
@@ -595,44 +582,22 @@ let specs_cmd =
   in
   Cmd.v (Cmd.info "specs" ~doc) Term.(const run $ json_arg)
 
-(* -- refine -------------------------------------------------------------------- *)
-
-let refine_cmd =
-  let run (e : Libspec.entry) execs jobs reduce strict json expect =
-    if not e.Libspec.refinable then begin
-      not_refinable e;
-      2
-    end
-    else
-      let options =
-        { Refine.default_options with max_execs = execs; jobs; reduce }
-      in
-      let r = Refine.run ~options e in
-      Format.printf "%a@." Refine.pp r;
-      Option.iter
-        (fun (i, f) ->
-          replay_hint e (Printf.sprintf "--refine-client %d" i) f.Explore.trace)
-        r.Refine.counterexample;
-      Option.iter
-        (fun file -> write_json ~tool:"refine" file (Refine.to_json r))
-        json;
-      verdict_code ~strict ~expect e ~complete:r.Refine.complete r.Refine.ok
-  in
-  let doc =
-    "Check refinement of an implementation against its spec object \
-     (spec-as-implementation): for each observation client, every \
-     implementation outcome must be admitted by the exhaustively explored \
-     spec object, and no execution may fault.  Violations come with \
-     replayable counterexample scripts; $(b,--strict) gates against the \
-     registry's expectation.  $(b,compass sim) runs the stronger, stepwise \
-     forward simulation over generated most-general clients."
-  in
-  Cmd.v (Cmd.info "refine" ~doc)
-    Term.(
-      const run $ Arg.required structure $ execs 100_000 $ jobs
-      $ reduce Machine.RNone $ strict_arg $ json_arg $ expect_violation)
-
 (* -- sim ------------------------------------------------------------------------ *)
+
+(* The line a [sim] witness prints to reproduce itself.  The client id is
+   shell-quoted, since [|] separates its threads, and an empty script is
+   left out: it is [replay]'s default, the first path. *)
+let replay_hint (e : Libspec.entry) ~depth (w : Sim.witness) =
+  Format.printf "replay it: compass replay --struct %s --sim-client %s \
+                 --mgc-depth %d%s@."
+    e.Libspec.key (Filename.quote w.Sim.w_client) depth
+    (if Decision.choices w.Sim.w_trace = [||] then ""
+     else Format.asprintf " --script %a" pp_script w.Sim.w_trace)
+
+(* A [--client] or [--sim-client] id the depth-[depth] family lacks. *)
+let unknown_client id ~depth =
+  Format.eprintf
+    "client %s is not in the depth-%d most-general-client family@." id depth
 
 let sim_cmd =
   let client_arg =
@@ -650,67 +615,66 @@ let sim_cmd =
   in
   let run entries client depth execs jobs reduce incremental until strict
       json =
-    let options =
-      {
-        Sim.default_options with
-        mgc_depth = depth;
-        max_execs = execs;
-        jobs;
-        reduce;
-        incremental;
-        until_violation = until;
-        only_client = client;
-      }
-    in
-    let code = ref 0 in
-    let reports =
-      List.filter_map
-        (fun (e : Libspec.entry) ->
-          if not e.Libspec.refinable then begin
-            not_refinable e;
-            code := 2;
-            None
-          end
-          else begin
-            let r = Sim.run ~options e in
-            Format.printf "%a@." Sim.pp r;
-            Option.iter
-              (fun w ->
-                replay_hint e
-                  (Printf.sprintf "--sim-client %s --mgc-depth %d"
-                     w.Sim.w_client depth)
-                  w.Sim.w_trace)
-              r.Sim.witness;
-            code :=
-              max !code
-                (verdict_code ~strict ~expect:false e ~complete:r.Sim.complete
-                   r.Sim.ok);
-            if strict && r.Sim.ok = e.Libspec.expect_violation then
-              Format.printf
-                "EXPECTATION MISMATCH: %s %s but the registry expects %s@."
-                e.Libspec.key
-                (if r.Sim.ok then "simulates" else "breaks")
-                (if e.Libspec.expect_violation then "a violation"
-                 else "success")
-            else if strict && r.Sim.ok && not r.Sim.complete then
-              Format.printf
-                "INCOMPLETE: %s found no violation but the search did not \
-                 finish; --strict needs a complete one@."
-                e.Libspec.key;
-            Some r
-          end)
-        entries
-    in
-    Option.iter
-      (fun file ->
-        let json =
-          match reports with
-          | [ r ] -> Sim.to_json r
-          | rs -> J.Obj [ ("structures", J.List (List.map Sim.to_json rs)) ]
+    match client with
+    | Some id when Mgc.find ~depth id = None ->
+        unknown_client id ~depth;
+        2
+    | _ ->
+        let options =
+          {
+            Sim.default_options with
+            mgc_depth = depth;
+            max_execs = execs;
+            jobs;
+            reduce;
+            incremental;
+            until_violation = until;
+            only_client = client;
+          }
         in
-        write_json ~tool:"sim" file json)
-      json;
-    !code
+        let code = ref 0 in
+        let reports =
+          List.filter_map
+            (fun (e : Libspec.entry) ->
+              if not e.Libspec.refinable then begin
+                not_refinable e;
+                code := 2;
+                None
+              end
+              else begin
+                let r = Sim.run ~options e in
+                Format.printf "%a@." Sim.pp r;
+                Option.iter (replay_hint e ~depth) r.Sim.witness;
+                code :=
+                  max !code
+                    (verdict_code ~strict e ~complete:r.Sim.complete r.Sim.ok);
+                if strict && r.Sim.ok = e.Libspec.expect_violation then
+                  Format.printf
+                    "EXPECTATION MISMATCH: %s %s but the registry expects %s@."
+                    e.Libspec.key
+                    (if r.Sim.ok then "simulates" else "breaks")
+                    (if e.Libspec.expect_violation then "a violation"
+                     else "success")
+                else if strict && r.Sim.ok && not r.Sim.complete then
+                  Format.printf
+                    "INCOMPLETE: %s found no violation but the search did not \
+                     finish; --strict needs a complete one@."
+                    e.Libspec.key;
+                Some r
+              end)
+            entries
+        in
+        Option.iter
+          (fun file ->
+            let json =
+              match reports with
+              | [ r ] -> Sim.to_json r
+              | rs ->
+                  J.Obj [ ("structures", J.List (List.map Sim.to_json rs)) ]
+            in
+            write_json ~tool:"sim" file json)
+          json;
+        !code
   in
   let doc =
     "Forward-simulation refinement over most-general clients: enumerate \
@@ -1076,15 +1040,6 @@ let replay_cmd =
     in
     Arg.(value & opt script_conv [||] & info [ "script" ] ~docv:"N,N,..." ~doc)
   in
-  let refine_client_arg =
-    let doc =
-      "Replay against the structure's $(docv)-th refinement observation \
-       client (judged by spec-object outcome membership) instead of its \
-       registered scenarios — for $(b,compass refine) counterexamples."
-    in
-    Arg.(
-      value & opt (some index_conv) None & info [ "refine-client" ] ~docv:"I" ~doc)
-  in
   let sim_client_arg =
     let doc =
       "Replay against the generated most-general client $(docv) (judged \
@@ -1104,20 +1059,23 @@ let replay_cmd =
     in
     Arg.(value & flag & info [ "trace" ] ~doc)
   in
-  let run factory script overrides probe scenario_idx refine_client
-      sim_client mgc_depth show_trace =
+  let run factory script overrides probe scenario_idx sim_client mgc_depth
+      show_trace =
     let sc =
-      match (probe, refine_client, sim_client) with
-      | None, _, _ -> Some (Mp.make factory (Mp.fresh_stats ()))
-      | Some e, _, Some id -> Sim.client_scenario ~depth:mgc_depth e id
-      | Some e, Some i, None -> Refine.client_scenario e i
-      | Some e, None, None ->
+      match (probe, sim_client) with
+      | None, _ -> Some (Mp.make factory (Mp.fresh_stats ()))
+      | Some e, Some id -> Sim.client_scenario ~depth:mgc_depth e id
+      | Some e, None ->
           Option.map (fun mk -> mk ()) (Specreg.scenario e scenario_idx)
     in
     match sc with
     | None ->
-        Format.eprintf "unknown structure/scenario (try: %s)@."
-          (String.concat ", " (Specreg.keys ()));
+        (match sim_client with
+        | Some id when Mgc.find ~depth:mgc_depth id = None ->
+            unknown_client id ~depth:mgc_depth
+        | _ ->
+            Format.eprintf "unknown structure/scenario (try: %s)@."
+              (String.concat ", " (Specreg.keys ())));
         2
     | Some sc ->
         (* An override naming a site that does not exist would silently
@@ -1178,8 +1136,7 @@ let replay_cmd =
   Cmd.v (Cmd.info "replay" ~doc)
     Term.(
       const run $ queue_arg $ script_arg $ weaken $ Arg.value structure
-      $ scenario $ refine_client_arg $ sim_client_arg $ mgc_depth_arg
-      $ trace_arg)
+      $ scenario $ sim_client_arg $ mgc_depth_arg $ trace_arg)
 
 (* -- fuzz ---------------------------------------------------------------------- *)
 
@@ -1223,6 +1180,13 @@ let fuzz_cmd =
   let shrink_arg =
     let doc = "Shrink the first violation before reporting (default on)." in
     Arg.(value & opt bool true & info [ "shrink" ] ~docv:"BOOL" ~doc)
+  in
+  let expect_violation =
+    let doc =
+      "Invert the exit code: succeed only if a violation is found (for \
+       known-broken fixtures in CI)."
+    in
+    Arg.(value & flag & info [ "expect-violation" ] ~doc)
   in
   let run (e : Libspec.entry) scenario_idx mode depth len execs seed jobs
       corpus shrink json expect =
@@ -1404,7 +1368,7 @@ let () =
     (Cmd.eval'
        (Cmd.group info
           [
-            litmus_cmd; client_cmd; specs_cmd; check_cmd; refine_cmd;
-            sim_cmd; matrix_cmd; dot_cmd; axioms_cmd; analyze_cmd;
-            replay_cmd; fuzz_cmd; shrink_cmd; report_cmd;
+            litmus_cmd; client_cmd; specs_cmd; check_cmd; sim_cmd; matrix_cmd;
+            dot_cmd; axioms_cmd; analyze_cmd; replay_cmd; fuzz_cmd; shrink_cmd;
+            report_cmd;
           ]))

@@ -20,9 +20,7 @@
     - {!Experiments}: the E1-E8 paper-vs-measured battery;
     - {!Harness}: shared scenario plumbing and parametric workloads;
     - {!Specreg}: the populated spec registry — every structure bound to
-      its spec, factory, default workloads and ladder expectations;
-    - {!Refine}: the refinement driver — implementation outcome sets
-      included in the spec object's ("spec-as-implementation"). *)
+      its spec, factory, default workloads and ladder expectations. *)
 
 module Harness = Harness
 module Litmus = Litmus
@@ -36,4 +34,3 @@ module Resource_exchange = Resource_exchange
 module Es_compose = Es_compose
 module Ws_client = Ws_client
 module Specreg = Specreg
-module Refine = Refine

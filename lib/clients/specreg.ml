@@ -225,14 +225,3 @@ let sites (e : Libspec.entry) =
       let s = Compass_static.Static.site_modes e.Libspec.scenarios in
       Hashtbl.replace site_table e.Libspec.key s;
       s
-
-let spec_factory (e : Libspec.entry) =
-  if not e.Libspec.refinable then
-    invalid_arg (Printf.sprintf "structure %s is not refinable" e.Libspec.key);
-  match e.Libspec.impl with
-  | Queue _ -> Queue (Specobj.queue ~spec:e.Libspec.spec ())
-  | Stack _ -> Stack (Specobj.stack ~spec:e.Libspec.spec ())
-  | _ ->
-      invalid_arg
-        (Printf.sprintf "structure %s has no implementation factory"
-           e.Libspec.key)

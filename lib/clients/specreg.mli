@@ -33,8 +33,3 @@ val sites : Libspec.entry -> (string * string) list
 (** labeled site -> declared mode string across the entry's workloads,
     discovered by the static analyzer's symbolic evaluation (memoized;
     no exploration runs) *)
-
-val spec_factory : Libspec.entry -> Libspec.impl
-(** the entry's spec-as-implementation oracle ({!Specobj} over the
-    entry's spec): [Queue] or [Stack] matching the entry's kind.
-    @raise Invalid_argument if the entry is not refinable *)

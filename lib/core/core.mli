@@ -22,13 +22,11 @@
       the first-class specification registry ({!Spec.Libspec}).
     - {!Dstruct}: the paper's implementations — Michael-Scott queue,
       Herlihy-Wing queue, Treiber stack, exchanger, elimination stack —
-      instrumented to commit events at their commit points, plus the
-      spec-as-implementation reference objects ({!Dstruct.Specobj}).
+      instrumented to commit events at their commit points.
     - {!Clients}: the paper's client verifications — Message-Passing
       (Figures 1 and 3), SPSC, a two-queue pipeline, resource exchange, and
       the elimination-stack composition (Section 4) — as model-checked
-      scenarios, the populated registry ({!Clients.Specreg}), and the
-      refinement driver ({!Clients.Refine}).
+      scenarios, and the populated registry ({!Clients.Specreg}).
     - {!Util}: dependency-free utilities (JSON emission, stamped reports).
 
     Quick start: see [examples/quickstart.ml]. *)

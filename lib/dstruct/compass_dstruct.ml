@@ -18,10 +18,7 @@
     - {!Lockqueue}, {!Lockstack}: coarse-grained lock-based SC baselines —
       the "sufficient external synchronisation" limit of Section 3.1 that
       satisfies even the SC-strength spec;
-    - {!Iface}: implementation-generic handles used by clients;
-    - {!Specobj}: reference implementations derived from registered specs
-      — abstract transitions executed atomically ("spec-as-
-      implementation"), the refinement driver's oracle. *)
+    - {!Iface}: implementation-generic handles used by clients. *)
 
 module Iface = Iface
 module Msqueue = Msqueue
@@ -36,4 +33,3 @@ module Spinlock = Spinlock
 module Lockqueue = Lockqueue
 module Lockstack = Lockstack
 module Chaselev = Chaselev
-module Specobj = Specobj

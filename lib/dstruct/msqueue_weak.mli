@@ -15,12 +15,12 @@ open Compass_machine
     release on publication.
 
     Checked-in regression fixture for the synchronization analyzer and
-    the refinement driver: behaviourally identical to running the real
+    the forward-simulation check: behaviourally identical to running the real
     {!Msqueue} under [--weaken msqueue.enq.link_cas=rlx], the weakest
     mutant the mode-necessity audit generates for that site (and must
     classify [Necessary]).  Its registry entry carries
-    [expect_violation = true]: its probes must fail, and refinement
-    against the spec object must produce a replayable counterexample. *)
+    [expect_violation = true]: its probes must fail, and forward
+    simulation must break with a replayable witness. *)
 
 type t
 

@@ -109,12 +109,12 @@ type t = {
       (** guards the nodes' mutable source sets and installs, which tasks
           running on different domains share *)
   rf : bool;
-      (** reads-from–aware mode: skip atomic write/read race reversals —
-          with the later read's rf edge fixed, both orders reach the same
-          machine state, and every rf edge the reversal could realise is
-          already enumerated as a data sibling of the read choice.
-          Reversals involving a non-atomic access are kept: the machine's
-          na-race fault detection is order-sensitive. *)
+      (** reads-from–aware mode: skip atomic write/read race reversals.
+          Not sound: the read choice's data siblings cover every rf edge
+          at the read, but not the races the reversal opens between the
+          reader's and the writer's later steps (see {!create} in
+          dpor.mli).  Reversals involving a non-atomic access are kept:
+          the machine's na-race fault detection is order-sensitive. *)
 }
 
 let create ?(rf = false) () = { lock = Mutex.create (); rf }

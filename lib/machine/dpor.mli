@@ -50,11 +50,14 @@ type t
 val create : ?rf:bool -> unit -> t
 (** a fresh search, explored from {!root_task}.  [rf] (default off) turns
     on the reads-from–aware rule: atomic write/read race reversals are
-    not queued — with the later read's rf edge fixed both orders commute,
-    and every rf edge the reversal could realise is already enumerated
-    as a data sibling of the read choice.  Reversals involving a
-    non-atomic access are always kept (na-race fault detection is
-    order-sensitive). *)
+    not queued, on the argument that every rf edge the reversal could
+    realise at the read is already a data sibling of the read choice.
+    The argument is incomplete: the reversal is also what lets the
+    reader's later steps race the writer's later steps, so the rule can
+    lose executions and the violations in them (a weakened ms-queue
+    whose fault sleep sets and plain DPOR find; see [test_dpor.ml]).
+    Reversals involving a non-atomic access are always kept (na-race
+    fault detection is order-sensitive). *)
 
 val integrate :
   t ->

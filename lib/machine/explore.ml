@@ -655,13 +655,16 @@ let split_exec run st (script, lock) =
 
    [rf] mode (--reduce=dpor-rf) stacks the data reduction on top:
    {!Dpor.create}[ ~rf:true] stops queueing atomic write/read race
-   reversals (the read's data siblings already enumerate every rf edge a
-   reversal could realise), and a shared rf-class table keyed by
-   {!rf_class_key} deduplicates completed runs — a run whose class was
-   already counted books as [rf_pruned], skips the judge, and keeps its
-   budget slot, so [executions] counts exactly the distinct rf⊕mo
-   classes.  Every run still feeds {!Dpor.integrate}: duplicates can
-   still own unexplored data siblings. *)
+   reversals, and a shared rf-class table keyed by {!rf_class_key}
+   deduplicates completed runs — a run whose class was already counted
+   books as [rf_pruned], skips the judge, and keeps its budget slot, so
+   [executions] counts the distinct rf⊕mo classes the search reaches.
+   The skipped reversals make that an under-approximation: the read's
+   data siblings cover every rf edge at the read itself, but not the
+   races the reader's later steps would have with the writer's, so
+   classes (and violations) can be missed — see {!Dpor.create}.  Every
+   run still feeds {!Dpor.integrate}: duplicates can still own
+   unexplored data siblings. *)
 
 let dpor_exec ~state ~reduction ~classify ~incremental ~config scenario st =
   (* Per-run driver state, rebound by [mk_oracle] before each run. *)

@@ -142,11 +142,14 @@ val dfs :
     (near one per Mazurkiewicz trace) with the same verdicts and kept
     violations, counting its few redundant kills in
     {!report.dpor_pruned}; [RDporRf] stacks the reads-from reduction on
-    top — atomic write/read race reversals are not queued (every rf edge
-    a reversal could realise is already a read-choice alternative) and
-    completed runs are deduplicated by {!rf_class_key}, so [executions]
-    counts exactly the distinct rf⊕mo classes, with the same verdicts
-    and kept violations.
+    top — atomic write/read race reversals are not queued and completed
+    runs are deduplicated by {!rf_class_key}, so [executions] counts the
+    distinct rf⊕mo classes the search reaches.  It is {e not}
+    verdict-preserving: a reversal is also what lets the reader's later
+    steps race the writer's later steps, which no read choice
+    enumerates, so it can miss classes and the violations in them (with
+    [msqueue.enq.next_load] weakened to relaxed, the ms workload's fault
+    that sleep sets and [RDpor] find; see [test_dpor.ml]).
 
     Per-worker tallies are merged into one report and kept violations are
     re-sorted into script order.  Without DPOR, a complete search

@@ -66,9 +66,10 @@ type reduction =
   | RDporRf
       (** reads-from–aware source-DPOR: identical to [RDpor] inside the
           machine; the driver additionally skips atomic write/read race
-          reversals (covered by read-choice alternatives) and deduplicates
-          executions by reads-from class — one counted execution per
-          distinct rf⊕mo graph *)
+          reversals (which can lose classes and their violations; see
+          {!Dpor.create}) and deduplicates executions by reads-from
+          class — one counted execution per distinct rf⊕mo graph
+          reached *)
 
 type t
 

@@ -72,10 +72,6 @@ let op_of_typ = function
   | Event.Steal _ | Event.EmpSteal -> Some Steal
   | Event.Exchange _ | Event.Custom _ -> None
 
-let removed_value = function
-  | Event.Deq v | Event.Pop v | Event.Steal v -> Some v
-  | _ -> None
-
 (* One spec step checked against an observed result: from [st], does
    performing [op] legally produce the event [result]?  [transition] is
    deterministic, so legality is equality of the produced event type
@@ -91,20 +87,6 @@ let step_event kind st (e : Event.data) =
   match op_of_typ e.Event.typ with
   | None -> None
   | Some op -> step kind st ~id:e.Event.id ~op ~result:e.Event.typ
-
-(* Reconstruct the abstract state by replaying commit order.  On a graph
-   the spec object populated, every committed event is an abstract
-   transition, so folding [transition] inverts the construction exactly
-   (empty removals only ever commit on the empty abstract state). *)
-let replay kind g : astate =
-  let step st (e : Event.data) =
-    match op_of_typ e.Event.typ with
-    | None -> st
-    | Some req ->
-        let st', _, _ = transition kind st ~id:e.id req in
-        st'
-  in
-  List.fold_left step [] (Graph.events_by_cix g)
 
 (* -- the commit-point search --------------------------------------------------- *)
 

@@ -15,10 +15,8 @@ open Compass_machine
     - {!check} is the one generic style checker — the per-kind dispatch
       that used to be duplicated across [Styles], [check.ml] and
       [harness.ml] judges lives here once;
-    - {!transition}/{!replay} expose the spec's abstract machine as an
-      executable object, which {!Compass_dstruct.Specobj} turns into a
-      reference implementation ("spec-as-implementation"): abstract
-      transitions executed atomically at commit points;
+    - {!transition}/{!step} expose the spec's abstract machine as an
+      executable labelled transition system;
     - {!search} is the one commit-point search over that machine: the
       LAThist leg of {!check} and the forward-simulation checker
       ([Compass_sim.Simrel]) both ask it for a legal total order;
@@ -63,9 +61,6 @@ val op_of_typ : Event.typ -> op_req option
 (** the operation request a committed event records ([None] for events
     outside the sequential-kind vocabulary: exchanges, custom events) *)
 
-val removed_value : Event.typ -> Value.t option
-(** the value a successful removal carried ([Deq]/[Pop]/[Steal]) *)
-
 val step :
   kind -> astate -> id:int -> op:op_req -> result:Event.typ ->
   (astate * (int * int) list) option
@@ -82,12 +77,6 @@ val step_event :
   kind -> astate -> Event.data -> (astate * (int * int) list) option
 (** {!step} with the request derived from the observed event ([None] for
     events outside the kind's vocabulary) *)
-
-val replay : kind -> Graph.t -> astate
-(** fold the graph's committed events in commit order through the
-    abstract machine — the spec object's current state.  Only meaningful
-    on graphs populated by the spec object itself (every commit is an
-    abstract transition by construction). *)
 
 (** {1 The commit-point search}
 
@@ -201,7 +190,8 @@ type entry = {
   expect_violation : bool;
       (** checked-in broken fixtures: the smoke workload must fail *)
   refinable : bool;
-      (** a spec-object factory exists, so the refinement driver applies *)
+      (** the implementation has a queue or stack factory, so forward
+          simulation ([Compass_sim.Sim]) applies *)
 }
 
 val register : entry -> unit

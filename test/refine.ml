@@ -2,39 +2,23 @@ open Compass_rmc
 open Compass_machine
 open Compass_spec
 open Compass_dstruct
-open Compass_util
+open Compass_clients
 open Prog.Syntax
 
-(* The refinement driver: outcome-set inclusion of an implementation in
-   its spec object (see refine.mli for the argument). *)
+(* Outcome-set inclusion of an implementation in its spec object (see
+   refine.mli for the argument). *)
 
-type options = {
-  max_execs : int;
-  spec_execs : int;
-  jobs : int;
-  reduce : Machine.reduction;
-}
-
-let default_options =
-  { max_execs = 200_000; spec_execs = 200_000; jobs = 1; reduce = Machine.RNone }
+let max_execs = 120_000
+let spec_execs = 200_000
 
 type client_result = {
   client : string;
-  spec_outcomes : int;
   spec_complete : bool;
   report : Explore.report;
   ok : bool;
 }
 
-type report = {
-  struct_key : string;
-  impl_name : string;
-  spec_name : string;
-  clients : client_result list;
-  counterexample : (int * Explore.failure) option;
-  ok : bool;
-  complete : bool;
-}
+type report = { clients : client_result list; ok : bool; complete : bool }
 
 (* -- observation clients ------------------------------------------------------ *)
 
@@ -134,13 +118,18 @@ type cl = {
   spec_sc : judge:(Value.t array -> Explore.verdict) -> Explore.scenario;
 }
 
+(* Each client runs twice: over the implementation and over the spec
+   object built from the entry's spec. *)
 let clients_for (e : Libspec.entry) =
-  match (e.Libspec.impl, Specreg.spec_factory e) with
-  | Specreg.Queue f, Specreg.Queue sf ->
+  let spec = e.Libspec.spec in
+  match e.Libspec.impl with
+  | Specreg.Queue f when e.Libspec.refinable ->
+      let sf = Specobj.queue ~spec () in
       List.map
         (fun (n, b) -> { cl_name = n; impl_sc = b f; spec_sc = b sf })
         queue_clients
-  | Specreg.Stack f, Specreg.Stack sf ->
+  | Specreg.Stack f when e.Libspec.refinable ->
+      let sf = Specobj.stack ~spec () in
       List.map
         (fun (n, b) -> { cl_name = n; impl_sc = b f; spec_sc = b sf })
         stack_clients
@@ -161,124 +150,31 @@ let membership tbl vs =
     Explore.Violation
       (Printf.sprintf "outcome [%s] is not admitted by the spec object" k)
 
-let spec_set ~spec_execs (c : cl) =
-  let tbl = Hashtbl.create 64 in
-  let r = Explore.dfs ~max_execs:spec_execs (c.spec_sc ~judge:(collect tbl)) in
-  (tbl, r)
-
-let run ?(options = default_options) (e : Libspec.entry) =
-  let cex = ref None in
+let run (e : Libspec.entry) =
   let clients =
-    List.mapi
-      (fun i c ->
-        let tbl, sr = spec_set ~spec_execs:options.spec_execs c in
-        let sc = c.impl_sc ~judge:(membership tbl) in
-        let r =
-          Explore.dfs ~jobs:options.jobs ~max_execs:options.max_execs
-            ~reduce:options.reduce sc
+    List.map
+      (fun c ->
+        let tbl = Hashtbl.create 64 in
+        let sr =
+          Explore.dfs ~max_execs:spec_execs (c.spec_sc ~judge:(collect tbl))
         in
-        if !cex = None then
-          (match r.Explore.violations with
-          | f :: _ -> cex := Some (i, f)
-          | [] -> ());
+        let r =
+          Explore.dfs ~max_execs ~reduce:Machine.RSleep
+            (c.impl_sc ~judge:(membership tbl))
+        in
         {
           client = c.cl_name;
-          spec_outcomes = Hashtbl.length tbl;
           spec_complete = sr.Explore.complete;
           report = r;
           ok = Explore.ok r && sr.Explore.complete;
         })
       (clients_for e)
   in
-  let impl_name =
-    match e.Libspec.impl with
-    | Specreg.Queue f -> f.Iface.q_name
-    | Specreg.Stack f -> f.Iface.s_name
-    | _ -> e.Libspec.struct_name
-  in
   {
-    struct_key = e.Libspec.key;
-    impl_name;
-    spec_name = e.Libspec.spec.Libspec.name;
     clients;
-    counterexample = !cex;
     ok = List.for_all (fun (c : client_result) -> c.ok) clients;
     complete =
       List.for_all
         (fun (c : client_result) -> c.report.Explore.complete)
         clients;
   }
-
-let client_scenario (e : Libspec.entry) i =
-  match List.nth_opt (clients_for e) i with
-  | None -> None
-  | Some c ->
-      let tbl, _ = spec_set ~spec_execs:default_options.spec_execs c in
-      Some (c.impl_sc ~judge:(membership tbl))
-
-(* -- reporting ---------------------------------------------------------------- *)
-
-let pp ppf r =
-  Format.fprintf ppf "@[<v>refinement: %s (impl %s) against spec %s@,"
-    r.struct_key r.impl_name r.spec_name;
-  List.iter
-    (fun c ->
-      Format.fprintf ppf
-        "  %-14s %7d impl executions%s vs %3d spec outcomes%s  %s@,"
-        c.client c.report.Explore.executions
-        (if c.report.Explore.complete then "" else " (budget hit)")
-        c.spec_outcomes
-        (if c.spec_complete then "" else " (spec side INCOMPLETE)")
-        (if c.ok then "included"
-         else
-           match c.report.Explore.violations with
-           | f :: _ -> "VIOLATION: " ^ f.Explore.message
-           | [] -> "FAIL"))
-    r.clients;
-  (match r.counterexample with
-  | Some (i, f) ->
-      Format.fprintf ppf "  counterexample (client %d) script: %s@," i
-        (String.concat ","
-           (List.map string_of_int (Array.to_list (Explore.failure_script f))))
-  | None -> ());
-  Format.fprintf ppf "  verdict: %s@]"
-    (if not r.ok then "does NOT refine"
-     else if r.complete then "REFINES"
-     else
-       Printf.sprintf "no violation within %d executions"
-         (List.fold_left
-            (fun n c -> n + c.report.Explore.executions)
-            0 r.clients))
-
-let to_json r =
-  Jsonout.Obj
-    [
-      ("struct", Jsonout.Str r.struct_key);
-      ("impl", Jsonout.Str r.impl_name);
-      ("spec", Jsonout.Str r.spec_name);
-      ("ok", Jsonout.Bool r.ok);
-      ("complete", Jsonout.Bool r.complete);
-      ( "clients",
-        Jsonout.List
-          (List.map
-             (fun c ->
-               Jsonout.Obj
-                 [
-                   ("client", Jsonout.Str c.client);
-                   ("spec_outcomes", Jsonout.Int c.spec_outcomes);
-                   ("spec_complete", Jsonout.Bool c.spec_complete);
-                   ("ok", Jsonout.Bool c.ok);
-                   ("report", Explore.report_to_json c.report);
-                 ])
-             r.clients) );
-      ( "counterexample",
-        match r.counterexample with
-        | None -> Jsonout.Null
-        | Some (i, f) ->
-            Jsonout.Obj
-              [
-                ("client", Jsonout.Int i);
-                ("message", Jsonout.Str f.Explore.message);
-                ("trace", Compass_machine.Decision.trace_to_json f.Explore.trace);
-              ] );
-    ]

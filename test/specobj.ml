@@ -2,6 +2,7 @@ open Compass_rmc
 open Compass_event
 open Compass_machine
 open Compass_spec
+open Compass_dstruct
 open Prog.Syntax
 
 (* Spec-as-implementation: a reference object whose operations are the
@@ -29,6 +30,21 @@ let kind_of (spec : Libspec.t) =
 
 type t = { graph : Graph.t; lin : Loc.t; kind : Libspec.kind; site : string }
 
+(* The object's current abstract state: its graph's committed events
+   folded through the abstract machine in commit order.  Every commit on
+   this graph is an abstract transition by construction, so the fold
+   inverts the construction exactly (empty removals only ever commit on
+   the empty abstract state). *)
+let replay kind g : Libspec.astate =
+  let step st (e : Event.data) =
+    match Libspec.op_of_typ e.Event.typ with
+    | None -> st
+    | Some req ->
+        let st', _, _ = Libspec.transition kind st ~id:e.id req in
+        st'
+  in
+  List.fold_left step [] (Graph.events_by_cix g)
+
 let create spec m ~name =
   let kind = kind_of spec in
   let graph = Machine.new_graph m ~name in
@@ -40,7 +56,7 @@ let atomic t ~opname req =
   let* id = Prog.reserve in
   let obj = Graph.obj t.graph in
   let commit (_ : Commit.op_result) =
-    let st = Libspec.replay t.kind t.graph in
+    let st = replay t.kind t.graph in
     let _, typ, so = Libspec.transition t.kind st ~id req in
     [ Commit.spec ~obj ~so [ Commit.ev id typ ] ]
   in
@@ -57,9 +73,9 @@ let insert t ~opname v =
 
 let remove t ~opname =
   let* typ = atomic t ~opname Libspec.Remove in
-  match Libspec.removed_value typ with
-  | Some v -> Prog.return v
-  | None -> Prog.return Value.Null
+  match typ with
+  | Event.Deq v | Event.Pop v -> Prog.return v
+  | _ -> Prog.return Value.Null
 
 let name_of spec = "spec:" ^ spec.Libspec.name
 

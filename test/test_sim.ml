@@ -434,14 +434,11 @@ let test_sim_agrees_with_refine () =
   (* simulation is the stronger method: across the whole refinable
      registry its verdict coincides with outcome-inclusion (both pass on
      correct structures, both reject the broken fixture) *)
-  let refine_options =
-    { Refine.default_options with max_execs = 120_000; reduce = Machine.RSleep }
-  in
   List.iter
     (fun (e : Libspec.entry) ->
       if e.Libspec.refinable then begin
         let s = Sim.run ~options:(quick_options 1) e in
-        let o = Refine.run ~options:refine_options e in
+        let o = Refine.run e in
         Alcotest.(check bool)
           (e.Libspec.key ^ ": simulation matches outcome-inclusion")
           o.Refine.ok s.Sim.ok;
