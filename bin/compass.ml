@@ -15,8 +15,8 @@
                            [--json FILE]
      compass analyze static (--struct KEY / --all) [--weaken SITE=MODE]
                             [--strict] [--json FILE]
-     compass replay [--script N,N,...] [--weaken SITE=MODE] [--struct KEY]
-                    [--sim-client ID [--mgc-depth D]]
+     compass replay [--script N,N,...] [--weaken SITE=MODE]
+                    [--struct KEY [--sim-client ID [--mgc-depth D]]]
      compass fuzz --struct KEY [--mode uniform/pct/guided]
                   [--pct-depth D] [--execs N] [--seed S] [--jobs N]
                   [--corpus FILE] [--json FILE] [--expect-violation]
@@ -38,8 +38,8 @@
    Exit codes: 0 pass, 1 finding, 2 options that conflict with each
    other (a [--weaken] site the structure lacks, a structure that cannot
    be refined, a scenario index out of range, a client id outside the
-   generated family), 124 usage error (an unknown option or a malformed
-   value).
+   generated family, [--sim-client] without [--struct]), 124 usage error
+   (an unknown option or a malformed value).
 *)
 
 open Cmdliner
@@ -313,6 +313,9 @@ let write_json ?seed ~tool path json =
 
 let not_refinable (e : Libspec.entry) =
   Format.eprintf "structure %s is not refinable@." e.Libspec.key
+
+let no_scenario (e : Libspec.entry) idx =
+  Format.eprintf "structure %s has no scenario %d@." e.Libspec.key idx
 
 (* The exit code of a [sim] verdict.  [--strict] compares it with the
    registry's [expect_violation] (like [analyze static]), so checked-in
@@ -1063,20 +1066,33 @@ let replay_cmd =
       show_trace =
     let sc =
       match (probe, sim_client) with
-      | None, _ -> Some (Mp.make factory (Mp.fresh_stats ()))
-      | Some e, Some id -> Sim.client_scenario ~depth:mgc_depth e id
-      | Some e, None ->
-          Option.map (fun mk -> mk ()) (Specreg.scenario e scenario_idx)
+      | None, None -> Some (Mp.make factory (Mp.fresh_stats ()))
+      | None, Some _ ->
+          Format.eprintf
+            "--sim-client needs --struct, the structure whose generated \
+             client to replay@.";
+          None
+      | Some e, Some _ when not e.Libspec.refinable ->
+          not_refinable e;
+          None
+      | Some e, Some id -> (
+          match Sim.client_scenario ~depth:mgc_depth e id with
+          | None when Mgc.find ~depth:mgc_depth id = None ->
+              unknown_client id ~depth:mgc_depth;
+              None
+          | None ->
+              not_refinable e;
+              None
+          | sc -> sc)
+      | Some e, None -> (
+          match Specreg.scenario e scenario_idx with
+          | None ->
+              no_scenario e scenario_idx;
+              None
+          | Some mk -> Some (mk ()))
     in
     match sc with
-    | None ->
-        (match sim_client with
-        | Some id when Mgc.find ~depth:mgc_depth id = None ->
-            unknown_client id ~depth:mgc_depth
-        | _ ->
-            Format.eprintf "unknown structure/scenario (try: %s)@."
-              (String.concat ", " (Specreg.keys ())));
-        2
+    | None -> 2
     | Some sc ->
         (* An override naming a site that does not exist would silently
            replay unweakened; check the labels the static analyzer
@@ -1192,8 +1208,7 @@ let fuzz_cmd =
       corpus shrink json expect =
     match Specreg.scenario e scenario_idx with
     | None ->
-        Format.eprintf "structure %s has no scenario %d@." e.Libspec.key
-          scenario_idx;
+        no_scenario e scenario_idx;
         2
     | Some mk ->
         let corpus_in = Option.map Fz.Corpus.load corpus in
@@ -1277,13 +1292,13 @@ let shrink_cmd =
     let mk =
       match probe with
       | None -> Some (fun () -> Mp.make factory (Mp.fresh_stats ()))
-      | Some e -> Specreg.scenario e scenario_idx
+      | Some e ->
+          let mk = Specreg.scenario e scenario_idx in
+          if mk = None then no_scenario e scenario_idx;
+          mk
     in
     match mk with
-    | None ->
-        Format.eprintf "unknown structure/scenario (try: %s)@."
-          (String.concat ", " (Specreg.keys ()));
-        2
+    | None -> 2
     | Some mk -> (
         let config = { Machine.default_config with overrides } in
         let r = Explore.replay ~config (mk ()) script in

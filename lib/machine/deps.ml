@@ -188,7 +188,17 @@ let sweep items =
    to the same thread (program order) or their footprints do not commute.
    The trace order is the transitive closure of dependency restricted to
    execution order; it is computed with one vector clock per step, so
-   [hb] is an O(1) stamp comparison afterwards. *)
+   [hb] is an O(1) stamp comparison afterwards.
+
+   Step j's clock is the join of the clocks of the earlier steps it
+   depends on.  One forward pass keeps those joins accumulated by the
+   classes {!independent} distinguishes: each thread's last clock (which
+   covers its earlier steps, by program order), the join of all [FGlobal]
+   steps, the join of all steps, and per location the join of its reads
+   and of its writes.  Every step depends on its thread and on every
+   [FGlobal] step; an [FGlobal] step on every step, a read on its
+   location's writes, a write on its location's reads and writes, and an
+   [FLocal] step on nothing more. *)
 
 type steps = {
   s_tid : int array;
@@ -197,8 +207,10 @@ type steps = {
   s_seq : int array;  (** per-step own-thread sequence number *)
 }
 
-let dependent_steps s i j =
-  s.s_tid.(i) = s.s_tid.(j) || not (independent s.s_fp.(i) s.s_fp.(j))
+let join (dst : int array) (src : int array) =
+  for t = 0 to Array.length dst - 1 do
+    if src.(t) > dst.(t) then dst.(t) <- src.(t)
+  done
 
 let analyze_steps steps =
   let n = Array.length steps in
@@ -208,20 +220,55 @@ let analyze_steps steps =
   let s_clock = Array.make n [||] in
   let s_seq = Array.make n 0 in
   let cur_seq = Array.make nt 0 in
-  let s = { s_tid; s_fp; s_clock; s_seq } in
+  let last = Array.make nt (Array.make nt 0) in
+  let globals = Array.make nt 0 and all = Array.make nt 0 in
+  (* per location, in first-touch order: its key and the joins of its
+     reads and of its writes *)
+  let loc_key = Array.make n 0 and reads = Array.make n [||] in
+  let writes = Array.make n [||] and locs = ref 0 in
+  let slot l =
+    let k = Loc.key l in
+    let s = ref 0 in
+    while !s < !locs && loc_key.(!s) <> k do incr s done;
+    if !s = !locs then begin
+      loc_key.(!s) <- k;
+      reads.(!s) <- Array.make nt 0;
+      writes.(!s) <- Array.make nt 0;
+      incr locs
+    end;
+    !s
+  in
   for j = 0 to n - 1 do
-    let c = Array.make nt 0 in
-    for i = 0 to j - 1 do
-      if dependent_steps s i j then
-        Array.iteri (fun t v -> if v > c.(t) then c.(t) <- v) s_clock.(i)
-    done;
     let t = s_tid.(j) in
+    let c = Array.copy last.(t) in
+    join c globals;
+    (* [feeds]: the accumulated join this step's clock enters besides
+       [all] ([||] for [FLocal], where joining into it is a no-op) *)
+    let feeds =
+      match s_fp.(j) with
+      | FGlobal ->
+          join c all;
+          globals
+      | FLocal -> [||]
+      | FRead l | FReadNa l ->
+          let s = slot l in
+          join c writes.(s);
+          reads.(s)
+      | FWrite l | FWriteNa l ->
+          let s = slot l in
+          join c reads.(s);
+          join c writes.(s);
+          writes.(s)
+    in
     cur_seq.(t) <- cur_seq.(t) + 1;
     c.(t) <- cur_seq.(t);
+    join feeds c;
+    join all c;
+    last.(t) <- c;
     s_clock.(j) <- c;
     s_seq.(j) <- cur_seq.(t)
   done;
-  s
+  { s_tid; s_fp; s_clock; s_seq }
 
 (* hb i j: step i is trace-ordered before step j (i < j in execution
    order; the predicate is about the partial order, not mere position). *)

@@ -51,7 +51,10 @@ type steps
 val analyze_steps : (int * footprint) array -> steps
 (** One vector clock per step: the transitive closure of per-thread
     program order plus footprint dependence, restricted to execution
-    order. *)
+    order.  Computed in one forward pass that keeps, per thread, per
+    location (reads and writes apart), for [FGlobal] steps and for all
+    steps, the join of the clocks so far; each step joins the ones it
+    does not commute with. *)
 
 val hb : steps -> int -> int -> bool
 (** [hb s i j]: step [i] is trace-ordered before step [j].  O(1). *)

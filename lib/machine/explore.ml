@@ -213,77 +213,146 @@ let to_report ?distinct ~name ~complete st =
 (* -- reads-from classes ------------------------------------------------------
 
    The canonical key of an execution's ORC11 execution graph, built from
-   the recorded access log: the outcome tag plus, per thread in program
+   the recorded access log: the outcome plus, per thread in program
    order, each access's kind/location/mode and the *mo ranks* of the
    timestamps it read and wrote.  Two interleavings with the same
    per-thread access sequences, the same rf edges and the same mo order
    produce the same key no matter how the scheduler interleaved them —
    timestamps are canonicalised to their rank among the location's
    observed timestamps, so the key is mo-based even under the [`Gap]
-   placement policy where raw timestamp values are placement-dependent. *)
+   placement policy where raw timestamp values are placement-dependent.
+
+   The key is a byte string, built once per dpor-rf run: the printed
+   outcome behind its length; then per thread, by ascending tid, a
+   thread tag and the tid; then the thread's entries.  An access is one
+   tag byte (its kind and which of the two timestamps it carries), the
+   location key, one mode byte and the ranks present; a fence is a tag
+   byte and a fence byte.  Integers are zigzag varints, so every field
+   delimits itself and the encoding is injective: equal keys mean equal
+   tuples. *)
+
+let rec add_uint buf n =
+  if n lsr 7 = 0 then Buffer.add_char buf (Char.unsafe_chr n)
+  else begin
+    Buffer.add_char buf (Char.unsafe_chr ((n land 0x7f) lor 0x80));
+    add_uint buf (n lsr 7)
+  end
+
+let add_int buf n = add_uint buf ((n lsl 1) lxor (n asr (Sys.int_size - 1)))
+
+(* Tags, one byte each: [thread_tag] opens a thread, [fence_tag] is a
+   fence, and an access is [4 * kind + 2 * has_read + has_write], 0..11. *)
+let thread_tag = 'T'
+let fence_tag = 'F'
+
+let entry_tag = function
+  | Access.Access r ->
+      let kind =
+        match r.kind with
+        | Access.Load -> 0
+        | Access.Store -> 1
+        | Access.Update -> 2
+      in
+      Char.unsafe_chr
+        ((4 * kind)
+        + (if Option.is_some r.read_ts then 2 else 0)
+        + if Option.is_some r.write_ts then 1 else 0)
+  | Access.Fence _ -> fence_tag
+
+let mode_byte : Compass_rmc.Mode.access -> char = function
+  | Na -> '0' | Rlx -> '1' | Acq -> '2' | Rel -> '3' | AcqRel -> '4'
+
+let fence_byte : Compass_rmc.Mode.fence -> char = function
+  | F_acq -> '0' | F_rel -> '1' | F_acqrel -> '2' | F_sc -> '3'
+
+(* The distinct timestamps of one location, and a timestamp's mo rank
+   among them: how many lie below it. *)
+let rec mem_ts (ts : int) = function
+  | [] -> false
+  | t :: rest -> t = ts || mem_ts ts rest
+
+let rec rank_of (ts : int) below = function
+  | [] -> below
+  | t :: rest -> rank_of ts (if t < ts then below + 1 else below) rest
 
 let rf_class_key ~(outcome : Machine.outcome) accesses =
-  let module Loc = Compass_rmc.Loc in
-  let module Mode = Compass_rmc.Mode in
-  (* timestamps observed per location, then ranked *)
-  let per_loc : (int, int list ref) Hashtbl.t = Hashtbl.create 16 in
-  let note loc ts =
-    let k = Loc.key loc in
-    match Hashtbl.find_opt per_loc k with
-    | Some l -> l := ts :: !l
-    | None -> Hashtbl.add per_loc k (ref [ ts ])
+  let log = Array.of_list accesses in
+  let n = Array.length log in
+  (* One slot per location, in first-mention order: [slot.(i)] is access
+     [i]'s, and [slot_ts] lists each slot's distinct timestamps. *)
+  let slot = Array.make n 0 in
+  let slot_loc = Array.make n 0 and slot_ts = Array.make n [] in
+  let slots = ref 0 in
+  let note s = function
+    | Some ts when not (mem_ts ts slot_ts.(s)) ->
+        slot_ts.(s) <- ts :: slot_ts.(s)
+    | _ -> ()
   in
-  List.iter
-    (function
-      | Access.Access r ->
-          (match r.read_ts with Some ts -> note r.loc ts | None -> ());
-          (match r.write_ts with Some ts -> note r.loc ts | None -> ())
-      | Access.Fence _ -> ())
-    accesses;
-  let rank : (int * int, int) Hashtbl.t = Hashtbl.create 64 in
-  Hashtbl.iter
-    (fun k tss ->
-      List.iteri
-        (fun i ts -> Hashtbl.replace rank (k, ts) i)
-        (List.sort_uniq compare !tss))
-    per_loc;
+  let tmin = ref max_int and tmax = ref min_int in
+  for i = 0 to n - 1 do
+    let a = log.(i) in
+    let tid = Access.tid a in
+    if tid < !tmin then tmin := tid;
+    if tid > !tmax then tmax := tid;
+    match a with
+    | Access.Access r ->
+        let k = Compass_rmc.Loc.key r.loc in
+        let s = ref 0 in
+        while !s < !slots && slot_loc.(!s) <> k do incr s done;
+        if !s = !slots then begin
+          slot_loc.(!s) <- k;
+          incr slots
+        end;
+        slot.(i) <- !s;
+        note !s r.read_ts;
+        note !s r.write_ts
+    | Access.Fence _ -> ()
+  done;
+  (* Accesses grouped by ascending tid, each group in program order (a
+     counting sort on tid). *)
+  let by_tid = Array.make n 0 in
+  if n > 0 then begin
+    let next = Array.make (!tmax - !tmin + 2) 0 in
+    Array.iter
+      (fun a ->
+        let b = Access.tid a - !tmin + 1 in
+        next.(b) <- next.(b) + 1)
+      log;
+    for b = 1 to Array.length next - 1 do
+      next.(b) <- next.(b) + next.(b - 1)
+    done;
+    Array.iteri
+      (fun i a ->
+        let b = Access.tid a - !tmin in
+        by_tid.(next.(b)) <- i;
+        next.(b) <- next.(b) + 1)
+      log
+  end;
   let buf = Buffer.create 256 in
-  Buffer.add_string buf (Format.asprintf "%a" Machine.pp_outcome outcome);
-  let tids =
-    List.sort_uniq compare (List.map Access.tid accesses)
+  let o = Format.asprintf "%a" Machine.pp_outcome outcome in
+  add_int buf (String.length o);
+  Buffer.add_string buf o;
+  let rank s = function
+    | Some ts -> add_int buf (rank_of ts 0 slot_ts.(s))
+    | None -> ()
   in
-  List.iter
-    (fun tid ->
-      Buffer.add_string buf (Printf.sprintf "|T%d:" tid);
-      List.iter
-        (fun a ->
-          if Access.tid a = tid then
-            match a with
-            | Access.Access r ->
-                let k = Loc.key r.loc in
-                Buffer.add_string buf
-                  (Format.asprintf "%c%d%a"
-                     (match r.kind with
-                     | Access.Load -> 'L'
-                     | Access.Store -> 'S'
-                     | Access.Update -> 'U')
-                     k Mode.pp_access r.mode);
-                (match r.read_ts with
-                | Some ts ->
-                    Buffer.add_string buf
-                      (Printf.sprintf "r%d" (Hashtbl.find rank (k, ts)))
-                | None -> ());
-                (match r.write_ts with
-                | Some ts ->
-                    Buffer.add_string buf
-                      (Printf.sprintf "w%d" (Hashtbl.find rank (k, ts)))
-                | None -> ());
-                Buffer.add_char buf ';'
-            | Access.Fence f ->
-                Buffer.add_string buf
-                  (Format.asprintf "F%a;" Mode.pp_fence f.fence))
-        accesses)
-    tids;
+  for p = 0 to n - 1 do
+    let i = by_tid.(p) in
+    let a = log.(i) in
+    let tid = Access.tid a in
+    if p = 0 || tid <> Access.tid log.(by_tid.(p - 1)) then begin
+      Buffer.add_char buf thread_tag;
+      add_int buf tid
+    end;
+    Buffer.add_char buf (entry_tag a);
+    match a with
+    | Access.Access r ->
+        add_int buf (Compass_rmc.Loc.key r.loc);
+        Buffer.add_char buf (mode_byte r.mode);
+        rank slot.(i) r.read_ts;
+        rank slot.(i) r.write_ts
+    | Access.Fence f -> Buffer.add_char buf (fence_byte f.fence)
+  done;
   Buffer.contents buf
 
 (* -- running one execution ---------------------------------------------------

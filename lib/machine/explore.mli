@@ -108,9 +108,11 @@ val rf_class_key : outcome:Machine.outcome -> Access.t list -> string
     plus, per thread in program order, each access's kind/location/mode
     and the {e mo ranks} of the timestamps it read and wrote (ranks, not
     raw timestamps, so the key is placement-independent under the [`Gap]
-    policy).  Two interleavings get equal keys iff they realise the same
-    execution graph (same per-thread accesses, rf edges and mo order).
-    Requires the access log ([record_accesses]). *)
+    policy), and each fence.  The key is an injective byte encoding of
+    that tuple (one-byte tags, self-delimiting varint integers), not
+    text, so two interleavings still get equal keys iff they realise the
+    same execution graph (same per-thread accesses, rf edges and mo
+    order).  Requires the access log ([record_accesses]). *)
 
 val dfs :
   ?jobs:int ->

@@ -306,7 +306,15 @@ let pp ppf r =
      else if r.complete then "SIMULATES"
      else Printf.sprintf "no violation within %d executions" r.executions)
 
+(* Besides the executions it counted, a search launches runs that its
+   reduction throws away: sleep-set kills ([pruned]), DPOR's redundant
+   kills ([dpor_pruned]) and dpor-rf's repeats of an rf-class already
+   counted ([rf_pruned]).  [runs] is all of them. *)
 let to_json r =
+  let sum f = List.fold_left (fun n row -> n + f row.c_report) 0 r.rows in
+  let pruned = sum (fun c -> c.Explore.pruned)
+  and dpor_pruned = sum (fun c -> c.Explore.dpor_pruned)
+  and rf_pruned = sum (fun c -> c.Explore.rf_pruned) in
   Jsonout.Obj
     [
       ("struct", Jsonout.Str r.struct_key);
@@ -316,6 +324,10 @@ let to_json r =
       ("clients_total", Jsonout.Int r.clients_total);
       ("clients_run", Jsonout.Int r.clients_run);
       ("executions", Jsonout.Int r.executions);
+      ("runs", Jsonout.Int (r.executions + pruned + dpor_pruned + rf_pruned));
+      ("pruned", Jsonout.Int pruned);
+      ("dpor_pruned", Jsonout.Int dpor_pruned);
+      ("rf_pruned", Jsonout.Int rf_pruned);
       ("sim_states", Jsonout.Int r.sim_states);
       ("ok", Jsonout.Bool r.ok);
       ("complete", Jsonout.Bool r.complete);
@@ -328,11 +340,15 @@ let to_json r =
         Jsonout.List
           (List.map
              (fun row ->
+               let c = row.c_report in
                Jsonout.Obj
                  [
                    ("client", Jsonout.Str row.c_id);
-                   ("executions", Jsonout.Int row.c_report.Explore.executions);
-                   ("complete", Jsonout.Bool row.c_report.Explore.complete);
+                   ("executions", Jsonout.Int c.Explore.executions);
+                   ("pruned", Jsonout.Int c.Explore.pruned);
+                   ("dpor_pruned", Jsonout.Int c.Explore.dpor_pruned);
+                   ("rf_pruned", Jsonout.Int c.Explore.rf_pruned);
+                   ("complete", Jsonout.Bool c.Explore.complete);
                    ("gave_up", Jsonout.Int row.c_gave_up);
                    ("ok", Jsonout.Bool row.c_ok);
                  ])

@@ -98,4 +98,7 @@ val pp : Format.formatter -> report -> unit
 
 val to_json : report -> Compass_util.Jsonout.t
 (** the report as JSON: per-client [gave_up] counts and a top-level
-    [gave_up_clients] list; the witness carries its typed ["trace"] *)
+    [gave_up_clients] list; the witness carries its typed ["trace"].
+    Next to [executions], each client and the structure carry the runs
+    the reduction threw away ([pruned], [dpor_pruned], [rf_pruned]), and
+    the structure their total with the executions as [runs]. *)

@@ -1,0 +1,14 @@
+open Compass_machine
+
+(** Mazurkiewicz trace order over a machine-step sequence by an
+    all-pairs scan: the reference {!Deps.analyze_steps}, {!Deps.hb} and
+    {!Deps.races} are checked against. *)
+
+type t
+
+val analyze : (int * Deps.footprint) array -> t
+(** one clock per step: the join of the clocks of every earlier step
+    of the same thread or with a non-commuting footprint *)
+
+val hb : t -> int -> int -> bool
+val races : ?from:int -> t -> (int * int) list

@@ -219,6 +219,129 @@ let test_rf_census () =
         [ 1; 2 ])
     (rf_census_litmus ())
 
+(* -- the byte key against the formatted key ----------------------------------
+
+   {!Explore.rf_class_key} encodes as bytes the tuple {!Rfkey_format.key}
+   prints as text.  Every counted run of each input records both keys;
+   the two must split runs into the same classes, so the map from one
+   key to the other is a function both ways.  The RNone and dpor trees
+   key every run; under dpor-rf only a class's first run is counted,
+   which checks that the byte key splits no formatted class.  A few
+   hand-made logs, each one field away from the first, cover what no
+   tree varies, such as which thread an access belongs to. *)
+let test_rf_key_oracle () =
+  let checker name =
+    let fwd = Hashtbl.create 64 and bwd = Hashtbl.create 64 in
+    let runs = ref 0 and clashes = ref 0 in
+    let agrees tbl a b =
+      match Hashtbl.find_opt tbl a with
+      | Some b' -> b' = b
+      | None ->
+          Hashtbl.add tbl a b;
+          true
+    in
+    let key outcome log =
+      let text = Rfkey_format.key ~outcome log
+      and bytes = Explore.rf_class_key ~outcome log in
+      incr runs;
+      if not (agrees fwd text bytes && agrees bwd bytes text) then
+        incr clashes
+    in
+    let report () =
+      Alcotest.(check bool) (name ^ ": runs keyed") true (!runs > 0);
+      Alcotest.(check int)
+        (Printf.sprintf "%s: %d runs, %d classes, keys agree" name !runs
+           (Hashtbl.length fwd))
+        0 !clashes;
+      Hashtbl.length fwd
+    in
+    (key, report)
+  in
+  let keyed name ?(config = census_config) ?(reduce = Machine.RNone)
+      ?(max_execs = 400_000) (sc : Explore.scenario) =
+    let key, report = checker name in
+    let keying =
+      {
+        sc with
+        Explore.build =
+          (fun m ->
+            let judge = sc.Explore.build m in
+            fun outcome ->
+              (match outcome with
+              | Machine.Pruned -> ()
+              | _ -> key outcome (Machine.accesses m));
+              judge outcome);
+      }
+    in
+    ignore (Explore.dfs ~config ~reduce ~max_execs keying);
+    ignore (report ())
+  in
+  (let a = Loc.make ~base:1 ~off:0 and b = Loc.make ~base:1 ~off:1 in
+   let access ?(tid = 0) ?(loc = a) ?(mode = Mode.Rlx) ?read ?write kind =
+     Access.Access
+       {
+         aid = 0;
+         tid;
+         loc;
+         kind;
+         mode;
+         read_ts = read;
+         write_ts = write;
+         site = None;
+       }
+   in
+   let w1 = access ~write:1 Access.Store and w2 = access ~write:2 Access.Store in
+   let logs =
+     [
+       [ w1; w2 ];
+       [ w1; access ~tid:1 ~write:2 Access.Store ];
+       [ access ~tid:(-1) ~write:1 Access.Store; w2 ];
+       [ w2; w1 ];
+       [ w1; access ~mode:Mode.Rel ~write:2 Access.Store ];
+       [ w1; access ~loc:b ~write:2 Access.Store ];
+       [ w1; Access.Fence { aid = 0; tid = 0; fence = Mode.F_acq; site = None }; w2 ];
+       [ w1; Access.Fence { aid = 0; tid = 0; fence = Mode.F_sc; site = None }; w2 ];
+       [ w1; access ~read:1 Access.Load ];
+       [ w1; access ~read:1 ~write:2 Access.Update ];
+       [ w1; access ~read:1 Access.Update ];
+     ]
+   in
+   let key, report = checker "hand-made logs" in
+   List.iter (key (Machine.Finished [||])) logs;
+   key (Machine.Finished [| Value.Int 1 |]) (List.hd logs);
+   Alcotest.(check int) "hand-made logs: every log its own class"
+     (List.length logs + 1) (report ()));
+  List.iter
+    (fun (name, mk) -> keyed name (mk ()).Litmus.scenario)
+    (rf_census_litmus ());
+  keyed "2+2W gap"
+    ~config:{ census_config with Machine.policy = `Gap }
+    (Litmus.two_two_w ()).Litmus.scenario;
+  keyed "2+2W append" (Litmus.two_two_w ()).Litmus.scenario;
+  let entry key =
+    match Specreg.find key with
+    | Some e -> e
+    | None -> Alcotest.failf "no registered structure named %s" key
+  in
+  keyed "ms scenario 1" ~max_execs:20_000
+    ((List.nth (entry "ms").Libspec.scenarios 1) ());
+  List.iter
+    (fun key ->
+      let e = entry key in
+      List.iter
+        (fun (c : Compass_sim.Mgc.client) ->
+          List.iter
+            (fun (tag, reduce) ->
+              keyed
+                (Printf.sprintf "%s mgc %s %s" key c.Compass_sim.Mgc.id tag)
+                ~reduce
+                (Compass_sim.Mgc.scenario e
+                   ~judge:(fun _ _ -> Explore.Pass)
+                   c))
+            [ ("dpor-rf", Machine.RDporRf); ("dpor", Machine.RDpor) ])
+        (Compass_sim.Mgc.generate ~depth:1 ()))
+    [ "ms"; "lock-queue"; "treiber"; "hw" ]
+
 (* dpor-rf must keep every litmus verdict of plain dpor while never
    counting more executions. *)
 let test_rf_litmus_verdicts () =
@@ -422,10 +545,57 @@ let test_deps_relation () =
   Alcotest.(check bool) "po orders same thread" true (hb t 0 1);
   Alcotest.(check (list (pair int int))) "po is not a race" [] (races t)
 
+(* The one-pass step clocks against the all-pairs scan, on random step
+   logs: four threads, three locations, atomic and non-atomic reads and
+   writes, local and global steps. *)
+let test_deps_one_pass =
+  let locs =
+    Loc.[| make ~base:1 ~off:0; make ~base:1 ~off:1; make ~base:2 ~off:0 |]
+  in
+  let gen_fp =
+    QCheck.Gen.(
+      let at f = map (fun i -> f locs.(i)) (int_bound 2) in
+      frequency
+        [
+          (3, at (fun l -> Deps.FRead l));
+          (3, at (fun l -> Deps.FWrite l));
+          (1, at (fun l -> Deps.FReadNa l));
+          (1, at (fun l -> Deps.FWriteNa l));
+          (1, return Deps.FLocal);
+          (1, return Deps.FGlobal);
+        ])
+  in
+  let print steps =
+    String.concat " "
+      (Array.to_list
+         (Array.map
+            (fun (t, fp) -> Format.asprintf "%d:%a" t Deps.pp_footprint fp)
+            steps))
+  in
+  let arb =
+    QCheck.make ~print
+      QCheck.Gen.(array_size (int_bound 40) (pair (int_bound 3) gen_fp))
+  in
+  QCheck.Test.make ~name:"deps: one-pass clocks == all-pairs scan" ~count:500
+    arb (fun steps ->
+      let n = Array.length steps in
+      let s = Deps.analyze_steps steps and r = Deps_scan.analyze steps in
+      let hb_agrees = ref true in
+      for i = 0 to n - 1 do
+        for j = 0 to n - 1 do
+          if Deps.hb s i j <> Deps_scan.hb r i j then hb_agrees := false
+        done
+      done;
+      !hb_agrees
+      && List.for_all
+           (fun from -> Deps.races ~from s = Deps_scan.races ~from r)
+           [ 0; n / 2 ])
+
 let suite =
   [
     Alcotest.test_case "deps: independence, trace order, races" `Quick
       test_deps_relation;
+    Helpers.qtest test_deps_one_pass;
     Alcotest.test_case "3-thread write race: dpor hits the optimum" `Quick
       test_optimal_count;
     Alcotest.test_case "dpor == sleep == unreduced (clients)" `Slow
@@ -440,6 +610,8 @@ let suite =
       test_weak_next_load_found;
     Alcotest.test_case "dpor-rf == exhaustive rf-class census (litmus)" `Slow
       test_rf_census;
+    Alcotest.test_case "rf key: byte key splits runs as the formatted key"
+      `Quick test_rf_key_oracle;
     Alcotest.test_case "dpor-rf preserves litmus verdicts" `Slow
       test_rf_litmus_verdicts;
     Alcotest.test_case "dpor-rf == dpor verdicts (clients)" `Slow

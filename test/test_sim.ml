@@ -430,6 +430,45 @@ let test_incomplete_pass () =
         (List.assoc_opt "gave_up_clients" fields = Some (J.List [ J.Str id ]))
   | _ -> Alcotest.fail "report JSON is not an object"
 
+(* The JSON report shows the runs dpor-rf threw away, per client and
+   summed per structure; the ms depth-1 counts are pinned. *)
+let test_sim_json_discarded_runs () =
+  let module J = Compass_util.Jsonout in
+  let r =
+    Sim.run
+      ~options:{ (quick_options 1) with reduce = Machine.RDporRf }
+      (entry "ms")
+  in
+  let field name = function
+    | J.Obj fields -> (
+        match List.assoc_opt name fields with
+        | Some v -> v
+        | None -> Alcotest.failf "no field %s" name)
+    | _ -> Alcotest.fail "not a JSON object"
+  in
+  let int name j =
+    match field name j with
+    | J.Int n -> n
+    | _ -> Alcotest.failf "field %s is not an int" name
+  in
+  let j = Sim.to_json r in
+  List.iter
+    (fun (name, v) ->
+      Alcotest.(check int) ("ms depth 1: " ^ name) v (int name j))
+    [ ("executions", 17); ("dpor_pruned", 0); ("rf_pruned", 47); ("runs", 64) ];
+  let rows =
+    match field "clients" j with
+    | J.List rows -> rows
+    | _ -> Alcotest.fail "clients is not a list"
+  in
+  List.iter
+    (fun name ->
+      Alcotest.(check int)
+        (name ^ " sums the client rows")
+        (int name j)
+        (List.fold_left (fun n row -> n + int name row) 0 rows))
+    [ "executions"; "pruned"; "dpor_pruned"; "rf_pruned" ]
+
 let test_sim_agrees_with_refine () =
   (* simulation is the stronger method: across the whole refinable
      registry its verdict coincides with outcome-inclusion (both pass on
@@ -532,6 +571,8 @@ let suite =
       test_msfences_depth2;
     Alcotest.test_case "sim: a pass from an unfinished search is incomplete"
       `Quick test_incomplete_pass;
+    Alcotest.test_case "sim: JSON counts the runs a reduction discarded"
+      `Quick test_sim_json_discarded_runs;
     Alcotest.test_case "sim: agrees with outcome-inclusion on the registry"
       `Slow test_sim_agrees_with_refine;
     Alcotest.test_case "sim: verdict invariant under reduce/incremental/jobs"
