@@ -65,13 +65,20 @@ let write_json_file file json =
 (* Timed run with allocation telemetry: wall clock plus [Gc.quick_stat]
    deltas (minor words allocated, major collections forced) — the
    flat-buffer core is judged on allocation per execution as much as on
-   throughput. *)
+   throughput.  On OCaml 5.1 [minor_words] only advances at a minor
+   collection, so each reading empties the minor heap first; otherwise
+   a reading lags by up to a minor heap's worth of words, and repeated
+   runs disagree. *)
 let time_gc f =
-  let g0 = Gc.quick_stat () in
+  let stat () =
+    Gc.minor ();
+    Gc.quick_stat ()
+  in
+  let g0 = stat () in
   let t0 = Unix.gettimeofday () in
   let r = f () in
   let t = Unix.gettimeofday () -. t0 in
-  let g1 = Gc.quick_stat () in
+  let g1 = stat () in
   ( r,
     t,
     g1.Gc.minor_words -. g0.Gc.minor_words,
@@ -609,12 +616,7 @@ let bench_static ~check =
   let module Static = Compass_static.Static in
   let probes = [ "ms" ] in
   let options =
-    {
-      Audit.default_options with
-      execs = 4000;
-      jobs = 1;
-      reduce = Machine.RSleep;
-    }
+    { Audit.execs = 4000; jobs = 1; reduce = Machine.RSleep }
   in
   let failed = ref [] in
   let probe_json key =

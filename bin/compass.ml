@@ -28,7 +28,8 @@
    resolve through the central spec registry (Specreg; [compass specs]
    lists them), [--script] reads choices like a v1 corpus line, and
    [--weaken] specs parse as mode overrides.  Every exploring subcommand
-   also takes [--jobs N] (N domains share the DFS by work stealing),
+   also takes [--jobs N] (N domains share the DFS by work stealing, or
+   split a sample's executions),
    [--reduce[=sleep|dpor|dpor-rf|none]] (partial-order reduction: sleep
    sets, source-DPOR with wakeup sequences, or source-DPOR counting one
    execution per reads-from class; bare [--reduce] means sleep),
@@ -38,7 +39,8 @@
    Exit codes: 0 pass, 1 finding, 2 options that conflict with each
    other (a [--weaken] site the structure lacks, a structure that cannot
    be refined, a scenario index out of range, a client id outside the
-   generated family, [--sim-client] without [--struct]), 124 usage error
+   generated family, [--sim-client] without [--struct], a reduction or
+   [--incremental=false] on a sampled run), 124 usage error
    (an unknown option or a malformed value).
 *)
 
@@ -158,7 +160,10 @@ let reduce default =
     & info [ "reduce" ] ~docv:"RED" ~doc)
 
 let random_mode =
-  let doc = "Use seeded random sampling instead of exhaustive DFS." in
+  let doc =
+    "Use seeded random sampling instead of exhaustive DFS (a reduction or \
+     $(b,--incremental=false) conflicts with it)."
+  in
   Arg.(value & flag & info [ "random" ] ~doc)
 
 let seed =
@@ -167,8 +172,8 @@ let seed =
 
 let jobs =
   let doc =
-    "Run the exhaustive DFS on $(docv) domains, which share its task tree \
-     by work stealing (1 = a single worker)."
+    "Run on $(docv) domains (1 = a single worker): the DFS shares its task \
+     tree by work stealing, a sample deals out its executions by index."
   in
   Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
@@ -281,27 +286,50 @@ let mgc_depth_arg =
   Arg.(value & opt int 2 & info [ "mgc-depth" ] ~docv:"D" ~doc)
 
 (* [client] and [check] explore under six options: [--random] samples
-   [--execs] executions from [--seed], otherwise the DFS runs with the
-   [--execs] budget, [--jobs], [--reduce] and [--incremental].  One call
-   may override the budget, or force sampling. *)
+   [--execs] executions from [--seed] on [--jobs] domains, otherwise the
+   DFS runs with the [--execs] budget, [--jobs], [--reduce] and
+   [--incremental].  One call may override the budget, or force
+   sampling.  [conflict] is the option a sample cannot honour. *)
 type explorer = {
   budget : int;
+  random : bool;
+  conflict : string option;
   explore : ?random:bool -> ?execs:int -> Explore.scenario -> Explore.report;
 }
 
 let explorer =
   let make random budget seed jobs reduce incremental =
     let explore ?(random = random) ?(execs = budget) sc =
-      if random then Explore.random ~execs ~seed sc
+      if random then Explore.random ~jobs ~execs ~seed sc
       else Explore.dfs ~jobs ~max_execs:execs ~reduce ~incremental sc
     in
-    { budget; explore }
+    let conflict =
+      if reduce <> Machine.RNone then
+        Some
+          (Format.asprintf "--reduce=%a" (Arg.conv_printer reduction_conv)
+             reduce)
+      else if not incremental then Some "--incremental=false"
+      else None
+    in
+    { budget; random; conflict; explore }
   in
   Term.(
     const make $ random_mode $ execs 100_000 $ seed $ jobs
     $ reduce Machine.RNone $ incremental)
 
 (* -- shared output and exit policy ---------------------------------------------- *)
+
+(* A sample has no tree to reduce or checkpoint: a run that samples
+   ([--random], or [always] for a client that only samples) under such
+   an option is a two-option error, exit 2. *)
+let unless_sampling_conflict ?always ex k =
+  match (ex.conflict, if ex.random then Some "--random" else always) with
+  | Some opt, Some sampler ->
+      Format.eprintf
+        "%s conflicts with %s: a sample has no tree to reduce or checkpoint@."
+        opt sampler;
+      2
+  | _ -> k ()
 
 let finish report =
   Format.printf "%a@." Explore.pp_report report;
@@ -391,7 +419,12 @@ let client_cmd =
           None
       & info [] ~docv:"CLIENT" ~doc)
   in
-  let run which factory { budget; explore } =
+  let run which factory ({ budget; explore; _ } as ex) =
+    let always =
+      if which = `Ws_weak then Some "client ws-weak, which always samples"
+      else None
+    in
+    unless_sampling_conflict ?always ex @@ fun () ->
     match which with
     | `Mp ->
         let st = Mp.fresh_stats () in
@@ -477,16 +510,17 @@ let check_cmd =
     Arg.(value & opt int 1 & info [ "ops"; "o" ] ~docv:"N"
            ~doc:"Operations per thread.")
   in
-  let run (e : Libspec.entry) style threads ops { explore; _ } =
+  let run (e : Libspec.entry) style threads ops ex =
+    unless_sampling_conflict ex @@ fun () ->
     match e.Libspec.impl with
     | Specreg.Queue f ->
         finish
-          (explore
+          (ex.explore
              (Harness.queue_workload ~style f ~enqers:threads ~deqers:threads
                 ~ops ()))
     | Specreg.Stack f ->
         finish
-          (explore
+          (ex.explore
              (Harness.stack_workload ~style f ~pushers:threads
                 ~poppers:threads ~ops ()))
     | _ ->
@@ -688,10 +722,11 @@ let sim_cmd =
      failure yields a shrunk, replayable witness naming the exact commit \
      point (or faulting step) where the abstraction relation breaks."
   in
-  (* Like the analyzers, simulation defaults to sleep-set reduction: the
-     verdict is reduction-invariant (it only reads event graphs, which
-     reductions preserve per Mazurkiewicz trace), so reduction is pure
-     speedup. *)
+  (* Like the analyzers, simulation defaults to sleep-set reduction.
+     Sleep sets and dpor keep the verdict (it only reads event graphs,
+     which they preserve per Mazurkiewicz trace), so they are pure
+     speedup; dpor-rf does not, as it can miss a class and the violation
+     in it (see test_dpor.ml). *)
   Cmd.v (Cmd.info "sim" ~doc)
     Term.(
       const run
@@ -916,7 +951,7 @@ let analyze_modes_cmd =
       & info [ "prioritize" ] ~docv:"ORDER" ~doc)
   in
   let run (e : Libspec.entry) execs jobs reduce site prio strict json =
-    let options = { Audit.default_options with execs; jobs; reduce } in
+    let options = { Audit.execs; jobs; reduce } in
     let site_filter =
       match site with
       | None -> fun _ -> true
@@ -1179,13 +1214,6 @@ let fuzz_cmd =
     let doc = "PCT priority change points." in
     Arg.(value & opt int 3 & info [ "pct-depth"; "d" ] ~docv:"D" ~doc)
   in
-  let pct_len =
-    let doc =
-      "Scheduling-decision count PCT samples change points over (0: \
-       measure with a pilot execution)."
-    in
-    Arg.(value & opt int 0 & info [ "pct-len" ] ~docv:"N" ~doc)
-  in
   let corpus_arg =
     let doc =
       "Seed the guided corpus from $(docv) (missing file = empty) and save \
@@ -1204,8 +1232,8 @@ let fuzz_cmd =
     in
     Arg.(value & flag & info [ "expect-violation" ] ~doc)
   in
-  let run (e : Libspec.entry) scenario_idx mode depth len execs seed jobs
-      corpus shrink json expect =
+  let run (e : Libspec.entry) scenario_idx mode depth execs seed jobs corpus
+      shrink json expect =
     match Specreg.scenario e scenario_idx with
     | None ->
         no_scenario e scenario_idx;
@@ -1220,7 +1248,6 @@ let fuzz_cmd =
             seed;
             jobs;
             pct_depth = depth;
-            sched_len = len;
             shrink;
             corpus_in;
           }
@@ -1271,8 +1298,8 @@ let fuzz_cmd =
   Cmd.v (Cmd.info "fuzz" ~doc)
     Term.(
       const run $ Arg.required structure $ scenario $ mode_arg $ pct_depth
-      $ pct_len $ execs 4000 $ seed $ jobs $ corpus_arg $ shrink_arg
-      $ json_arg $ expect_violation)
+      $ execs 4000 $ seed $ jobs $ corpus_arg $ shrink_arg $ json_arg
+      $ expect_violation)
 
 (* -- shrink -------------------------------------------------------------------- *)
 
@@ -1354,7 +1381,7 @@ let report_cmd =
     let options =
       (* reduction always: the summary needs complete explorations to
          tell over-strong from unknown within a sane budget *)
-      { Audit.default_options with execs = 12_000; jobs; reduce = Machine.RSleep }
+      { Audit.execs = 12_000; jobs; reduce = Machine.RSleep }
     in
     let ar = Audit.run ~options ~probe:e.Libspec.key e.Libspec.scenarios in
     let n, o, u, mi = Audit.counts ar in

@@ -83,7 +83,7 @@ let mode_rank = function
    one: a failed CAS records the read half of an acq_rel RMW as an acq
    load, and the audit must weaken the site's static mode, not a
    projection of it. *)
-let discover ?(execs = 256) scenarios =
+let discover scenarios =
   let config = { Machine.default_config with Machine.record_accesses = true } in
   let tbl : (string, site_kind) Hashtbl.t = Hashtbl.create 32 in
   let order = ref [] in
@@ -111,7 +111,7 @@ let discover ?(execs = 256) scenarios =
   List.iter
     (fun mk ->
       let sc = Instrument.with_accesses (mk ()) collect in
-      ignore (Explore.dfs ~max_execs:execs ~config sc))
+      ignore (Explore.dfs ~max_execs:256 ~config sc))
     scenarios;
   List.rev_map (fun s -> (s, Hashtbl.find tbl s)) !order
 
@@ -131,20 +131,9 @@ type options = {
   execs : int;  (** DFS budget per mutant per scenario *)
   jobs : int;
   reduce : Machine.reduction;
-  discover_execs : int;
-  shrink : bool;  (** delta-debug witness scripts before reporting *)
-  shrink_replays : int;
 }
 
-let default_options =
-  {
-    execs = 100_000;
-    jobs = 1;
-    reduce = Machine.RSleep;
-    discover_execs = 256;
-    shrink = true;
-    shrink_replays = 20_000;
-  }
+let default_options = { execs = 100_000; jobs = 1; reduce = Machine.RSleep }
 
 let explore_one opts override mk =
   let config =
@@ -162,17 +151,13 @@ let explore_one opts override mk =
    what a human replays.  The shrinker preserves the exact violation
    message under the same overrides, and hands the script back unchanged
    if it somehow fails to reproduce, so witnesses stay replayable. *)
-let shrink_failure opts override mk (f : Explore.failure) =
-  if not opts.shrink then f
-  else
-    let config =
-      { Machine.default_config with Machine.overrides = override }
-    in
-    let _, script =
-      Compass_fuzz.Shrink.minimize ~config ~max_replays:opts.shrink_replays
-        ~scenario:(mk ()) ~message:f.Explore.message f.Explore.trace
-    in
-    { f with Explore.trace = script }
+let shrink_failure override mk (f : Explore.failure) =
+  let config = { Machine.default_config with Machine.overrides = override } in
+  let _, script =
+    Compass_fuzz.Shrink.minimize ~config ~max_replays:20_000 ~scenario:(mk ())
+      ~message:f.Explore.message f.Explore.trace
+  in
+  { f with Explore.trace = script }
 
 let run_mutant opts scenarios site w =
   let override = override_of site w in
@@ -192,7 +177,7 @@ let run_mutant opts scenarios site w =
             {
               weakening = w;
               spec = spec_of site w;
-              outcome = Violated (shrink_failure opts override mk f);
+              outcome = Violated (shrink_failure override mk f);
               executions = execs + r.Explore.executions;
               scenario = Some name;
             }
@@ -292,7 +277,7 @@ let run ?(options = default_options) ?(site_filter = fun _ -> true)
         | None -> (
             let _, r = explore_one options Override.empty mk in
             match r.Explore.violations with
-            | f :: _ -> Some (shrink_failure options Override.empty mk f)
+            | f :: _ -> Some (shrink_failure Override.empty mk f)
             | [] -> None))
       None scenarios
   in
@@ -318,7 +303,7 @@ let run ?(options = default_options) ?(site_filter = fun _ -> true)
   let sites =
     if not baseline_ok then []
     else
-      discover ~execs:options.discover_execs scenarios
+      discover scenarios
       |> List.filter (fun (s, _) -> site_filter s)
       |> reorder
       |> List.map (fun (site, kind) ->

@@ -29,11 +29,10 @@ val weakenings : site_kind -> weakening list
 
 val override_of : string -> weakening -> Override.t
 
-val discover :
-  ?execs:int -> (unit -> Explore.scenario) list -> (string * site_kind) list
-(** the labeled sites a small recorded exploration of each scenario
-    exercises, in first-seen order; a site's mode is the strongest
-    recorded one (a failed CAS logs the read half of an RMW) *)
+val discover : (unit -> Explore.scenario) list -> (string * site_kind) list
+(** the labeled sites a small recorded exploration of each scenario (256
+    executions) exercises, in first-seen order; a site's mode is the
+    strongest recorded one (a failed CAS logs the read half of an RMW) *)
 
 type outcome = Violated of Explore.failure | Safe | Exhausted
 
@@ -49,15 +48,13 @@ type options = {
   execs : int;  (** DFS budget per mutant per scenario *)
   jobs : int;
   reduce : Machine.reduction;
-  discover_execs : int;
-  shrink : bool;
-      (** delta-debug witness scripts (baseline failures and [Violated]
-          mutants) to 1-minimal form before reporting; verdicts are
-          unchanged and witnesses still replay to the same violation *)
-  shrink_replays : int;
 }
 
 val default_options : options
+(** 100,000 executions, one job, sleep sets.  Witness scripts (baseline
+    failures and [Violated] mutants) are always shrunk to 1-minimal form
+    (within 20,000 replays) before reporting; verdicts are unchanged and
+    witnesses still replay to the same violation. *)
 
 type verdict =
   | Necessary of { witness : Explore.failure; weakening : weakening }

@@ -113,7 +113,7 @@ let matrix ?(dfs_execs = 25_000) ?(rand_execs = 2_000) ?(jobs = 1)
               Explore.Pass ))
     in
     ignore (Explore.dfs ~jobs ~reduce ~max_execs:dfs_execs sc);
-    ignore (Explore.random ~execs:rand_execs ~seed:23 sc);
+    ignore (Explore.random ~jobs ~execs:rand_execs ~seed:23 sc);
     { impl = factory.q_name; style; tally }
   in
   let run_stack (factory : Iface.stack_factory) style =
@@ -142,7 +142,7 @@ let matrix ?(dfs_execs = 25_000) ?(rand_execs = 2_000) ?(jobs = 1)
               Explore.Pass ))
     in
     ignore (Explore.dfs ~jobs ~reduce ~max_execs:dfs_execs sc);
-    ignore (Explore.random ~execs:rand_execs ~seed:23 sc);
+    ignore (Explore.random ~jobs ~execs:rand_execs ~seed:23 sc);
     { impl = factory.s_name; style; tally }
   in
   List.concat_map
@@ -334,7 +334,7 @@ let e4 ?(dfs_execs = 30_000) ?(rand_execs = 3_000) ?(jobs = 1)
           (Spsc_client.make ~n:2 ~retries:3 factory st)
       in
       let r2 =
-        Explore.random ~execs:rand_execs ~seed:29
+        Explore.random ~jobs ~execs:rand_execs ~seed:29
           (Spsc_client.make ~n:4 factory st)
       in
       {
@@ -408,12 +408,12 @@ let e6 ?(dfs_execs = 40_000) ?(rand_execs = 4_000) ?(jobs = 1)
   (* DFS explores uncontended schedules first, so small budgets may see no
      matches; a random leg makes swaps occur reliably. *)
   let rx_rand =
-    Explore.random ~execs:(max rand_execs 2_000) ~seed:37
+    Explore.random ~jobs ~execs:(max rand_execs 2_000) ~seed:37
       (Resource_exchange.make ~threads:2 stx)
   in
   let stes = Es_compose.fresh_stats () in
   let res =
-    Explore.random ~execs:(max rand_execs 4_000) ~seed:31
+    Explore.random ~jobs ~execs:(max rand_execs 4_000) ~seed:31
       (Es_compose.make ~pushers:2 ~poppers:2 ~ops:2 stes)
   in
   [
@@ -460,12 +460,12 @@ let e8 ?(dfs_execs = 120_000) ?(rand_execs = 120_000) ?(jobs = 1)
       (Ws_client.make ~tasks:2 ~thieves:1 ~steals:1 st)
   in
   let r2 =
-    Explore.random ~execs:(rand_execs / 4) ~seed:3
+    Explore.random ~jobs ~execs:(rand_execs / 4) ~seed:3
       (Ws_client.make ~tasks:3 ~thieves:2 ~steals:2 st)
   in
   let stw = Ws_client.fresh_stats () in
   let rw =
-    Explore.random ~execs:(max rand_execs 60_000) ~seed:1
+    Explore.random ~jobs ~execs:(max rand_execs 60_000) ~seed:1
       (Ws_client.make ~weak_fences:true ~tasks:2 ~thieves:1 ~steals:2 stw)
   in
   [
@@ -506,10 +506,10 @@ let e8 ?(dfs_execs = 120_000) ?(rand_execs = 120_000) ?(jobs = 1)
 
 (* -- E7: effort table ----------------------------------------------------------- *)
 
-(* The paper reports proof effort (KLOC of Coq).  Our counterpart: lines of
-   checking/verification code per library, plus the checking statistics.
-   LoC numbers are computed by [bin/compass report] from the source tree;
-   here we record the paper's reference points. *)
+(* The paper reports proof effort (KLOC of Coq).  Our counterpart, lines
+   of checking/verification code per library, is counted with [wc -l]
+   over the source tree (EXPERIMENTS.md, E7); here we record only the
+   paper's reference points. *)
 let e7_paper_numbers =
   [
     ("library verifications", "1.5-3.0 KLOC each, median 2.1 KLOC");

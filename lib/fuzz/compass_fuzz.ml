@@ -12,10 +12,9 @@
     - {!Shrink}: delta-debugging of violating decision scripts down to
       1-minimal counterexamples;
     - {!Fuzz}: the driver tying them together (uniform / PCT /
-      coverage-guided modes, deterministic parallel workers);
-    - {!Rng}: splitmix64 seed derivation behind the determinism. *)
+      coverage-guided modes), run on the seeded sampling loop
+      {!Compass_machine.Explore.sample}. *)
 
-module Rng = Rng
 module Pct = Pct
 module Coverage = Coverage
 module Corpus = Corpus

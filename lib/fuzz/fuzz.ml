@@ -5,7 +5,8 @@ open Compass_machine
    Where the DFS explorer enumerates the decision tree, the fuzzer
    samples it under a *search strategy*:
 
-   - [Uniform]: every choice seeded-uniform — the baseline;
+   - [Uniform]: every choice seeded-uniform — the baseline, and the same
+     executions {!Explore.random} samples from the same seed;
    - [Pct]: scheduling choices priority-driven ({!Pct}), data choices
      uniform;
    - [Guided]: coverage-guided — executions that reach a new fingerprint
@@ -13,13 +14,13 @@ open Compass_machine
      ({!Corpus}); later executions mutate a corpus entry and replay it as
      a clamped prefix with a random tail.
 
-   Every execution's oracle is derived from [Rng.derive seed i] where [i]
-   is the execution's *global* index, and worker [w] of [jobs] runs the
-   indices congruent to [w] — so for a fixed seed the run is reproducible
-   at any job count, and repeated runs are byte-identical (compare
-   {!fingerprint}, which excludes wall-clock time).  Workers stop at
-   their own first violation (no cross-worker stop flag: a shared flag
-   would make the execution set timing-dependent). *)
+   The executions run on the seeded sampling loop {!Explore.sample}: the
+   fuzzer supplies each execution's oracle (built from the seed the loop
+   derives from the execution's global index) and an observer that
+   feeds the worker's coverage and corpus and notes its first violation.
+   Each worker stops at its own first violation, so for a fixed seed and
+   job count repeated runs are byte-identical (compare {!fingerprint},
+   which excludes wall-clock time). *)
 
 type mode = Uniform | Pct | Guided
 
@@ -28,23 +29,13 @@ let mode_name = function
   | Pct -> "pct"
   | Guided -> "guided"
 
-let mode_of_string = function
-  | "uniform" -> Some Uniform
-  | "pct" -> Some Pct
-  | "guided" -> Some Guided
-  | _ -> None
-
 type options = {
   mode : mode;
   execs : int;
   seed : int;
   jobs : int;
   pct_depth : int;  (** PCT priority change points *)
-  sched_len : int;  (** 0: measure with a pilot execution *)
-  stop_on_violation : bool;
-  max_violations : int;
   shrink : bool;  (** shrink the first violation before reporting *)
-  shrink_replays : int;
   corpus_in : Corpus.t option;  (** seed corpus ([--corpus FILE]) *)
   config : Machine.config;
 }
@@ -56,14 +47,15 @@ let default_options =
     seed = 1;
     jobs = 1;
     pct_depth = 3;
-    sched_len = 0;
-    stop_on_violation = true;
-    max_violations = 4;
     shrink = true;
-    shrink_replays = 20_000;
     corpus_in = None;
     config = { Machine.default_config with record_accesses = true };
   }
+
+(* Violations an outcome keeps, and the shrinker's replay budget for the
+   first of them. *)
+let max_violations = 4
+let shrink_replays = 20_000
 
 type outcome = {
   scenario : string;
@@ -71,7 +63,7 @@ type outcome = {
   seed : int;
   jobs : int;
   pct_depth : int;
-  execs : int;  (** performed (workers may stop early on violation) *)
+  execs : int;  (** performed (workers stop early on violation) *)
   distinct : int;  (** distinct execution fingerprints *)
   pairs : int;  (** site pairs covered *)
   new_pair_execs : int;
@@ -102,7 +94,7 @@ let prefix_oracle ?clamps st prefix =
       else Random.State.int st arity)
 
 (* One pilot execution counting branching scheduling decisions — the
-   [sched_len] over which PCT samples its change points. *)
+   schedule length over which PCT samples its change points. *)
 let measure_sched_len ~config ~seed scenario_thunk =
   let scenario : Explore.scenario = scenario_thunk () in
   let st = Random.State.make [| seed; 0x9107 |] in
@@ -117,112 +109,85 @@ let measure_sched_len ~config ~seed scenario_thunk =
   ignore (judge (Machine.run m oracle));
   max !count 8
 
-type worker_result = {
-  w_execs : int;
-  w_cov : Coverage.t;
-  w_corpus : Corpus.t;
-  w_clamped : int;
-  w_violations : (int * Explore.failure) list;  (** (global index, f) *)
+(* One worker's share of a run. *)
+type worker = {
+  cov : Coverage.t;
+  corpus : Corpus.t;
+  clamps : int ref;
+  mutable first : int option;
+      (** the index of its violation, after which it stops *)
 }
 
-let run_worker opts scenario_thunk ~worker ~sched_len =
-  let scenario : Explore.scenario = scenario_thunk () in
-  let cov = Coverage.create () in
-  let corpus = Corpus.create () in
-  (match opts.corpus_in with
-  | Some c -> List.iter (Corpus.add corpus) (Corpus.to_list c)
-  | None -> ());
-  let execs = ref 0 in
-  let clamps = ref 0 in
-  let violations = ref [] in
-  let stop = ref false in
-  let i = ref worker in
-  while (not !stop) && !i < opts.execs do
-    let seed_e = Rng.derive opts.seed !i in
-    let st = Random.State.make [| seed_e; 0xf12d |] in
-    let oracle =
-      match opts.mode with
-      | Uniform -> Oracle.random ~seed:seed_e
-      | Pct -> Pct.oracle ~seed:seed_e ~depth:opts.pct_depth ~sched_len
-      | Guided -> (
-          match Corpus.pick corpus st with
-          | Some base ->
-              let other = Corpus.pick corpus st in
-              prefix_oracle ~clamps st (Corpus.mutate ?other st base)
-          | None -> Oracle.random ~seed:seed_e)
-    in
-    let m = Machine.create ~config:opts.config () in
-    let judge = scenario.Explore.build m in
-    let outcome = Machine.run m oracle in
-    let verdict = judge outcome in
-    incr execs;
-    let fb = Coverage.note cov (Machine.accesses m) in
-    let tr = Decision.strip_trailing_zeros (Oracle.trace oracle) in
-    if fb.Coverage.fresh || fb.Coverage.new_pairs > 0 then
-      Corpus.add corpus tr;
-    (match verdict with
-    | Explore.Violation msg ->
-        violations := (!i, { Explore.message = msg; trace = tr }) :: !violations;
-        if opts.stop_on_violation then stop := true
-    | Explore.Pass | Explore.Discard _ -> ());
-    i := !i + opts.jobs
-  done;
+let sampler opts ~sched_len =
   {
-    w_execs = !execs;
-    w_cov = cov;
-    w_corpus = corpus;
-    w_clamped = !clamps;
-    w_violations = List.rev !violations;
+    Explore.worker =
+      (fun () ->
+        let corpus = Corpus.create () in
+        Option.iter
+          (fun c -> List.iter (Corpus.add corpus) (Corpus.to_list c))
+          opts.corpus_in;
+        { cov = Coverage.create (); corpus; clamps = ref 0; first = None });
+    oracle =
+      (fun w seed ->
+        match opts.mode with
+        | Uniform -> Oracle.random ~seed
+        | Pct -> Pct.oracle ~seed ~depth:opts.pct_depth ~sched_len
+        | Guided -> (
+            let st = Random.State.make [| seed; 0xf12d |] in
+            match Corpus.pick w.corpus st with
+            | Some base ->
+                let other = Corpus.pick w.corpus st in
+                prefix_oracle ~clamps:w.clamps st
+                  (Corpus.mutate ?other st base)
+            | None -> Oracle.random ~seed));
+    observe =
+      (fun w i accesses tr verdict ->
+        let fb = Coverage.note w.cov accesses in
+        if fb.Coverage.fresh || fb.Coverage.new_pairs > 0 then
+          Corpus.add w.corpus (Decision.strip_trailing_zeros tr);
+        match verdict with
+        | Explore.Violation _ -> w.first <- Some i
+        | Explore.Pass | Explore.Discard _ -> ());
   }
-
-let rec take n = function
-  | [] -> []
-  | _ when n <= 0 -> []
-  | x :: tl -> x :: take (n - 1) tl
 
 let run ?(options = default_options) scenario_thunk =
   let t0 = Unix.gettimeofday () in
   let opts =
     { options with execs = max options.execs 0; jobs = max options.jobs 1 }
   in
-  let name = (scenario_thunk () : Explore.scenario).Explore.name in
   let sched_len =
-    if opts.sched_len > 0 then opts.sched_len
-    else if opts.mode = Pct then
+    if opts.mode = Pct then
       measure_sched_len ~config:opts.config ~seed:opts.seed scenario_thunk
     else 1
   in
-  let results =
-    if opts.jobs = 1 then [ run_worker opts scenario_thunk ~worker:0 ~sched_len ]
-    else
-      List.init opts.jobs (fun w ->
-          Domain.spawn (fun () ->
-              run_worker opts scenario_thunk ~worker:w ~sched_len))
-      |> List.map Domain.join
+  let r, workers =
+    Explore.sample ~jobs:opts.jobs ~until_violation:true ~config:opts.config
+      ~execs:opts.execs ~seed:opts.seed (sampler opts ~sched_len)
+      scenario_thunk
   in
   (* merge in worker order — deterministic *)
   let cov = Coverage.create () in
-  List.iter (fun r -> Coverage.merge cov r.w_cov) results;
+  List.iter (fun w -> Coverage.merge cov w.cov) workers;
   let corpus = Corpus.create () in
   List.iter
-    (fun r -> List.iter (Corpus.add corpus) (Corpus.to_list r.w_corpus))
-    results;
-  let execs = List.fold_left (fun a r -> a + r.w_execs) 0 results in
-  let clamped = List.fold_left (fun a r -> a + r.w_clamped) 0 results in
-  let all =
-    List.concat_map (fun r -> r.w_violations) results
-    |> List.sort (fun (i, _) (j, _) -> compare i j)
-  in
+    (fun w -> List.iter (Corpus.add corpus) (Corpus.to_list w.corpus))
+    workers;
   let first_violation_exec =
-    match all with [] -> None | (i, _) :: _ -> Some i
+    match List.filter_map (fun w -> w.first) workers with
+    | [] -> None
+    | i :: is -> Some (List.fold_left min i is)
   in
-  let kept = take opts.max_violations (List.map snd all) in
+  let kept =
+    List.filteri (fun i _ -> i < max_violations) r.Explore.violations
+    |> List.map (fun (f : Explore.failure) ->
+           { f with trace = Decision.strip_trailing_zeros f.trace })
+  in
   let shrink_stats = ref None in
   let kept =
     match kept with
     | f :: rest when opts.shrink ->
         let stats, small =
-          Shrink.minimize ~config:opts.config ~max_replays:opts.shrink_replays
+          Shrink.minimize ~config:opts.config ~max_replays:shrink_replays
             ~scenario:(scenario_thunk ()) ~message:f.Explore.message
             f.Explore.trace
         in
@@ -231,18 +196,18 @@ let run ?(options = default_options) scenario_thunk =
     | ks -> ks
   in
   {
-    scenario = name;
+    scenario = r.Explore.name;
     mode = opts.mode;
     seed = opts.seed;
     jobs = opts.jobs;
     pct_depth = opts.pct_depth;
-    execs;
+    execs = r.Explore.executions;
     distinct = Coverage.distinct cov;
     pairs = Coverage.pair_count cov;
     new_pair_execs = Coverage.new_pair_execs cov;
     corpus_size = Corpus.size corpus;
     corpus;
-    clamped;
+    clamped = List.fold_left (fun a w -> a + !(w.clamps)) 0 workers;
     violations = kept;
     first_violation_exec;
     shrink_stats = !shrink_stats;

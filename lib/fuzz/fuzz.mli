@@ -1,9 +1,11 @@
 open Compass_machine
 
 (** The schedule-fuzzing driver: sample the decision tree under a search
-    strategy instead of enumerating it.  Deterministic for a fixed seed
-    at any job count (per-execution seeds derive from the global
-    execution index); workers stop at their own first violation. *)
+    strategy instead of enumerating it.  The executions run on the seeded
+    sampling loop {!Explore.sample} (per-execution seeds derive from the
+    global execution index) with each worker stopping at its own first
+    violation, so a run is byte-identical for a fixed seed and job
+    count. *)
 
 type mode =
   | Uniform  (** every choice seeded-uniform — the baseline *)
@@ -11,26 +13,24 @@ type mode =
   | Guided  (** coverage-guided corpus mutation ({!Corpus}) *)
 
 val mode_name : mode -> string
-val mode_of_string : string -> mode option
 
 type options = {
   mode : mode;
   execs : int;
   seed : int;
   jobs : int;
-  pct_depth : int;  (** PCT priority change points *)
-  sched_len : int;  (** 0: measure with a pilot execution *)
-  stop_on_violation : bool;
-  max_violations : int;
+  pct_depth : int;
+      (** PCT priority change points, placed over the branching
+          scheduling decisions of one pilot execution *)
   shrink : bool;  (** shrink the first violation before reporting *)
-  shrink_replays : int;
   corpus_in : Corpus.t option;  (** seed corpus ([--corpus FILE]) *)
   config : Machine.config;
 }
 
 val default_options : options
 (** [Pct], 4000 executions, seed 1, depth 3, shrink on, accesses
-    recorded (coverage needs the access log) *)
+    recorded (coverage needs the access log).  An outcome keeps the first
+    4 violations; the first is shrunk within 20,000 replays. *)
 
 type outcome = {
   scenario : string;
@@ -38,7 +38,7 @@ type outcome = {
   seed : int;
   jobs : int;
   pct_depth : int;
-  execs : int;  (** performed (workers may stop early on violation) *)
+  execs : int;  (** performed (workers stop early on violation) *)
   distinct : int;  (** distinct execution fingerprints *)
   pairs : int;  (** site pairs covered *)
   new_pair_execs : int;
@@ -55,18 +55,16 @@ type outcome = {
 }
 
 val run : ?options:options -> (unit -> Explore.scenario) -> outcome
-(** fuzz one scenario; the thunk builds a fresh scenario per worker (so
-    scenario-closure statistics never race) *)
+(** fuzz one scenario on {!Explore.sample}; the thunk builds a fresh
+    scenario per worker (so scenario-closure statistics never race).  In
+    [Uniform] mode the executions are those {!Explore.random} samples
+    from the same seed, up to each worker's first violation. *)
 
 val prefix_oracle :
   ?clamps:int ref -> Random.State.t -> Decision.trace -> Oracle.t
 (** clamped prefix replay with a seeded-random tail; each out-of-range
     prefix choice degrades to the last alternative and bumps [clamps]
     (exposed for tests) *)
-
-val measure_sched_len :
-  config:Machine.config -> seed:int -> (unit -> Explore.scenario) -> int
-(** branching scheduling decisions of one pilot execution (>= 8) *)
 
 val fingerprint : outcome -> string
 (** canonical projection of everything deterministic (excludes wall-clock

@@ -14,10 +14,6 @@ type stats = {
   clamped : int;  (** out-of-range choices clamped across all replays *)
 }
 
-val strip_trailing_zeros : Decision.trace -> Decision.trace
-(** drop trailing zeros (choice 0 is the past-the-end replay default, so
-    they are redundant in any script) — {!Decision.strip_trailing_zeros} *)
-
 val reproduces :
   ?config:Machine.config ->
   scenario:Explore.scenario ->

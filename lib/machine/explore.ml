@@ -6,10 +6,10 @@
    decision tree exhaustively.  The subtrees below distinct decision
    prefixes are disjoint, so each run splits the rest of its subtree
    into tasks; one work-stealing loop runs them depth-first on one or
-   more OCaml 5 domains, with or without a partial-order reduction.  The
-   random driver samples seeded executions.  Where the paper *proves* a
-   property of all executions, we *enumerate* them (up to the configured
-   bounds) and check it on each. *)
+   more OCaml 5 domains, with or without a partial-order reduction.  One
+   seeded sampling loop runs random executions, for [random] and for the
+   fuzzer.  Where the paper *proves* a property of all executions, we
+   *enumerate* them (up to the configured bounds) and check it on each. *)
 
 type verdict =
   | Pass
@@ -110,14 +110,6 @@ let report_to_json (r : report) =
              r.violations) );
     ]
 
-let run_one ~config scenario script =
-  let m = Machine.create ~config () in
-  let judge = scenario.build m in
-  let oracle = Oracle.script script in
-  let outcome = Machine.run m oracle in
-  let verdict = judge outcome in
-  (m, oracle, outcome, verdict)
-
 (* External replay — the CLI, the fuzzer's confirmation pass, the witness
    detail recovery.  Uniformly *clamped*: scripts that cross a tool
    boundary may be stale or hand-edited, so out-of-range choices take the
@@ -191,14 +183,13 @@ let account st (outcome : Machine.outcome) verdict trace =
         st.violations <- { message; trace } :: st.violations
       end
 
-(* [distinct]: only the random driver counts fingerprints; DFS enumerates
-   distinct scripts by construction, so it defaults to the execution
-   count. *)
-let to_report ?distinct ~name ~complete st =
+(* [distinct]: DFS enumerates distinct scripts by construction; [random]
+   replaces it with the size of its decision-vector table. *)
+let to_report ~name ~complete st =
   {
     name;
     executions = st.execs;
-    distinct = (match distinct with Some d -> d | None -> st.execs);
+    distinct = st.execs;
     passed = st.passed;
     discarded = st.discarded;
     bounded = st.bounded;
@@ -576,6 +567,14 @@ let compare_failure (a : failure) (b : failure) =
 
 let budget_batch = 64
 
+(* [f 0], ..., [f (jobs - 1)] in worker order, each on its own domain
+   when [jobs > 1]. *)
+let on_domains jobs f =
+  if jobs = 1 then [ f 0 ]
+  else
+    List.init jobs (fun k -> Domain.spawn (fun () -> f k))
+    |> List.map Domain.join
+
 let drive ~jobs ~max_execs ~until_violation ~name ~root make_exec =
   let deques = Array.init jobs (fun _ -> Wsdeque.create ()) in
   let pending = Atomic.make 1 in
@@ -585,7 +584,7 @@ let drive ~jobs ~max_execs ~until_violation ~name ~root make_exec =
   (* [until_violation]: the first worker to keep a violation raises this
      flag; the others stop at their next task boundary. *)
   let stop = Atomic.make false in
-  let worker k () =
+  let worker k =
     let st = fresh_stats () in
     let exec = make_exec st in
     let dq = deques.(k) in
@@ -657,14 +656,8 @@ let drive ~jobs ~max_execs ~until_violation ~name ~root make_exec =
     loop ();
     st
   in
-  let stats =
-    if jobs = 1 then [ worker 0 () ]
-    else
-      Array.init jobs (fun k -> Domain.spawn (worker k))
-      |> Array.map Domain.join |> Array.to_list
-  in
   let st = fresh_stats () in
-  List.iter (merge_stats st) stats;
+  List.iter (merge_stats st) (on_domains jobs worker);
   (* [to_report] reverses the (newest-first) list, so store the kept
      failures — the lexicographically smallest scripts — in reverse. *)
   st.violations <-
@@ -882,23 +875,76 @@ let dfs ?(jobs = 1) ?(max_execs = 100_000) ?(reduce = Machine.RNone)
         (dpor_exec ~state ~reduction:reduce ~classify ~incremental ~config
            scenario)
 
-(* Random sampling: [execs] seeded executions.  Decision vectors are
-   fingerprinted so the report can say how many *distinct* executions the
-   sample actually covered — the redundancy random exploration pays and
-   DFS does not. *)
-let random ?(execs = 1_000) ?(seed = 0) ?(config = Machine.default_config)
-    scenario =
+(* -- seeded sampling -----------------------------------------------------------
+
+   The one loop that runs seeded executions, for [random] below and the
+   fuzzer.  Execution [i]'s oracle is seeded with [Rng.derive seed i],
+   worker [w] of [jobs] runs the indices congruent to [w], and the
+   tallies merge with the kept violations in index order: a seed samples
+   the same executions at every job count.  [until_violation] stops each
+   worker at its own first violation (no shared flag, which would make
+   the executed set depend on timing). *)
+
+type 'w sampler = {
+  worker : unit -> 'w;
+  oracle : 'w -> int -> Oracle.t;
+  observe : 'w -> int -> Access.t list -> Decision.trace -> verdict -> unit;
+}
+
+let sample ?(jobs = 1) ?(until_violation = false)
+    ?(config = Machine.default_config) ~execs ~seed sampler mk =
+  let jobs = max 1 jobs in
+  let name = (mk () : scenario).name in
+  let work w =
+    let scenario : scenario = mk () in
+    let s = sampler.worker () in
+    let st = fresh_stats () in
+    (* The kept violations with their indices, newest first. *)
+    let kept = ref [] in
+    let i = ref w in
+    while !i < execs do
+      let oracle = sampler.oracle s (Rng.derive seed !i) in
+      let m = Machine.create ~config () in
+      let judge = scenario.build m in
+      let outcome = Machine.run m oracle in
+      let verdict = judge outcome in
+      let tr = Oracle.trace oracle in
+      let count = st.viol_count in
+      account st outcome verdict tr;
+      if st.viol_count > count then
+        kept := (!i, List.hd st.violations) :: !kept;
+      sampler.observe s !i (Machine.accesses m) tr verdict;
+      i :=
+        match verdict with
+        | Violation _ when until_violation -> execs
+        | _ -> !i + jobs
+    done;
+    (s, st, !kept)
+  in
+  let results = on_domains jobs work in
   let st = fresh_stats () in
-  let seen : (int array, unit) Hashtbl.t = Hashtbl.create 199 in
-  for i = 0 to execs - 1 do
-    let m = Machine.create ~config () in
-    let judge = scenario.build m in
-    let oracle = Oracle.random ~seed:(seed + i) in
-    let outcome = Machine.run m oracle in
-    let verdict = judge outcome in
-    let tr = Oracle.trace oracle in
-    Hashtbl.replace seen (Decision.choices tr) ();
-    account st outcome verdict tr
-  done;
-  to_report ~distinct:(Hashtbl.length seen) ~name:scenario.name ~complete:false
-    st
+  List.iter (fun (_, w, _) -> merge_stats st w) results;
+  (* [to_report] reverses the (newest-first) list. *)
+  st.violations <-
+    List.concat_map (fun (_, _, kept) -> kept) results
+    |> List.sort (fun (i, _) (j, _) -> Int.compare i j)
+    |> List.filteri (fun k _ -> k < max_violations)
+    |> List.rev_map snd;
+  (to_report ~name ~complete:false st, List.map (fun (s, _, _) -> s) results)
+
+(* Uniform sampling; a decision-vector table per worker gives the
+   report's [distinct], the redundancy a sample pays and DFS does not. *)
+let random ?jobs ?(execs = 1_000) ?(seed = 0) ?config scenario =
+  let r, seen =
+    sample ?jobs ?config ~execs ~seed
+      {
+        worker = (fun () -> Hashtbl.create 199);
+        oracle = (fun _ seed -> Oracle.random ~seed);
+        observe =
+          (fun seen _ _ tr _ -> Hashtbl.replace seen (Decision.choices tr) ());
+      }
+      (fun () -> scenario)
+  in
+  let all = List.hd seen in
+  List.iter (Hashtbl.iter (Hashtbl.replace all)) (List.tl seen);
+  { r with distinct = Hashtbl.length all }

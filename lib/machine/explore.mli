@@ -8,10 +8,11 @@
     [~reduce] selects a partial-order reduction — sleep sets in the
     scheduler (see {!Machine.run}), source-DPOR with wakeup sequences
     ({!Dpor}), or reads-from–aware source-DPOR ([RDporRf]: one counted
-    execution per distinct rf⊕mo class).  The random driver samples
-    seeded executions.  Where the paper {e proves} a property of all
-    executions, we {e enumerate} them (up to the configured bounds) and
-    check it on each. *)
+    execution per distinct rf⊕mo class).  One seeded sampler,
+    {!sample}, runs random executions for {!random} and the fuzzer.
+    Where the paper {e proves} a property of all executions, we
+    {e enumerate} them (up to the configured bounds) and check it on
+    each. *)
 
 type verdict =
   | Pass
@@ -24,8 +25,9 @@ type scenario = {
   build : Machine.t -> (Machine.outcome -> verdict);
       (** runs once per execution on a fresh machine: allocate, spawn
           threads, return the judge.  Shared statistics live in closures
-          created before the scenario.  Under [dfs ~jobs] the closure runs
-          on several domains concurrently: the machine is domain-local, and
+          created before the scenario.  Under [dfs ~jobs] and
+          [random ~jobs] the closure runs on several domains
+          concurrently: the machine is domain-local, and
           the report fields are merged from domain-local tallies, but any
           counters the scenario itself mutates are updated racily —
           treat them as approximate when [jobs > 1]. *)
@@ -74,15 +76,6 @@ val report_to_json : report -> Compass_util.Jsonout.t
 (** the report as a JSON object, for [--json] flags and CI artifacts.
     Kept violations carry their typed ["trace"] (with per-decision kind
     and rf provenance). *)
-
-val run_one :
-  config:Machine.config ->
-  scenario ->
-  Decision.trace ->
-  Machine.t * Oracle.t * Machine.outcome * verdict
-(** one execution from a decision script, {e strict}: an out-of-range
-    choice raises [Invalid_argument] (exposed for driver-internal replay,
-    where scripts are machine-generated and a mismatch is a bug) *)
 
 (** The result of one {e clamped} external replay: what the CLI, the
     fuzzer's confirmation pass and the witness detail recovery use. *)
@@ -185,4 +178,41 @@ val dfs :
     mutant without paying for the rest of the tree.  A search cut short
     this way reports [complete = false]. *)
 
-val random : ?execs:int -> ?seed:int -> ?config:Machine.config -> scenario -> report
+(** {1 Seeded sampling} *)
+
+(** What a sampling run does per execution beyond judging it. *)
+type 'w sampler = {
+  worker : unit -> 'w;  (** a worker's fresh state, built on its domain *)
+  oracle : 'w -> int -> Oracle.t;  (** one execution's, from its seed *)
+  observe : 'w -> int -> Access.t list -> Decision.trace -> verdict -> unit;
+      (** after each judged execution: its index, access log (when
+          recorded) and decisions *)
+}
+
+val sample :
+  ?jobs:int ->
+  ?until_violation:bool ->
+  ?config:Machine.config ->
+  execs:int ->
+  seed:int ->
+  'w sampler ->
+  (unit -> scenario) ->
+  report * 'w list
+(** the one loop that runs seeded executions, behind {!random} and the
+    fuzzer.  Execution [i < execs] runs on a fresh machine under the
+    sampler's oracle for seed {!Rng.derive}[ seed i].  Worker [w] of
+    [jobs] (default 1, each on its own domain with its own scenario from
+    the thunk) runs the indices congruent to [w] in increasing order.
+    The report ([distinct = executions], [complete = false]) merges the
+    workers' tallies and keeps the lowest-indexed violations in index
+    order, so it is the same at every job count; the worker states come
+    back in worker order.  [until_violation] (default off) stops each
+    worker at its own first violation: still deterministic, but which
+    executions run then depends on [jobs]. *)
+
+val random :
+  ?jobs:int -> ?execs:int -> ?seed:int -> ?config:Machine.config -> scenario -> report
+(** [execs] (default 1,000) uniformly sampled executions from [seed]
+    (default 0): {!sample} with {!Oracle.random}, whose report counts
+    distinct decision vectors in [distinct] — the redundancy a sample
+    pays and DFS does not. *)

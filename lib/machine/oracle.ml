@@ -73,21 +73,6 @@ let trace o =
     tr
   end
 
-(* Both int vectors as arrays in one log traversal — kept as the cheap
-   projection for consumers that only need the ints. *)
-let vectors o =
-  let n = o.pos in
-  let ds = Array.make n 0 and ars = Array.make n 0 in
-  let rec fill i = function
-    | [] -> ()
-    | d :: tl ->
-        ds.(i) <- d.Decision.choice;
-        ars.(i) <- d.Decision.arity;
-        fill (i - 1) tl
-  in
-  fill (n - 1) o.log;
-  (ds, ars)
-
 let position o = o.pos
 let sched_aware o = o.sched_aware
 

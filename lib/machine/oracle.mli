@@ -38,10 +38,6 @@ val trace : t -> Decision.trace
 (** the typed decision trace, earliest first, in one traversal — the
     log entries themselves, so post-hoc annotation stays visible *)
 
-val vectors : t -> int array * int array
-(** (decisions, arities) as int arrays, earliest first — the cheap
-    projection for consumers that only need the ints *)
-
 val fresh_latest : unit -> t
 (** deterministic: always the last alternative (for loads: the mo-maximal
     message) — the right default for solo/setup execution.  A fresh value

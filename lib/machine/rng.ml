@@ -1,10 +1,10 @@
 (* Deterministic seed derivation (splitmix64 finalizer).
 
-   The fuzzer derives one independent seed per (base seed, execution
-   index) pair, so a run parallelised over [--jobs n] workers executes
-   exactly the same set of seeded executions as the sequential run — the
-   workers just interleave them.  That is what makes fuzzing outcomes
-   byte-identical across job counts for a fixed seed. *)
+   The seeded sampler derives one independent seed per (base seed,
+   execution index) pair, so a run spread over [--jobs n] workers
+   executes exactly the same set of seeded executions as the sequential
+   run — the workers just interleave them — and base seeds [s] and
+   [s + 1] draw unrelated streams instead of shifted copies of one. *)
 
 let mix64 z =
   let open Int64 in

@@ -15,13 +15,6 @@ let all_styles = Libspec.all_styles
 
 type kind = Libspec.kind = Queue | Stack | Deque
 
-let graph_consistent kind g = (Libspec.of_kind kind).Libspec.consistent g
-
-let abs_consistent ?require_empty kind g =
-  match (Libspec.of_kind kind).Libspec.abstract with
-  | Some f -> f ?require_empty g
-  | None -> []
-
 (* Check one style on one execution's graph — the generic checker applied
    to the kind's spec instance. *)
 let check style kind g : Check.violation list =

@@ -24,9 +24,6 @@ val all_styles : style list
 
 type kind = Libspec.kind = Queue | Stack | Deque
 
-val graph_consistent : kind -> Graph.t -> Check.violation list
-val abs_consistent : ?require_empty:bool -> kind -> Graph.t -> Check.violation list
-
 val check : style -> kind -> Graph.t -> Check.violation list
 (** check one style on one execution's graph ({!Libspec.check} on the
     kind's spec instance) *)

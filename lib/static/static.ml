@@ -10,16 +10,6 @@ open Compass_util
    defect) and over-strong candidates (it does not).  The prediction is
    what [analyze modes --prioritize=static] feeds the dynamic audit. *)
 
-type opts = { rounds : int; unroll : int; budget : int; max_cands : int }
-
-let default_opts =
-  {
-    rounds = Sym.default_rounds;
-    unroll = Sym.default_unroll;
-    budget = Sym.default_budget;
-    max_cands = Sym.default_max_cands;
-  }
-
 type stats = {
   scenarios : int;
   threads : int;
@@ -65,7 +55,7 @@ let lint_rank (f : Lints.finding) =
   | "relaxed-cas-success" -> 1
   | _ -> 2
 
-let analyze ?(opts = default_opts) ?(overrides = Override.empty) ~subject
+let analyze ?(overrides = Override.empty) ~subject
     scenarios =
   let runs =
     List.map
@@ -74,8 +64,7 @@ let analyze ?(opts = default_opts) ?(overrides = Override.empty) ~subject
         let m = Machine.create () in
         let (_ : Machine.outcome -> Explore.verdict) = sc.Explore.build m in
         ( sc.Explore.name,
-          Sym.run ~rounds:opts.rounds ~unroll:opts.unroll ~budget:opts.budget
-            ~max_cands:opts.max_cands ~overrides m ))
+          Sym.run ~overrides m ))
       scenarios
   in
   let all_paths = List.concat_map (fun (_, r) -> r.Sym.paths) runs in
@@ -165,16 +154,14 @@ let analyze ?(opts = default_opts) ?(overrides = Override.empty) ~subject
   }
 
 (* Site discovery only — no lint passes, no hypothesis classification. *)
-let site_modes ?(opts = default_opts) scenarios =
+let site_modes scenarios =
   let paths =
     List.concat_map
       (fun mk ->
         let sc = mk () in
         let m = Machine.create () in
         let (_ : Machine.outcome -> Explore.verdict) = sc.Explore.build m in
-        (Sym.run ~rounds:opts.rounds ~unroll:opts.unroll ~budget:opts.budget
-           ~max_cands:opts.max_cands m)
-          .Sym.paths)
+        (Sym.run m).Sym.paths)
       scenarios
   in
   Sitegraph.labeled_modes (Sitegraph.build paths)

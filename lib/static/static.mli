@@ -9,10 +9,6 @@ open Compass_util
     ([analyze modes --prioritize=static]) are thin wrappers over
     {!analyze}. *)
 
-type opts = { rounds : int; unroll : int; budget : int; max_cands : int }
-
-val default_opts : opts
-
 type stats = {
   scenarios : int;
   threads : int;
@@ -39,7 +35,6 @@ type report = {
 }
 
 val analyze :
-  ?opts:opts ->
   ?overrides:Override.t ->
   subject:string ->
   (unit -> Explore.scenario) list ->
@@ -52,7 +47,7 @@ val defects : report -> Lints.finding list
 val clean : report -> bool
 (** no [Defect]-severity findings at the base modes *)
 
-val site_modes : ?opts:opts -> (unit -> Explore.scenario) list -> (string * string) list
+val site_modes : (unit -> Explore.scenario) list -> (string * string) list
 (** labeled site -> declared mode string, discovered statically — feeds
     [compass specs --json] and [replay --weaken] site validation *)
 

@@ -63,7 +63,6 @@ type path = {
 
 type t = {
   threads : int;
-  rounds : int;
   paths : path list;  (** final round only — the most-informed paths *)
   total_paths : int;
   dropped : int;  (** paths cut by exceptions inside continuations *)
@@ -83,6 +82,16 @@ let site_key p e =
 
 (* -- evaluator state --------------------------------------------------------- *)
 
+(* The evaluation bounds: [rounds] chaotic iterations, [unroll] visits
+   per site before a path truncates, [budget] ops per thread per round,
+   at most [max_cands] forked values per load and [summary_cap] summary
+   values per location. *)
+let rounds = 3
+let unroll = 4
+let budget = 4000
+let max_cands = 6
+let summary_cap = 8
+
 (* Minted bases live far above any base a real machine allocates, so
    [Loc.key]s never collide with the init store seeded from memory. *)
 let mint_counter = Atomic.make 0x40000
@@ -99,9 +108,6 @@ type ctx = {
       (** canonical [Loc.key] -> values any path wrote there *)
   init : (int, Value.t) Hashtbl.t;  (** setup store, from {!Memory.iter_latest} *)
   overrides : Override.t;
-  unroll : int;
-  max_cands : int;
-  summary_cap : int;
   mutable eid : int;
   mutable dropped : int;
 }
@@ -136,7 +142,7 @@ let summary_add ctx l v =
     let key = Loc.key (canon_loc ctx l) in
     let cur = Option.value ~default:[] (Hashtbl.find_opt ctx.summary key) in
     if
-      List.length cur < ctx.summary_cap
+      List.length cur < summary_cap
       && not (List.exists (Value.equal cv) cur)
     then Hashtbl.replace ctx.summary key (cur @ [ cv ])
   end
@@ -167,7 +173,7 @@ let candidates ctx st (l : Loc.t) =
     | x :: xs when n > 0 -> x :: take (n - 1) xs
     | _ -> []
   in
-  take ctx.max_cands (dedup [] (local @ ini @ summ))
+  take max_cands (dedup [] (local @ ini @ summ))
 
 let push ctx st ~site ~ekind ~mode ~loc ~wrote ~read =
   let own =
@@ -197,9 +203,9 @@ let write ctx st (l : Loc.t) v =
 let visit_key site (l : Loc.t) =
   match site with Some s -> s | None -> "@" ^ string_of_int (Loc.key l)
 
-let visit ctx st key =
+let visit st key =
   let c = Option.value ~default:0 (List.assoc_opt key st.visits) in
-  if c >= ctx.unroll then None
+  if c >= unroll then None
   else Some { st with visits = (key, c + 1) :: st.visits }
 
 let alloc_block ctx st name size init =
@@ -277,7 +283,7 @@ let rec eval ctx budget tid st (p : 'a Prog.t) : pst list =
             continue ctx budget tid st (fun () -> k (mkres Value.Unit))
         | Prog.Load (l, m0, _) -> (
             let m = Override.access ctx.overrides ~site m0 in
-            match visit ctx st (visit_key site l) with
+            match visit st (visit_key site l) with
             | None -> [ { st with trunc = true } ]
             | Some st -> (
                 match candidates ctx st l with
@@ -293,7 +299,7 @@ let rec eval ctx budget tid st (p : 'a Prog.t) : pst list =
                       cs))
         | Prog.Await (l, m0, pred, _) -> (
             let m = Override.access ctx.overrides ~site m0 in
-            match visit ctx st (visit_key site l) with
+            match visit st (visit_key site l) with
             | None -> [ { st with trunc = true } ]
             | Some st -> (
                 let cs =
@@ -315,7 +321,7 @@ let rec eval ctx budget tid st (p : 'a Prog.t) : pst list =
                       cs))
         | Prog.Rmw (l, kind, m0, _) -> (
             let m = Override.access ctx.overrides ~site m0 in
-            match visit ctx st (visit_key site l) with
+            match visit st (visit_key site l) with
             | None -> [ { st with trunc = true } ]
             | Some st -> (
                 let branches =
@@ -378,11 +384,6 @@ and continue ctx budget tid st thunk =
       ctx.dropped <- ctx.dropped + 1;
       [ { st with trunc = true } ]
 
-let default_rounds = 3
-let default_unroll = 4
-let default_budget = 4000
-let default_max_cands = 6
-
 let finish tid (st : pst) =
   {
     tid;
@@ -430,9 +431,7 @@ let dedup ctx paths =
         true))
     paths
 
-let run ?(rounds = default_rounds) ?(unroll = default_unroll)
-    ?(budget = default_budget) ?(max_cands = default_max_cands)
-    ?(overrides = Override.empty) (m : Machine.t) : t =
+let run ?(overrides = Override.empty) (m : Machine.t) : t =
   let ctx =
     {
       classes = Hashtbl.create 8;
@@ -440,9 +439,6 @@ let run ?(rounds = default_rounds) ?(unroll = default_unroll)
       summary = Hashtbl.create 64;
       init = Hashtbl.create 64;
       overrides;
-      unroll;
-      max_cands;
-      summary_cap = 8;
       eid = 0;
       dropped = 0;
     }
@@ -457,7 +453,7 @@ let run ?(rounds = default_rounds) ?(unroll = default_unroll)
   in
   let total = ref 0 in
   let final = ref [] in
-  for _round = 1 to max 1 rounds do
+  for _round = 1 to rounds do
     final :=
       List.concat
         (List.mapi
@@ -470,7 +466,6 @@ let run ?(rounds = default_rounds) ?(unroll = default_unroll)
   done;
   {
     threads = List.length progs;
-    rounds = max 1 rounds;
     paths = !final;
     total_paths = !total;
     dropped = ctx.dropped;

@@ -43,7 +43,6 @@ type path = {
 
 type t = {
   threads : int;
-  rounds : int;
   paths : path list;  (** final round only — the most-informed paths *)
   total_paths : int;
   dropped : int;  (** paths cut by exceptions inside continuations *)
@@ -53,21 +52,9 @@ val site_key : path -> ev -> string
 (** the event's site label, or the [unlabeled@loc[tid n]] key matching
     {!Compass_analysis.Races.site_key} for the dynamic cross-check *)
 
-val default_rounds : int
-val default_unroll : int
-val default_budget : int
-val default_max_cands : int
-
-val run :
-  ?rounds:int ->
-  ?unroll:int ->
-  ?budget:int ->
-  ?max_cands:int ->
-  ?overrides:Override.t ->
-  Machine.t ->
-  t
-(** evaluate a {e built} (never run) machine's spawned programs:
-    [rounds] chaotic iterations so one thread's published values reach
-    the others, [unroll] visits per site before a path truncates,
-    [budget] ops per thread per round, [max_cands] forked values per
-    load.  [overrides] are baked into the recorded event modes. *)
+val run : ?overrides:Override.t -> Machine.t -> t
+(** evaluate a {e built} (never run) machine's spawned programs: 3
+    chaotic iterations so one thread's published values reach the
+    others, 4 visits per site before a path truncates, 4,000 ops per
+    thread per round, 6 forked values per load.  [overrides] are baked
+    into the recorded event modes. *)

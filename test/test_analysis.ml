@@ -99,7 +99,7 @@ let test_incremental_logs_queue () =
 (* --- the weakened-mutant regression fixture (satellite b) ---------- *)
 
 let weak_opts =
-  { Audit.default_options with execs = 12_000; jobs = 1; reduce = Machine.RSleep }
+  { Audit.execs = 12_000; jobs = 1; reduce = Machine.RSleep }
 
 let test_msqueue_weak_violates () =
   let mk = List.hd (probe "ms-weak").Compass_spec.Libspec.scenarios in
@@ -187,18 +187,18 @@ let test_audit_witness_replays () =
       in
       let overrides = Audit.override_of s.Audit.site weakening in
       let config = { Machine.default_config with overrides } in
-      let _, _, _, verdict =
-        Explore.run_one ~config sc witness.Explore.trace
-      in
-      (match verdict with
+      let r = Explore.replay ~config sc witness.Explore.trace in
+      Alcotest.(check int) "witness replays unclamped" 0 r.Explore.r_clamped;
+      (match r.Explore.r_verdict with
       | Explore.Violation _ -> ()
       | Explore.Pass -> Alcotest.fail "witness script replayed to Pass"
       | Explore.Discard d -> Alcotest.failf "witness script discarded: %s" d);
       (* and without the weakening the same script is healthy *)
-      let _, _, _, verdict =
-        Explore.run_one ~config:Machine.default_config sc witness.Explore.trace
+      let r =
+        Explore.replay ~config:Machine.default_config sc witness.Explore.trace
       in
-      (match verdict with
+      Alcotest.(check int) "unweakened replay unclamped" 0 r.Explore.r_clamped;
+      (match r.Explore.r_verdict with
       | Explore.Violation v ->
           Alcotest.failf "unweakened replay still violates: %s" v
       | _ -> ())

@@ -187,7 +187,7 @@ let test_corpus_mutants_never_raise () =
     let oracle = Oracle.random ~seed in
     ignore (judge (Machine.run m oracle));
     Fz.Corpus.add corpus
-      (Fz.Shrink.strip_trailing_zeros (Oracle.trace oracle))
+      (Decision.strip_trailing_zeros (Oracle.trace oracle))
   done;
   Alcotest.(check bool) "corpus non-empty" true (Fz.Corpus.size corpus > 0);
   let st = Random.State.make [| 0xfeed |] in
@@ -233,6 +233,193 @@ let test_random_distinct () =
   Alcotest.(check int) "DFS distinct = executions" d.Explore.executions
     d.Explore.distinct
 
+(* -- the seeded sampler ---------------------------------------------------------
+
+   Execution logs stand in for decision vectors: equal vectors run equal
+   access logs, so different logs mean different vectors.  [recording]
+   wraps a scenario so that its judge appends each execution's access
+   log (needs [record_accesses]; at one job, in index order). *)
+
+let accesses_config = { Machine.default_config with record_accesses = true }
+
+let recording () =
+  let logs = ref [] in
+  let wrap (sc : Explore.scenario) =
+    {
+      sc with
+      Explore.build =
+        (fun m ->
+          let judge = sc.Explore.build m in
+          fun o ->
+            logs := Machine.accesses m :: !logs;
+            judge o);
+    }
+  in
+  (wrap, fun () -> Array.of_list (List.rev !logs))
+
+let ms_mp () = Mp.make Msqueue.instantiate (Mp.fresh_stats ())
+
+let sampled_logs ~seed ~execs mk =
+  let wrap, logs = recording () in
+  ignore (Explore.random ~execs ~seed ~config:accesses_config (wrap (mk ())));
+  logs ()
+
+(* A wide tree: two writers and two readers of one location, four
+   accesses each, so a random walk almost never revisits a leaf. *)
+let wide_scenario () =
+  {
+    Explore.name = "wide";
+    build =
+      (fun m ->
+        let x = Machine.alloc m ~name:"x" ~init:(vi 0) 1 in
+        let writer base =
+          Prog.returning_unit
+            (Prog.seq
+               (List.init 4 (fun k -> Prog.store x (vi (base + k)) Mode.Rlx)))
+        in
+        let reader =
+          Prog.returning_unit
+            (Prog.seq
+               (List.init 4 (fun _ ->
+                    let* _ = Prog.load x Mode.Rlx in
+                    Prog.return ())))
+        in
+        Machine.spawn m [ writer 10; writer 20; reader; reader ];
+        fun _ -> Explore.Pass);
+  }
+
+(* Neighbouring seeds draw unrelated streams, not shifted copies:
+   under a [seed + i] derivation execution [i] of seed [s] is execution
+   [i - 1] of seed [s + 1], for every [i].  On the wide tree no shifted
+   pair agrees.  On the MS-queue MP client random walks concentrate on a
+   few dozen leaves, so about one pair in ten agrees by chance (as
+   unshifted pairs do); fewer than a quarter may. *)
+let test_adjacent_seeds_unrelated () =
+  let shifted mk s =
+    let a = sampled_logs ~seed:s ~execs:100 mk
+    and b = sampled_logs ~seed:(s + 1) ~execs:100 mk in
+    let n = ref 0 in
+    for i = 1 to 99 do
+      if a.(i) = b.(i - 1) then incr n
+    done;
+    !n
+  in
+  List.iter
+    (fun s ->
+      Alcotest.(check int)
+        (Printf.sprintf "wide tree, seed %d vs %d: shifted pairs agreeing" s
+           (s + 1))
+        0 (shifted wide_scenario s);
+      let n = shifted ms_mp s in
+      if n >= 25 then
+        Alcotest.failf "ms-queue MP, seed %d vs %d: %d of 99 shifted pairs agree"
+          s (s + 1) n)
+    [ 1; 7; 42 ]
+
+(* The report does not depend on the job count, and the kept
+   violations are the lowest-indexed ones: a shorter run's violations
+   are a prefix of a longer run's. *)
+let test_random_jobs_invariant () =
+  let json r = Compass_util.Jsonout.to_string (Explore.report_to_json r) in
+  let run ~jobs ~execs =
+    Explore.random ~jobs ~execs ~seed:3 (mp_rlx_scenario ())
+  in
+  let r1 = run ~jobs:1 ~execs:2_000 in
+  Alcotest.(check bool) "the scenario violates" true
+    (List.length r1.Explore.violations >= 2);
+  List.iter
+    (fun jobs ->
+      Alcotest.(check string)
+        (Printf.sprintf "jobs %d report = jobs 1 report" jobs)
+        (json r1)
+        (json (run ~jobs ~execs:2_000)))
+    [ 2; 4 ];
+  let scripts (r : Explore.report) =
+    List.map (fun f -> Array.to_list (Explore.failure_script f)) r.violations
+  in
+  List.iter
+    (fun jobs ->
+      let short = scripts (run ~jobs ~execs:60) in
+      Alcotest.(check bool) "a short run keeps some violations" true
+        (short <> []);
+      Alcotest.(check (list (list int)))
+        (Printf.sprintf "jobs %d: a short run's violations lead the long run's"
+           jobs)
+        short
+        (List.filteri (fun i _ -> i < List.length short) (scripts r1)))
+    [ 1; 4 ]
+
+(* Fuzz outcomes pinned byte for byte, so that a change to the sampling
+   loop underneath cannot move them: fingerprints of ms-weak at seed 1,
+   500 executions, in every mode at jobs 1 and 2. *)
+let golden_fingerprints =
+  let v scripts =
+    String.concat ";"
+      (List.map
+         (fun s -> "fault: data race on node by thread 1 (na-read):[" ^ s ^ "]")
+         scripts)
+  in
+  let line mode jobs counts first scripts =
+    ( mode,
+      jobs,
+      Printf.sprintf
+        "mp[ms-queue-weak, flag rel/acq]|mode=%s|seed=1|jobs=%d|depth=3|%s|first=%d|%s"
+        (Fz.Fuzz.mode_name mode) jobs counts first (v scripts) )
+  in
+  [
+    line Fz.Fuzz.Uniform 1
+      "execs=54|distinct=13|pairs=13|npe=2|corpus=13|clamped=0" 53
+      [ "0,0,0,0,0,0,0,1,1,1" ];
+    line Fz.Fuzz.Uniform 2
+      "execs=135|distinct=21|pairs=13|npe=4|corpus=29|clamped=0" 53
+      [ "0,0,0,0,0,0,0,1,1,1"; "0,0,0,1,0,0,0,0,0,0,1,1,0,0,1" ];
+    line Fz.Fuzz.Pct 1 "execs=6|distinct=4|pairs=13|npe=2|corpus=4|clamped=0"
+      5 [ "0,0,0,0,1,0,0,0,1,1" ];
+    line Fz.Fuzz.Pct 2 "execs=7|distinct=5|pairs=13|npe=4|corpus=6|clamped=0"
+      5
+      [ "0,0,0,0,1,0,0,0,1,1"; "0,0,0,0,0,1,0,0,1,1,1" ];
+    line Fz.Fuzz.Guided 1
+      "execs=67|distinct=14|pairs=13|npe=2|corpus=14|clamped=20" 66
+      [ "0,0,1,0,0,0,0,0,1,1" ];
+    line Fz.Fuzz.Guided 2
+      "execs=199|distinct=30|pairs=13|npe=4|corpus=43|clamped=37" 104
+      [ "0,0,0,0,0,1,0,0,1,1"; "0,0,1,0,0,0,0,0,0,0,0,0,0,1,1,0,1" ];
+  ]
+
+let test_golden_fingerprints () =
+  List.iter
+    (fun (mode, jobs, expected) ->
+      let o =
+        Fz.Fuzz.run ~options:(fuzz_opts ~mode ~jobs ~execs:500 ~seed:1 ()) ms_weak
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "%s, jobs %d" (Fz.Fuzz.mode_name mode) jobs)
+        expected (Fz.Fuzz.fingerprint o))
+    golden_fingerprints
+
+(* Uniform fuzzing and [Explore.random] run the same executions from
+   the same seed. *)
+let test_uniform_fuzz_is_random () =
+  let execs = 300 and seed = 5 in
+  let wrap, fuzzed = recording () in
+  let o =
+    Fz.Fuzz.run
+      ~options:(fuzz_opts ~mode:Fz.Fuzz.Uniform ~execs ~seed ())
+      (fun () -> wrap (ms_mp ()))
+  in
+  Alcotest.(check int) "no violation cut the run short" execs o.Fz.Fuzz.execs;
+  let sampled = sampled_logs ~seed ~execs ms_mp in
+  let fuzzed = fuzzed () in
+  Alcotest.(check int) "same number of executions" (Array.length sampled)
+    (Array.length fuzzed);
+  Array.iteri
+    (fun i log ->
+      if log <> fuzzed.(i) then
+        Alcotest.failf "execution %d differs between random and fuzz" i)
+    sampled;
+  Alcotest.(check bool) "the sample is not one execution repeated" true
+    (Array.exists (fun l -> l <> sampled.(0)) sampled)
+
 let suite =
   [
     Alcotest.test_case "shrink preserves violation" `Slow
@@ -250,4 +437,12 @@ let suite =
       test_corpus_roundtrip;
     Alcotest.test_case "random explorer distinct stats" `Slow
       test_random_distinct;
+    Alcotest.test_case "sampler: adjacent seeds share no shifted execution"
+      `Slow test_adjacent_seeds_unrelated;
+    Alcotest.test_case "sampler: random report equal at jobs 1, 2, 4" `Slow
+      test_random_jobs_invariant;
+    Alcotest.test_case "sampler: golden fuzz fingerprints (ms-weak)" `Slow
+      test_golden_fingerprints;
+    Alcotest.test_case "sampler: uniform fuzz runs Explore.random's executions"
+      `Slow test_uniform_fuzz_is_random;
   ]
