@@ -38,7 +38,10 @@ let stack_factory key =
    - "incremental_reduced" — the same engine with sleep-set reduction;
    - "incremental_dpor"    — the same engine under source-DPOR with
                              wakeup sequences (strictly fewer executions
-                             than sleep sets on a complete search);
+                             than sleep sets on a complete search), with
+                             its runs per second (executions plus
+                             dpor-pruned runs) and their ratio to the
+                             "incremental" row's executions per second;
    - "jobs"                — the same driver at 2 and 4 domains (each
                              worker owns a per-domain incremental
                              engine); its one-domain row is
@@ -184,6 +187,23 @@ let bench_explore ~quick ~check ~force_jobs =
       /. float_of_int (max 1 r.Explore.executions)
     in
     reduction_gaps := (name, factor red, factor dpor) :: !reduction_gaps;
+    (* DPOR's cost per run: pruned runs are runs too, and the ratio to the
+       unreduced incremental engine's rate is what a DPOR overhead gate
+       would bound. *)
+    let dpor_runs (r : Explore.report) t =
+      let runs_per_sec =
+        if t > 0. then
+          float_of_int (r.Explore.executions + r.Explore.dpor_pruned) /. t
+        else 0.
+      in
+      let inc_rate = rate inc inc_t in
+      [
+        ("runs_per_sec", Jsonout.Float runs_per_sec);
+        ( "runs_vs_incremental",
+          Jsonout.Float (if inc_rate > 0. then runs_per_sec /. inc_rate else 0.)
+        );
+      ]
+    in
     let reduced_extra r rt =
       [
         ( "execs_vs_full",
@@ -207,7 +227,7 @@ let bench_explore ~quick ~check ~force_jobs =
         ( "incremental_dpor",
           run_row dpor (dpor_t, dpor_mw, dpor_mc)
             (("dpor_pruned", Jsonout.Int dpor.Explore.dpor_pruned)
-            :: reduced_extra dpor dpor_t) );
+            :: (dpor_runs dpor dpor_t @ reduced_extra dpor dpor_t)) );
       ]
   in
   (* -- reads-from reduction rows -------------------------------------
@@ -480,11 +500,11 @@ let bench_fuzz ~quick ~check =
       Explore.name;
       build =
         (fun m ->
-          before := !(t.Litmus.observed);
+          before := Atomic.get t.Litmus.observed;
           let judge = t.Litmus.scenario.Explore.build m in
           fun outcome ->
             match judge outcome with
-            | Explore.Pass when !(t.Litmus.observed) > !before ->
+            | Explore.Pass when Atomic.get t.Litmus.observed > !before ->
                 Explore.Violation "target behaviour observed"
             | v -> v);
     }

@@ -430,7 +430,7 @@ let client_cmd =
         let st = Mp.fresh_stats () in
         let code = finish (explore (Mp.make factory st)) in
         Format.printf "%a@." Mp.pp_stats st;
-        if st.Mp.right_empty > 0 then 1 else code
+        if Atomic.get st.Mp.right_empty > 0 then 1 else code
     | `Mp_weak ->
         let st = Mp.fresh_stats () in
         let code = finish (explore (Mp.make_weak factory st)) in
@@ -449,7 +449,8 @@ let client_cmd =
         let st = Resource_exchange.fresh_stats () in
         let code = finish (explore (Resource_exchange.make ~threads:2 st)) in
         Format.printf "swaps %d, failed exchanges %d@."
-          st.Resource_exchange.swaps st.Resource_exchange.fails;
+          (Atomic.get st.Resource_exchange.swaps)
+          (Atomic.get st.Resource_exchange.fails);
         code
     | `Es ->
         let st = Es_compose.fresh_stats () in
@@ -457,25 +458,27 @@ let client_cmd =
           finish (explore (Es_compose.make ~pushers:2 ~poppers:2 ~ops:1 st))
         in
         Format.printf "ops via base stack %d, eliminated pairs %d@."
-          st.Es_compose.via_base st.Es_compose.eliminated;
+          (Atomic.get st.Es_compose.via_base)
+          (Atomic.get st.Es_compose.eliminated);
         code
     | `Mp_stack ->
         let st = Mp_stack.fresh_stats () in
         let code = finish (explore (Mp_stack.make Treiber.instantiate st)) in
-        Format.printf "right pop: got %d, empty %d@." st.Mp_stack.right_got
-          st.Mp_stack.right_empty;
+        Format.printf "right pop: got %d, empty %d@."
+          (Atomic.get st.Mp_stack.right_got)
+          (Atomic.get st.Mp_stack.right_empty);
         code
     | `Strong_fifo ->
         let st = Strong_fifo.fresh_stats () in
         let code = finish (explore (Strong_fifo.make factory st)) in
-        let broke = ref 0 in
+        let broke = Atomic.make 0 in
         let rc =
           explore ~execs:(budget / 2) (Strong_fifo.make_control factory broke)
         in
         Format.printf
           "bare control: lhb non-total in %d/%d executions (the lock is what \
            upgrades the guarantee)@."
-          !broke rc.Explore.executions;
+          (Atomic.get broke) rc.Explore.executions;
         code
     | `Ws ->
         let st = Ws_client.fresh_stats () in

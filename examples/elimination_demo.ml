@@ -29,7 +29,9 @@ let () =
   Format.printf
     "%a@.@.ES events from the base stack: %d@.eliminated push/pop pairs:   \
      %d@.@."
-    Explore.pp_report report st.Es_compose.via_base st.Es_compose.eliminated;
+    Explore.pp_report report
+    (Atomic.get st.Es_compose.via_base)
+    (Atomic.get st.Es_compose.eliminated);
 
   (* Hunt for an execution with an elimination and dump its graphs. *)
   Format.printf "== one execution with an elimination, as DOT ==@.@.";

@@ -45,11 +45,11 @@ let () =
 
   if
     Explore.ok report && report.Explore.complete
-    && stats.Mp.right_empty = 0
-    && stats_weak.Mp.right_empty > 0
+    && Atomic.get stats.Mp.right_empty = 0
+    && Atomic.get stats_weak.Mp.right_empty > 0
   then
     Format.printf
       "VERIFIED: with rel/acq, the right thread never sees an empty queue \
        (%d executions); without it, it does (%d times).@."
-      report.Explore.executions stats_weak.Mp.right_empty
+      report.Explore.executions (Atomic.get stats_weak.Mp.right_empty)
   else Format.printf "UNEXPECTED — see the reports above.@."

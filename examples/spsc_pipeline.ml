@@ -26,7 +26,8 @@ let () =
     (fun (factory : Iface.queue_factory) ->
       let st = Spsc_client.fresh_stats () in
       run factory.q_name (Spsc_client.make ~n:4 factory st);
-      Format.printf "  (consumer retried on empty %d times)@." st.Spsc_client.empties)
+      Format.printf "  (consumer retried on empty %d times)@."
+        (Atomic.get st.Spsc_client.empties))
     [ Msqueue.instantiate; Hwqueue.instantiate ];
 
   Format.printf "@.== pipeline: two queues, mixed implementations ==@.";

@@ -24,12 +24,17 @@ open Prog.Syntax
    stack — the observable benefit of the elimination layer. *)
 
 type stats = {
-  mutable executions : int;
-  mutable eliminated : int;  (** ES pairs created by exchanges *)
-  mutable via_base : int;  (** ES events created at base-stack commits *)
+  executions : int Atomic.t;
+  eliminated : int Atomic.t;  (** ES pairs created by exchanges *)
+  via_base : int Atomic.t;  (** ES events created at base-stack commits *)
 }
 
-let fresh_stats () = { executions = 0; eliminated = 0; via_base = 0 }
+let fresh_stats () =
+  {
+    executions = Atomic.make 0;
+    eliminated = Atomic.make 0;
+    via_base = Atomic.make 0;
+  }
 let ( &&& ) = Harness.( &&& )
 
 (* Simulation check: partition ES events by commit step against the base
@@ -92,12 +97,13 @@ let make ?(style = Styles.Hb) ?(pushers = 1) ?(poppers = 2) ?(ops = 1)
         List.init pushers push_thread @ List.init poppers pop_thread
       in
       let judge vs =
-        st.executions <- st.executions + 1;
+        Atomic.incr st.executions;
         let es_g = Elimination.graph t in
         let ex_g = Exchanger.graph t.Elimination.ex in
         let base_g = Treiber.graph t.Elimination.base in
-        st.eliminated <- st.eliminated + (List.length (Graph.so ex_g) / 2);
-        st.via_base <- st.via_base + Graph.size base_g;
+        ignore
+          (Atomic.fetch_and_add st.eliminated (List.length (Graph.so ex_g) / 2));
+        ignore (Atomic.fetch_and_add st.via_base (Graph.size base_g));
         (Harness.graph_judge style Styles.Stack es_g
         &&& Harness.graph_judge Styles.Hb Styles.Stack base_g
         &&& fun _ -> Harness.first_violation (Exchanger_spec.consistent ex_g))

@@ -8,10 +8,12 @@ open Compass_dstruct
     shares its commit step with a base-stack commit or an exchange pair
     (and conversely every base event is simulated). *)
 
+(** Tallies over the judged executions, atomic: the judge runs on every
+    worker domain of a [--jobs] search. *)
 type stats = {
-  mutable executions : int;
-  mutable eliminated : int;  (** ES pairs created by exchanges *)
-  mutable via_base : int;  (** ES events created at base-stack commits *)
+  executions : int Atomic.t;
+  eliminated : int Atomic.t;  (** ES pairs created by exchanges *)
+  via_base : int Atomic.t;  (** ES events created at base-stack commits *)
 }
 
 val fresh_stats : unit -> stats

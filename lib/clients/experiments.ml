@@ -54,13 +54,17 @@ let e1 ?(max_execs = 150_000) ?(jobs = 1) ?(reduce = Machine.RNone) () =
                empty in %d/%d, LATso in %d/%d"
               r.Explore.executions
               (if r.Explore.complete then "exhaustive" else "budget")
-              st.Mp.right_got_41 st.Mp.right_got_42 st.Mp.right_empty
-              st.Mp.excluded_hb st.Mp.executions st.Mp.excluded_so
-              st.Mp.executions;
+              (Atomic.get st.Mp.right_got_41)
+              (Atomic.get st.Mp.right_got_42)
+              (Atomic.get st.Mp.right_empty)
+              (Atomic.get st.Mp.excluded_hb)
+              (Atomic.get st.Mp.executions)
+              (Atomic.get st.Mp.excluded_so)
+              (Atomic.get st.Mp.executions);
           ok =
-            Explore.ok r && st.Mp.right_empty = 0
-            && st.Mp.excluded_hb = st.Mp.executions
-            && st.Mp.excluded_so = 0;
+            Explore.ok r && Atomic.get st.Mp.right_empty = 0
+            && Atomic.get st.Mp.excluded_hb = Atomic.get st.Mp.executions
+            && Atomic.get st.Mp.excluded_so = 0;
         };
         {
           id = "E1";
@@ -71,8 +75,8 @@ let e1 ?(max_execs = 150_000) ?(jobs = 1) ?(reduce = Machine.RNone) () =
           measured =
             Printf.sprintf "%d executions: empty observed x%d (queue itself \
                             stays consistent)"
-              rw.Explore.executions stw.Mp.right_empty;
-          ok = Explore.ok rw && stw.Mp.right_empty > 0;
+              rw.Explore.executions (Atomic.get stw.Mp.right_empty);
+          ok = Explore.ok rw && Atomic.get stw.Mp.right_empty > 0;
         };
       ])
     queue_factories
@@ -171,8 +175,9 @@ let pp_matrix ppf cells =
               Format.fprintf ppf " %-12s"
                 (if Styles.satisfied c.tally then "sat"
                  else
-                   Printf.sprintf "FAIL %d/%d" c.tally.Styles.failed
-                     c.tally.Styles.execs)
+                   Printf.sprintf "FAIL %d/%d"
+                     (Atomic.get c.tally.Styles.failed)
+                     (Atomic.get c.tally.Styles.execs))
           | None -> Format.fprintf ppf " %-12s" "-")
         Styles.all_styles;
       Format.pp_print_newline ppf ())
@@ -252,12 +257,12 @@ let e2b ?(max_execs = 60_000) ?(jobs = 1) ?(reduce = Machine.RNone) () =
         let r =
           Explore.dfs ~jobs ~reduce ~max_execs (Strong_fifo.make factory st)
         in
-        let broke = ref 0 in
+        let broke = Atomic.make 0 in
         let rc =
           Explore.dfs ~jobs ~reduce ~max_execs
             (Strong_fifo.make_control factory broke)
         in
-        (factory.q_name, r, rc, !broke))
+        (factory.q_name, r, rc, Atomic.get broke))
       queue_factories
   in
   {
@@ -316,10 +321,14 @@ let e3 ?(max_execs = 60_000) ?(jobs = 1) ?(reduce = Machine.RNone) () =
       Printf.sprintf
         "commit-point abstract state FAILS in %d/%d executions; offline \
          linearisation (LAThist search) holds in %d/%d"
-        tally_abs.Styles.failed tally_abs.Styles.execs
-        (tally_hist.Styles.execs - tally_hist.Styles.failed)
-        tally_hist.Styles.execs;
-    ok = tally_abs.Styles.failed > 0 && tally_hist.Styles.failed = 0;
+        (Atomic.get tally_abs.Styles.failed)
+        (Atomic.get tally_abs.Styles.execs)
+        (Atomic.get tally_hist.Styles.execs
+        - Atomic.get tally_hist.Styles.failed)
+        (Atomic.get tally_hist.Styles.execs);
+    ok =
+      Atomic.get tally_abs.Styles.failed > 0
+      && Atomic.get tally_hist.Styles.failed = 0;
   }
 
 (* -- E4: SPSC ------------------------------------------------------------------ *)
@@ -346,7 +355,7 @@ let e4 ?(dfs_execs = 30_000) ?(rand_execs = 3_000) ?(jobs = 1)
             "%d DFS + %d random executions (%d distinct), FIFO held in all \
              (%d retries on empty)"
             r1.Explore.executions r2.Explore.executions r2.Explore.distinct
-            st.Spsc_client.empties;
+            (Atomic.get st.Spsc_client.empties);
         ok = Explore.ok r1 && Explore.ok r2;
       })
     queue_factories
@@ -354,7 +363,10 @@ let e4 ?(dfs_execs = 30_000) ?(rand_execs = 3_000) ?(jobs = 1)
 (* -- E5: Treiber LAThist ------------------------------------------------------- *)
 
 let e5 ?(max_execs = 40_000) ?(jobs = 1) ?(reduce = Machine.RNone) () =
-  let total = ref 0 and direct = ref 0 and searched = ref 0 in
+  (* atomic: the judge runs on every worker domain *)
+  let total = Atomic.make 0
+  and direct = Atomic.make 0
+  and searched = Atomic.make 0 in
   let sc =
     Harness.scenario ~name:"treiber-hist" (fun m ->
         let t = Treiber.create m ~name:"s" in
@@ -370,13 +382,13 @@ let e5 ?(max_execs = 40_000) ?(jobs = 1) ?(reduce = Machine.RNone) () =
         in
         ( threads,
           fun _ ->
-            incr total;
+            Atomic.incr total;
             let g = Treiber.graph t in
             (match Libspec.search Libspec.Stack g with
             | { outcome = Libspec.Witness order; committed; _ } ->
                 if List.equal ( == ) order (Array.to_list committed) then
-                  incr direct
-                else incr searched
+                  Atomic.incr direct
+                else Atomic.incr searched
             | _ -> ());
             if Stack_spec.consistent g = [] then Explore.Pass
             else Explore.Violation "inconsistent" ))
@@ -392,8 +404,10 @@ let e5 ?(max_execs = 40_000) ?(jobs = 1) ?(reduce = Machine.RNone) () =
       Printf.sprintf
         "%d executions: commit order is a valid [to] in %d; the remaining %d \
          (stale empty reads) linearise by reordering; 0 unlinearisable"
-        !total !direct !searched;
-    ok = !total > 0 && !direct + !searched = !total;
+        (Atomic.get total) (Atomic.get direct) (Atomic.get searched);
+    ok =
+      Atomic.get total > 0
+      && Atomic.get direct + Atomic.get searched = Atomic.get total;
   }
 
 (* -- E6: exchanger + elimination stack (Section 4) ------------------------------ *)
@@ -429,9 +443,11 @@ let e6 ?(dfs_execs = 40_000) ?(rand_execs = 4_000) ?(jobs = 1)
            failed exchanges, all consistent; non-atomic resource reads \
            race-free"
           (rx.Explore.executions + rx_rand.Explore.executions)
-          rx_rand.Explore.distinct stx.Resource_exchange.swaps
-          stx.Resource_exchange.fails;
-      ok = Explore.ok rx && Explore.ok rx_rand && stx.Resource_exchange.swaps > 0;
+          rx_rand.Explore.distinct (Atomic.get stx.Resource_exchange.swaps)
+          (Atomic.get stx.Resource_exchange.fails);
+      ok =
+        Explore.ok rx && Explore.ok rx_rand
+        && Atomic.get stx.Resource_exchange.swaps > 0;
     };
     {
       id = "E6";
@@ -445,8 +461,9 @@ let e6 ?(dfs_execs = 40_000) ?(rand_execs = 4_000) ?(jobs = 1)
           "%d executions (%d distinct): StackConsistent + simulation held \
            in all; %d ops via base stack, %d eliminated pairs"
           res.Explore.executions res.Explore.distinct
-          stes.Es_compose.via_base stes.Es_compose.eliminated;
-      ok = Explore.ok res && stes.Es_compose.eliminated > 0;
+          (Atomic.get stes.Es_compose.via_base)
+          (Atomic.get stes.Es_compose.eliminated);
+      ok = Explore.ok res && Atomic.get stes.Es_compose.eliminated > 0;
     };
   ]
 
@@ -483,8 +500,9 @@ let e8 ?(dfs_execs = 120_000) ?(rand_execs = 120_000) ?(jobs = 1)
           "%d executions: 0 violations; %d pops, %d steals, %d empty steals; \
            LAThist holds throughout"
           (r1.Explore.executions + r2.Explore.executions)
-          st.popped st.stolen st.empty_steals;
-      ok = Explore.ok r1 && Explore.ok r2 && st.stolen > 0;
+          (Atomic.get st.popped) (Atomic.get st.stolen)
+          (Atomic.get st.empty_steals);
+      ok = Explore.ok r1 && Explore.ok r2 && Atomic.get st.stolen > 0;
     };
     {
       id = "E8";

@@ -13,7 +13,9 @@ open Prog.Syntax
 
 type t = {
   scenario : Explore.scenario;
-  observed : int ref;  (** executions exhibiting the distinguished outcome *)
+  observed : int Atomic.t;
+      (** executions exhibiting the distinguished outcome; atomic, as the
+          judge runs on every worker domain of a [--jobs] search *)
   expect : [ `Observable | `Forbidden ];
   descr : string;
 }
@@ -42,7 +44,7 @@ let finished4 f = function
 (* Store Buffering: both threads may read 0 under relaxed (and even under
    SC-less rel/acq) accesses — the hallmark weak behaviour. *)
 let sb ?(wmode = Mode.Rlx) ?(rmode = Mode.Rlx) () =
-  let observed = ref 0 in
+  let observed = Atomic.make 0 in
   let scenario =
     {
       Explore.name = "SB";
@@ -56,7 +58,7 @@ let sb ?(wmode = Mode.Rlx) ?(rmode = Mode.Rlx) () =
           Machine.spawn m [ t x y; t y x ];
           finished2 (fun r1 r2 ->
               if Value.equal r1 (vi 0) && Value.equal r2 (vi 0) then
-                incr observed;
+                Atomic.incr observed;
               Explore.Pass));
     }
   in
@@ -65,7 +67,7 @@ let sb ?(wmode = Mode.Rlx) ?(rmode = Mode.Rlx) () =
 (* Message Passing with an atomic data cell: reading flag = 1 with acquire
    after a release write forbids reading the stale x = 0. *)
 let mp ?(wmode = Mode.Rel) ?(rmode = Mode.Acq) () =
-  let observed = ref 0 in
+  let observed = Atomic.make 0 in
   let expect = if Mode.releases wmode && Mode.acquires rmode then `Forbidden else `Observable in
   let scenario =
     {
@@ -84,7 +86,7 @@ let mp ?(wmode = Mode.Rel) ?(rmode = Mode.Acq) () =
           in
           Machine.spawn m [ t1; t2 ];
           finished2 (fun _ r2 ->
-              if Value.equal r2 (vi 0) then incr observed;
+              if Value.equal r2 (vi 0) then Atomic.incr observed;
               Explore.Pass));
     }
   in
@@ -93,7 +95,7 @@ let mp ?(wmode = Mode.Rel) ?(rmode = Mode.Acq) () =
 (* MP through fences: relaxed accesses plus release/acquire fences must
    synchronise just like rel/acq accesses. *)
 let mp_fences () =
-  let observed = ref 0 in
+  let observed = Atomic.make 0 in
   let scenario =
     {
       Explore.name = "MP+fences";
@@ -113,7 +115,7 @@ let mp_fences () =
           in
           Machine.spawn m [ t1; t2 ];
           finished2 (fun _ r2 ->
-              if Value.equal r2 (vi 0) then incr observed;
+              if Value.equal r2 (vi 0) then Atomic.incr observed;
               Explore.Pass));
     }
   in
@@ -122,7 +124,7 @@ let mp_fences () =
 (* SB with SC fences between the store and the load: the weak outcome must
    disappear — SC fences are totally ordered through the global SC view. *)
 let sb_sc_fences () =
-  let observed = ref 0 in
+  let observed = Atomic.make 0 in
   let scenario =
     {
       Explore.name = "SB+Fsc";
@@ -137,7 +139,7 @@ let sb_sc_fences () =
           Machine.spawn m [ t x y; t y x ];
           finished2 (fun r1 r2 ->
               if Value.equal r1 (vi 0) && Value.equal r2 (vi 0) then
-                incr observed;
+                Atomic.incr observed;
               Explore.Pass));
     }
   in
@@ -146,7 +148,7 @@ let sb_sc_fences () =
 (* Coherence (CoRR): two reads of the same location by one thread may not
    observe writes in anti-modification order. *)
 let corr () =
-  let observed = ref 0 in
+  let observed = Atomic.make 0 in
   let scenario =
     {
       Explore.name = "CoRR";
@@ -165,7 +167,7 @@ let corr () =
           in
           Machine.spawn m [ writer; reader ];
           finished2 (fun _ r ->
-              if Value.equal r (vi 21) then incr observed;
+              if Value.equal r (vi 21) then Atomic.incr observed;
               Explore.Pass));
     }
   in
@@ -175,7 +177,7 @@ let corr () =
    order — the final value is the program-order-last write, under either
    timestamp policy. *)
 let coww () =
-  let observed = ref 0 in
+  let observed = Atomic.make 0 in
   let scenario =
     {
       Explore.name = "CoWW";
@@ -195,7 +197,7 @@ let coww () =
                   not
                     (Value.equal !(Memory.latest (Machine.memory m) x).Msg.value
                        (vi 2))
-                then incr observed;
+                then Atomic.incr observed;
                 Explore.Pass
             | Machine.Fault s -> Explore.Violation ("fault: " ^ s)
             | Machine.Blocked s -> Explore.Discard s
@@ -207,7 +209,7 @@ let coww () =
 
 (* Coherence (CoWR): a thread cannot read below its own write. *)
 let cowr () =
-  let observed = ref 0 in
+  let observed = Atomic.make 0 in
   let scenario =
     {
       Explore.name = "CoWR";
@@ -222,7 +224,7 @@ let cowr () =
           let other = Prog.returning_unit (Prog.store x (vi 2) Mode.Rlx) in
           Machine.spawn m [ w; other ];
           finished2 (fun r1 _ ->
-              if Value.equal r1 (vi 0) then incr observed;
+              if Value.equal r1 (vi 0) then Atomic.incr observed;
               Explore.Pass));
     }
   in
@@ -231,7 +233,7 @@ let cowr () =
 (* Load Buffering: ORC11 forbids po ∪ rf cycles, so r1 = r2 = 1 must be
    unobservable — automatic under interleaving semantics, asserted here. *)
 let lb () =
-  let observed = ref 0 in
+  let observed = Atomic.make 0 in
   let scenario =
     {
       Explore.name = "LB";
@@ -246,7 +248,7 @@ let lb () =
           Machine.spawn m [ t x y; t y x ];
           finished2 (fun r1 r2 ->
               if Value.equal r1 (vi 1) && Value.equal r2 (vi 1) then
-                incr observed;
+                Atomic.incr observed;
               Explore.Pass));
     }
   in
@@ -255,7 +257,7 @@ let lb () =
 (* IRIW: two writers, two readers; the readers may disagree on the order of
    the independent writes under rel/acq (no SC accesses in ORC11). *)
 let iriw () =
-  let observed = ref 0 in
+  let observed = Atomic.make 0 in
   let scenario =
     {
       Explore.name = "IRIW";
@@ -271,7 +273,7 @@ let iriw () =
           Machine.spawn m [ w x; w y; r x y; r y x ];
           finished4 (fun _ _ r3 r4 ->
               if Value.equal r3 (vi 10) && Value.equal r4 (vi 10) then
-                incr observed;
+                Atomic.incr observed;
               Explore.Pass));
     }
   in
@@ -281,7 +283,7 @@ let iriw () =
    [`Gap] timestamp policy.  Outcome x = y = 1 requires each location's
    first write to end up mo-last. *)
 let two_two_w () =
-  let observed = ref 0 in
+  let observed = Atomic.make 0 in
   let scenario =
     {
       Explore.name = "2+2W";
@@ -300,7 +302,7 @@ let two_two_w () =
                 Machine.join_views m;
                 let read l = Machine.solo m (Prog.load l Mode.Na) in
                 if Value.equal (read x) (vi 1) && Value.equal (read y) (vi 1)
-                then incr observed;
+                then Atomic.incr observed;
                 Explore.Pass
             | Machine.Fault s -> Explore.Violation ("fault: " ^ s)
             | Machine.Blocked s -> Explore.Discard s
@@ -313,7 +315,7 @@ let two_two_w () =
 (* Write-to-Read Causality (WRC): a chain of rel/acq synchronisations is
    transitive. *)
 let wrc () =
-  let observed = ref 0 in
+  let observed = Atomic.make 0 in
   let scenario =
     {
       Explore.name = "WRC";
@@ -333,7 +335,7 @@ let wrc () =
           fun outcome ->
             match outcome with
             | Machine.Finished [| _; _; r3 |] ->
-                if Value.equal r3 (vi 0) then incr observed;
+                if Value.equal r3 (vi 0) then Atomic.incr observed;
                 Explore.Pass
             | Machine.Finished _ -> Explore.Violation "arity"
             | Machine.Fault s -> Explore.Violation ("fault: " ^ s)
@@ -346,7 +348,7 @@ let wrc () =
 
 (* RMW atomicity: concurrent FAAs never lose increments. *)
 let faa_atomic ?(threads = 3) () =
-  let observed = ref 0 in
+  let observed = Atomic.make 0 in
   let scenario =
     {
       Explore.name = "FAA";
@@ -360,7 +362,7 @@ let faa_atomic ?(threads = 3) () =
             | Machine.Finished _ ->
                 Machine.join_views m;
                 let v = Machine.solo m (Prog.load c Mode.Na) in
-                if not (Value.equal v (vi threads)) then incr observed;
+                if not (Value.equal v (vi threads)) then Atomic.incr observed;
                 Explore.Pass
             | Machine.Fault s -> Explore.Violation ("fault: " ^ s)
             | Machine.Blocked s -> Explore.Discard s
@@ -378,7 +380,7 @@ let faa_atomic ?(threads = 3) () =
    of [all ()]: the battery expects race-free tests; this one exists as
    the positive control for the synchronization analyzer's tests. *)
 let racy_na () =
-  let observed = ref 0 in
+  let observed = Atomic.make 0 in
   let scenario =
     {
       Explore.name = "RACY-NA";
@@ -396,7 +398,7 @@ let racy_na () =
           in
           Machine.spawn m [ t1; t2 ];
           finished2 (fun _ _ ->
-              incr observed;
+              Atomic.incr observed;
               Explore.Pass));
     }
   in
@@ -434,7 +436,7 @@ let verdict ?(max_execs = 100_000) ?config ?(jobs = 1)
   let report =
     Explore.dfs ~jobs ~max_execs ~reduce ~incremental ?config t.scenario
   in
-  let obs = !(t.observed) in
+  let obs = Atomic.get t.observed in
   let ok =
     Explore.ok report
     && match t.expect with `Observable -> obs > 0 | `Forbidden -> obs = 0

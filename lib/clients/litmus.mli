@@ -7,7 +7,9 @@ open Compass_machine
 
 type t = {
   scenario : Explore.scenario;
-  observed : int ref;  (** executions exhibiting the distinguished outcome *)
+  observed : int Atomic.t;
+      (** executions exhibiting the distinguished outcome; atomic, as the
+          judge runs on every worker domain of a [--jobs] search *)
   expect : [ `Observable | `Forbidden ];
   descr : string;
 }

@@ -27,25 +27,26 @@ open Compass_dstruct
    reproducing the paper's point that Cosmo's specs cannot verify this
    client (Section 1.1). *)
 
+(* Atomic: the judge runs on every worker domain of a [--jobs] search. *)
 type stats = {
-  mutable executions : int;
-  mutable right_got_41 : int;
-  mutable right_got_42 : int;
-  mutable right_empty : int;  (** must stay 0 with a rel/acq flag *)
-  mutable middle_empty : int;  (** fine: the middle thread may see empty *)
-  mutable excluded_hb : int;  (** executions where LAThb rules out empty *)
-  mutable excluded_so : int;  (** ... where LATso-abs does (never) *)
+  executions : int Atomic.t;
+  right_got_41 : int Atomic.t;
+  right_got_42 : int Atomic.t;
+  right_empty : int Atomic.t;  (** must stay 0 with a rel/acq flag *)
+  middle_empty : int Atomic.t;  (** fine: the middle thread may see empty *)
+  excluded_hb : int Atomic.t;  (** executions where LAThb rules out empty *)
+  excluded_so : int Atomic.t;  (** ... where LATso-abs does (never) *)
 }
 
 let fresh_stats () =
   {
-    executions = 0;
-    right_got_41 = 0;
-    right_got_42 = 0;
-    right_empty = 0;
-    middle_empty = 0;
-    excluded_hb = 0;
-    excluded_so = 0;
+    executions = Atomic.make 0;
+    right_got_41 = Atomic.make 0;
+    right_got_42 = Atomic.make 0;
+    right_empty = Atomic.make 0;
+    middle_empty = Atomic.make 0;
+    excluded_hb = Atomic.make 0;
+    excluded_so = Atomic.make 0;
   }
 
 let pp_stats ppf s =
@@ -53,8 +54,10 @@ let pp_stats ppf s =
     "@[<v>executions       %d@ right deq = 41   %d@ right deq = 42   %d@ \
      right deq = eps  %d@ middle deq = eps %d@ empty excluded by LAThb      \
      %d@ empty excluded by LATso-abs  %d@]"
-    s.executions s.right_got_41 s.right_got_42 s.right_empty s.middle_empty
-    s.excluded_hb s.excluded_so
+    (Atomic.get s.executions) (Atomic.get s.right_got_41)
+    (Atomic.get s.right_got_42) (Atomic.get s.right_empty)
+    (Atomic.get s.middle_empty) (Atomic.get s.excluded_hb)
+    (Atomic.get s.excluded_so)
 
 (* Exclusion analysis.  [m0] is the set of enqueue events the right thread
    knows at its dequeue (its SeenQueue logical view): under hb-tracking it
@@ -89,21 +92,18 @@ let make ?(flag_write = Mode.Rel) ?(flag_read = Mode.Acq) ?(style = Styles.Hb)
           (fun _ -> q.Iface.deq ())
       in
       let judge vs =
-        st.executions <- st.executions + 1;
+        Atomic.incr st.executions;
         let middle_v = vs.(1) and right_v = vs.(2) in
-        if Value.equal middle_v Value.Null then
-          st.middle_empty <- st.middle_empty + 1;
+        if Value.equal middle_v Value.Null then Atomic.incr st.middle_empty;
         (match right_v with
-        | Value.Int 41 -> st.right_got_41 <- st.right_got_41 + 1
-        | Value.Int 42 -> st.right_got_42 <- st.right_got_42 + 1
-        | Value.Null -> st.right_empty <- st.right_empty + 1
+        | Value.Int 41 -> Atomic.incr st.right_got_41
+        | Value.Int 42 -> Atomic.incr st.right_got_42
+        | Value.Null -> Atomic.incr st.right_empty
         | _ -> ());
         (* Exclusion analysis: the right thread's knowledge. *)
         let other_deqs = if Value.equal middle_v Value.Null then 0 else 1 in
-        if excluded ~m0_size:2 ~other_deqs then
-          st.excluded_hb <- st.excluded_hb + 1;
-        if excluded ~m0_size:0 ~other_deqs then
-          st.excluded_so <- st.excluded_so + 1;
+        if excluded ~m0_size:2 ~other_deqs then Atomic.incr st.excluded_hb;
+        if excluded ~m0_size:0 ~other_deqs then Atomic.incr st.excluded_so;
         (* The deqPerm(2) protocol invariant of Figure 3. *)
         let so_size = List.length (Graph.so q.Iface.q_graph) in
         if so_size > 2 then
@@ -144,11 +144,11 @@ let make_weak (factory : Iface.queue_factory) (st : stats) =
           (fun _ -> q.Iface.deq ())
       in
       let judge vs =
-        st.executions <- st.executions + 1;
+        Atomic.incr st.executions;
         (match vs.(2) with
-        | Value.Int 41 -> st.right_got_41 <- st.right_got_41 + 1
-        | Value.Int 42 -> st.right_got_42 <- st.right_got_42 + 1
-        | Value.Null -> st.right_empty <- st.right_empty + 1
+        | Value.Int 41 -> Atomic.incr st.right_got_41
+        | Value.Int 42 -> Atomic.incr st.right_got_42
+        | Value.Null -> Atomic.incr st.right_empty
         | _ -> ());
         (* Consistency must still hold — the queue is correct; only the
            client-level exclusion argument is lost. *)

@@ -14,14 +14,16 @@ open Compass_dstruct
     logical view [{e1, e2}]) versus Cosmo-style LATso (never — the thread
     has no so-chain to the enqueues), reproducing Section 1.1's point. *)
 
+(** Tallies over the judged executions.  Atomic, because the judge
+    runs on every worker domain of a [--jobs] search. *)
 type stats = {
-  mutable executions : int;
-  mutable right_got_41 : int;
-  mutable right_got_42 : int;
-  mutable right_empty : int;  (** must stay 0 with a rel/acq flag *)
-  mutable middle_empty : int;  (** fine: the middle thread may see empty *)
-  mutable excluded_hb : int;
-  mutable excluded_so : int;
+  executions : int Atomic.t;
+  right_got_41 : int Atomic.t;
+  right_got_42 : int Atomic.t;
+  right_empty : int Atomic.t;  (** must stay 0 with a rel/acq flag *)
+  middle_empty : int Atomic.t;  (** fine: the middle thread may see empty *)
+  excluded_hb : int Atomic.t;
+  excluded_so : int Atomic.t;
 }
 
 val fresh_stats : unit -> stats

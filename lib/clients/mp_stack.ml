@@ -15,12 +15,17 @@ open Compass_dstruct
    pop). *)
 
 type stats = {
-  mutable executions : int;
-  mutable right_got : int;
-  mutable right_empty : int;
+  executions : int Atomic.t;
+  right_got : int Atomic.t;
+  right_empty : int Atomic.t;
 }
 
-let fresh_stats () = { executions = 0; right_got = 0; right_empty = 0 }
+let fresh_stats () =
+  {
+    executions = Atomic.make 0;
+    right_got = Atomic.make 0;
+    right_empty = Atomic.make 0;
+  }
 
 let make ?(style = Styles.Hb) (factory : Iface.stack_factory) (st : stats) =
   Harness.scenario
@@ -43,10 +48,10 @@ let make ?(style = Styles.Hb) (factory : Iface.stack_factory) (st : stats) =
           (fun _ -> s.Iface.pop ())
       in
       let judge vs =
-        st.executions <- st.executions + 1;
+        Atomic.incr st.executions;
         (match vs.(2) with
-        | Value.Int _ -> st.right_got <- st.right_got + 1
-        | Value.Null -> st.right_empty <- st.right_empty + 1
+        | Value.Int _ -> Atomic.incr st.right_got
+        | Value.Null -> Atomic.incr st.right_empty
         | _ -> ());
         let so_size = List.length (Graph.so s.Iface.s_graph) in
         if so_size > 2 then

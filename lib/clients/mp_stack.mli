@@ -6,10 +6,12 @@ open Compass_dstruct
     in the role of QUEUE-EMPDEQ — the flag-synchronised thread's pop can
     never return empty. *)
 
+(** Tallies over the judged executions, atomic: the judge runs on every
+    worker domain of a [--jobs] search. *)
 type stats = {
-  mutable executions : int;
-  mutable right_got : int;
-  mutable right_empty : int;
+  executions : int Atomic.t;
+  right_got : int Atomic.t;
+  right_empty : int Atomic.t;
 }
 
 val fresh_stats : unit -> stats

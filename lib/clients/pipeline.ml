@@ -16,9 +16,9 @@ open Prog.Syntax
    in order.  The two queues may be *different implementations* — the
    modularity the paper's LAT specs buy. *)
 
-type stats = { mutable executions : int }
+type stats = { executions : int Atomic.t }
 
-let fresh_stats () = { executions = 0 }
+let fresh_stats () = { executions = Atomic.make 0 }
 let ( &&& ) = Harness.( &&& )
 
 let make ?(style = Styles.Hb) ?(n = 2) ?(retries = 24)
@@ -55,7 +55,7 @@ let make ?(style = Styles.Hb) ?(n = 2) ?(retries = 24)
              (List.fold_left (fun acc v -> (acc * 1000) + Value.to_int_exn v) 0 ws))
       in
       let judge vs =
-        st.executions <- st.executions + 1;
+        Atomic.incr st.executions;
         let expected =
           List.fold_left (fun acc i -> (acc * 1000) + i + 100) 0
             (List.init n (fun i -> i + 1))

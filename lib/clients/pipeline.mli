@@ -8,7 +8,9 @@ open Compass_dstruct
     values in order.  The two queues may be different implementations —
     the modularity the LAT specs buy. *)
 
-type stats = { mutable executions : int }
+(** Tallies over the judged executions, atomic: the judge runs on every
+    worker domain of a [--jobs] search. *)
+type stats = { executions : int Atomic.t }
 
 val fresh_stats : unit -> stats
 

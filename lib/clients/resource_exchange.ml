@@ -21,9 +21,14 @@ open Prog.Syntax
    the multiset of payloads read equals the multiset offered (each swap is
    a genuine two-way transfer). *)
 
-type stats = { mutable executions : int; mutable swaps : int; mutable fails : int }
+type stats = {
+  executions : int Atomic.t;
+  swaps : int Atomic.t;
+  fails : int Atomic.t;
+}
 
-let fresh_stats () = { executions = 0; swaps = 0; fails = 0 }
+let fresh_stats () =
+  { executions = Atomic.make 0; swaps = Atomic.make 0; fails = Atomic.make 0 }
 
 let payload ~tid = Value.Int (1000 + tid)
 
@@ -45,11 +50,13 @@ let make ?(threads = 2) (st : stats) =
         | _ -> Prog.return Value.Null
       in
       let judge vs =
-        st.executions <- st.executions + 1;
+        Atomic.incr st.executions;
         let got = Array.to_list vs in
         let succeeded = List.filter (fun v -> not (Value.equal v Value.Null)) got in
-        st.swaps <- st.swaps + (List.length succeeded / 2);
-        st.fails <- st.fails + (List.length got - List.length succeeded);
+        ignore (Atomic.fetch_and_add st.swaps (List.length succeeded / 2));
+        ignore
+          (Atomic.fetch_and_add st.fails
+             (List.length got - List.length succeeded));
         match Harness.first_violation (Exchanger_spec.consistent (Exchanger.graph x)) with
         | Explore.Pass ->
             (* Conservation: successful receivers hold distinct payloads

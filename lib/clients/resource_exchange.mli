@@ -9,10 +9,12 @@ open Compass_machine
     the separation-logic sense, checked through the race detector).
     Conservation: swaps pair up exactly. *)
 
+(** Tallies over the judged executions, atomic: the judge runs on every
+    worker domain of a [--jobs] search. *)
 type stats = {
-  mutable executions : int;
-  mutable swaps : int;
-  mutable fails : int;
+  executions : int Atomic.t;
+  swaps : int Atomic.t;
+  fails : int Atomic.t;
 }
 
 val fresh_stats : unit -> stats

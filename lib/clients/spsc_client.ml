@@ -19,9 +19,9 @@ let ( &&& ) = Harness.( &&& )
    writes to [a_c] and the final (joined) read-back are race-free, which
    exercises the view machinery end to end. *)
 
-type stats = { mutable executions : int; mutable empties : int }
+type stats = { executions : int Atomic.t; empties : int Atomic.t }
 
-let fresh_stats () = { executions = 0; empties = 0 }
+let fresh_stats () = { executions = Atomic.make 0; empties = Atomic.make 0 }
 
 let make ?(style = Styles.Hb) ?(n = 3) ?(retries = 16)
     (factory : Iface.queue_factory) (st : stats) =
@@ -50,7 +50,7 @@ let make ?(style = Styles.Hb) ?(n = 3) ?(retries = 16)
                  Prog.with_fuel ~fuel:retries ~what:"spsc-consume" (fun () ->
                      let* v = q.Iface.deq () in
                      if Value.equal v Value.Null then begin
-                       st.empties <- st.empties + 1;
+                       Atomic.incr st.empties;
                        Prog.return None
                      end
                      else Prog.return (Some v))
@@ -58,7 +58,7 @@ let make ?(style = Styles.Hb) ?(n = 3) ?(retries = 16)
                Prog.store (Loc.shift a_c i) v Mode.Na))
       in
       let judge _vs =
-        st.executions <- st.executions + 1;
+        Atomic.incr st.executions;
         (* Join views and read back both arrays non-atomically. *)
         let read arr =
           Machine.solo m

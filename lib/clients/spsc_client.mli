@@ -8,7 +8,9 @@ open Compass_dstruct
     including race-freedom of the non-atomic array accesses, which
     exercises view transfer through the queue. *)
 
-type stats = { mutable executions : int; mutable empties : int }
+(** Tallies over the judged executions, atomic: the judge runs on every
+    worker domain of a [--jobs] search. *)
+type stats = { executions : int Atomic.t; empties : int Atomic.t }
 
 val fresh_stats : unit -> stats
 

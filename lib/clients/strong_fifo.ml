@@ -26,9 +26,9 @@ open Prog.Syntax
    client's external synchronisation upgrades the guarantee, exactly the
    compositional story the paper tells. *)
 
-type stats = { mutable executions : int }
+type stats = { executions : int Atomic.t }
 
-let fresh_stats () = { executions = 0 }
+let fresh_stats () = { executions = Atomic.make 0 }
 
 let lhb_total g =
   let ids = List.map (fun (e : Event.data) -> e.Event.id) (Graph.events g) in
@@ -78,7 +78,7 @@ let make (factory : Iface.queue_factory) (st : stats) =
           | _ -> Value.Null)
       in
       let judge _vs =
-        st.executions <- st.executions + 1;
+        Atomic.incr st.executions;
         let g = q.Iface.q_graph in
         if not (lhb_total g) then
           Explore.Violation "lhb not total despite the lock"
@@ -94,7 +94,7 @@ let make (factory : Iface.queue_factory) (st : stats) =
    scenario PASSES when the strong conditions fail somewhere — showing
    they are genuinely client-supplied, not implementation-given.  The
    counter records how many executions broke totality. *)
-let make_control (factory : Iface.queue_factory) (broke : int ref) =
+let make_control (factory : Iface.queue_factory) (broke : int Atomic.t) =
   Harness.scenario
     ~name:(Printf.sprintf "strong-fifo-control[%s bare]" factory.q_name)
     (fun m ->
@@ -110,7 +110,7 @@ let make_control (factory : Iface.queue_factory) (broke : int ref) =
       in
       let judge _vs =
         let g = q.Iface.q_graph in
-        if not (lhb_total g) then incr broke;
+        if not (lhb_total g) then Atomic.incr broke;
         (* Consistency of the plain (weak) spec must of course hold. *)
         Harness.graph_judge Styles.Hb Styles.Queue g _vs
       in

@@ -9,10 +9,12 @@ open Compass_dstruct
     Herlihy-Wing queue.  {!make_control} is the negative control: on the
     bare queue the strong conditions fail. *)
 
-type stats = { mutable executions : int }
+(** Tallies over the judged executions, atomic: the judge runs on every
+    worker domain of a [--jobs] search. *)
+type stats = { executions : int Atomic.t }
 
 val fresh_stats : unit -> stats
 val lhb_total : Graph.t -> bool
 val strong_fifo : Graph.t -> bool
 val make : Iface.queue_factory -> stats -> Explore.scenario
-val make_control : Iface.queue_factory -> int ref -> Explore.scenario
+val make_control : Iface.queue_factory -> int Atomic.t -> Explore.scenario

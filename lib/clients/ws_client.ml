@@ -24,17 +24,24 @@ open Prog.Syntax
    checker (and the fence semantics) have teeth. *)
 
 type stats = {
-  mutable executions : int;
-  mutable popped : int;
-  mutable stolen : int;
-  mutable empty_steals : int;
+  executions : int Atomic.t;
+  popped : int Atomic.t;
+  stolen : int Atomic.t;
+  empty_steals : int Atomic.t;
 }
 
-let fresh_stats () = { executions = 0; popped = 0; stolen = 0; empty_steals = 0 }
+let fresh_stats () =
+  {
+    executions = Atomic.make 0;
+    popped = Atomic.make 0;
+    stolen = Atomic.make 0;
+    empty_steals = Atomic.make 0;
+  }
 
 let pp_stats ppf s =
   Format.fprintf ppf "executions %d: %d popped, %d stolen, %d empty steals"
-    s.executions s.popped s.stolen s.empty_steals
+    (Atomic.get s.executions) (Atomic.get s.popped) (Atomic.get s.stolen)
+    (Atomic.get s.empty_steals)
 
 let task i = Value.Int (500 + i)
 
@@ -73,15 +80,16 @@ let make ?(weak_fences = false) ?(tasks = 2) ?(thieves = 1) ?(steals = 1)
         Prog.return (Value.Int r)
       in
       let judge _vs =
-        st.executions <- st.executions + 1;
+        Atomic.incr st.executions;
         let g = Chaselev.graph t in
         let events = Graph.events g in
         let pops = List.filter Event.is_pop events in
         let steals_ev = List.filter Event.is_steal events in
-        st.popped <- st.popped + List.length pops;
-        st.stolen <- st.stolen + List.length steals_ev;
-        st.empty_steals <-
-          st.empty_steals + List.length (List.filter Event.is_empsteal events);
+        ignore (Atomic.fetch_and_add st.popped (List.length pops));
+        ignore (Atomic.fetch_and_add st.stolen (List.length steals_ev));
+        ignore
+          (Atomic.fetch_and_add st.empty_steals
+             (List.length (List.filter Event.is_empsteal events)));
         (* Conservation: every taken value is a pushed task, taken once. *)
         let taken =
           List.filter_map

@@ -9,11 +9,13 @@ open Compass_machine
     [weak_fences] runs the broken ablation in which the checker exhibits
     the double-take. *)
 
+(** Tallies over the judged executions, atomic: the judge runs on every
+    worker domain of a [--jobs] search. *)
 type stats = {
-  mutable executions : int;
-  mutable popped : int;
-  mutable stolen : int;
-  mutable empty_steals : int;
+  executions : int Atomic.t;
+  popped : int Atomic.t;
+  stolen : int Atomic.t;
+  empty_steals : int Atomic.t;
 }
 
 val fresh_stats : unit -> stats

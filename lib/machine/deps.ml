@@ -9,14 +9,14 @@ open Compass_rmc
      detector ({!Compass_analysis.Races}); it moved here unchanged so the
      DPOR layer and the race detector share one happens-before engine.
 
-   - {!analyze_steps}: the Mazurkiewicz-trace order over a machine-step
-     sequence, built from the same footprint independence relation the
-     sleep sets use.  This is the dependency relation source-DPOR needs:
-     steps of the same thread are ordered by program order, steps of
-     different threads only by chains of dependent (non-commuting)
-     steps, and a {e reversible race} is a dependent pair with no
-     intermediate path — exactly the pairs whose reversal reaches a new
-     Mazurkiewicz trace. *)
+   - the step log ({!steps}): the Mazurkiewicz-trace order over a
+     machine-step sequence, built from the same footprint independence
+     relation the sleep sets use.  This is the dependency relation
+     source-DPOR needs: steps of the same thread are ordered by program
+     order, steps of different threads only by chains of dependent
+     (non-commuting) steps, and a {e reversible race} is a dependent pair
+     with no intermediate path — exactly the pairs whose reversal reaches
+     a new Mazurkiewicz trace. *)
 
 (* -- footprints --------------------------------------------------------------
 
@@ -181,129 +181,235 @@ let sweep items =
     let ta, sa = stamp.(a) in
     Array.length snap.(b) > 0 && snap.(b).(ta) >= sa
 
-(* -- Mazurkiewicz order over machine-step sequences --------------------------
+(* -- the step log: Mazurkiewicz order over machine steps ----------------------
 
-   Input: the (tid, footprint) sequence of the concurrent phase's machine
-   steps, in execution order.  Two steps are dependent when they belong
-   to the same thread (program order) or their footprints do not commute.
-   The trace order is the transitive closure of dependency restricted to
-   execution order; it is computed with one vector clock per step, so
-   [hb] is an O(1) stamp comparison afterwards.
+   The (tid, footprint) sequence of the concurrent phase's machine steps,
+   in execution order, with the trace order over it.  Two steps are
+   dependent when they belong to the same thread (program order) or their
+   footprints do not commute; the trace order is the transitive closure
+   of dependency restricted to execution order.
 
-   Step j's clock is the join of the clocks of the earlier steps it
-   depends on.  One forward pass keeps those joins accumulated by the
-   classes {!independent} distinguishes: each thread's last clock (which
-   covers its earlier steps, by program order), the join of all [FGlobal]
-   steps, the join of all steps, and per location the join of its reads
-   and of its writes.  Every step depends on its thread and on every
-   [FGlobal] step; an [FGlobal] step on every step, a read on its
-   location's writes, a write on its location's reads and writes, and an
-   [FLocal] step on nothing more. *)
+   Each step gets one clock row when it is pushed: per thread [u], one
+   plus the index of [u]'s last step trace-ordered at or before it (0 for
+   none).  Indices of one thread's steps grow with its program order, so
+   these are vector clocks and [hb] is one comparison.  Step j's row is
+   the join of the rows of the earlier steps it depends on, taken from
+   joins accumulated by the classes {!independent} distinguishes: each
+   thread's last step (which covers its earlier ones), all [FGlobal]
+   steps, all steps, and per location its reads and its writes.  Every
+   step depends on its thread and on every [FGlobal] step; an [FGlobal]
+   step on every step, a read on its location's writes, a write on its
+   location's reads and writes, and an [FLocal] step on nothing more.
+
+   The log is flat: one growable int array holds each step's tid,
+   previous same-thread step, undo mark and clock row, next to an array
+   of footprints.  The accumulators live in one int array too, and every
+   change to one goes on an int undo stack as (index, old value); each
+   step records the stack height it started at.  [truncate] pops back to
+   the height of the first dropped step, so rolling the log back to a
+   checkpoint costs the changes made since, as [History.truncate] does
+   for [`Gap] writes.  Location slots made past the truncation point
+   stay, their joins undone to zero, which is what an untouched location
+   holds. *)
 
 type steps = {
-  s_tid : int array;
-  s_fp : footprint array;
-  s_clock : int array array;  (** clock of step i, indexed by tid *)
-  s_seq : int array;  (** per-step own-thread sequence number *)
+  threads : int;  (** clock width *)
+  width : int;  (** a step's cells: [3 + threads] *)
+  mutable len : int;
+  mutable cells : int array;
+      (** step j at [j * width]: its tid, the same thread's previous step
+          (or -1), the undo height when it was pushed, then its clock row *)
+  mutable fp : footprint array;
+  mutable acc : int array;
+      (** the accumulators, [threads] ints each: per thread one plus its
+          last step (0 for none), the join of the [FGlobal] steps, the
+          join of all steps, then per location slot the join of its reads
+          and the join of its writes *)
+  mutable slot_key : int array;  (** {!Loc.key} of each slot *)
+  mutable slots : int;
+  mutable undo : int array;  (** (accumulator index, old value) pairs *)
+  mutable undo_len : int;
 }
 
-let join (dst : int array) (src : int array) =
-  for t = 0 to Array.length dst - 1 do
-    if src.(t) > dst.(t) then dst.(t) <- src.(t)
-  done
+(* Fields of a step's cells. *)
+let tid_at = 0
+let prev_at = 1
+let mark_at = 2
+let row_at = 3
 
-let analyze_steps steps =
-  let n = Array.length steps in
-  let s_tid = Array.map fst steps and s_fp = Array.map snd steps in
-  let max_tid = Array.fold_left max 0 s_tid in
-  let nt = max_tid + 1 in
-  let s_clock = Array.make n [||] in
-  let s_seq = Array.make n 0 in
-  let cur_seq = Array.make nt 0 in
-  let last = Array.make nt (Array.make nt 0) in
-  let globals = Array.make nt 0 and all = Array.make nt 0 in
-  (* per location, in first-touch order: its key and the joins of its
-     reads and of its writes *)
-  let loc_key = Array.make n 0 and reads = Array.make n [||] in
-  let writes = Array.make n [||] and locs = ref 0 in
-  let slot l =
-    let k = Loc.key l in
-    let s = ref 0 in
-    while !s < !locs && loc_key.(!s) <> k do incr s done;
-    if !s = !locs then begin
-      loc_key.(!s) <- k;
-      reads.(!s) <- Array.make nt 0;
-      writes.(!s) <- Array.make nt 0;
-      incr locs
-    end;
-    !s
+(* First capacities.  The int arrays start above the major heap's largest
+   size class (128 words), so each is one block of its own size there:
+   a mid-sized array would be the only tenant of a 32 KB pool of its
+   size class. *)
+let first_steps = 32
+let first_ints = 160
+
+let create ~threads =
+  let width = 3 + threads in
+  {
+    threads;
+    width;
+    len = 0;
+    cells = [||];
+    fp = [||];
+    acc = Array.make (max first_ints (3 * threads)) 0;
+    slot_key = [||];
+    slots = 0;
+    undo = [||];
+    undo_len = 0;
+  }
+
+let n_steps s = s.len
+let step_tid s i = s.cells.((i * s.width) + tid_at)
+let step_fp s i = s.fp.(i)
+
+(* Offsets into [acc]. *)
+let last_at = 0
+let globals_at s = s.threads
+let all_at s = 2 * s.threads
+let reads_at s slot = (3 + (2 * slot)) * s.threads
+let writes_at s slot = (4 + (2 * slot)) * s.threads
+
+(* [a]'s first [len] cells in a fresh array of [cap] *)
+let resize a len cap fill =
+  let b = Array.make cap fill in
+  Array.blit a 0 b 0 len;
+  b
+
+let set s k v =
+  if s.undo_len = Array.length s.undo then
+    s.undo <- resize s.undo s.undo_len (max first_ints (2 * s.undo_len)) 0;
+  s.undo.(s.undo_len) <- k;
+  s.undo.(s.undo_len + 1) <- s.acc.(k);
+  s.undo_len <- s.undo_len + 2;
+  s.acc.(k) <- v
+
+(* The slot of a location, made on first touch. *)
+let slot s l =
+  let k = Loc.key l in
+  let i = ref 0 in
+  while !i < s.slots && s.slot_key.(!i) <> k do incr i done;
+  if !i = s.slots then begin
+    if s.slots = Array.length s.slot_key then
+      s.slot_key <- resize s.slot_key s.slots (max 8 (2 * s.slots)) 0;
+    s.slot_key.(!i) <- k;
+    s.slots <- s.slots + 1;
+    let need = writes_at s !i + s.threads in
+    if need > Array.length s.acc then
+      s.acc <-
+        resize s.acc (Array.length s.acc) (max need (2 * Array.length s.acc)) 0
+  end;
+  !i
+
+let push s t f =
+  let j = s.len and nt = s.threads and w = s.width in
+  if j = Array.length s.fp then begin
+    let cap = max first_steps (2 * j) in
+    s.cells <- resize s.cells (j * w) (cap * w) 0;
+    s.fp <- resize s.fp j cap FLocal
+  end;
+  (* first, since a new slot grows [s.acc] *)
+  let sl =
+    match f with
+    | FRead l | FReadNa l | FWrite l | FWriteNa l -> slot s l
+    | FLocal | FGlobal -> -1
   in
-  for j = 0 to n - 1 do
-    let t = s_tid.(j) in
-    let c = Array.copy last.(t) in
-    join c globals;
-    (* [feeds]: the accumulated join this step's clock enters besides
-       [all] ([||] for [FLocal], where joining into it is a no-op) *)
-    let feeds =
-      match s_fp.(j) with
-      | FGlobal ->
-          join c all;
-          globals
-      | FLocal -> [||]
-      | FRead l | FReadNa l ->
-          let s = slot l in
-          join c writes.(s);
-          reads.(s)
-      | FWrite l | FWriteNa l ->
-          let s = slot l in
-          join c reads.(s);
-          join c writes.(s);
-          writes.(s)
-    in
-    cur_seq.(t) <- cur_seq.(t) + 1;
-    c.(t) <- cur_seq.(t);
-    join feeds c;
-    join all c;
-    last.(t) <- c;
-    s_clock.(j) <- c;
-    s_seq.(j) <- cur_seq.(t)
-  done;
-  { s_tid; s_fp; s_clock; s_seq }
+  let base = j * w and acc = s.acc and cells = s.cells in
+  let row = base + row_at in
+  let p = acc.(last_at + t) - 1 in
+  if p >= 0 then Array.blit cells ((p * w) + row_at) cells row nt
+  else Array.fill cells row nt 0;
+  let join_from a =
+    for u = 0 to nt - 1 do
+      if acc.(a + u) > cells.(row + u) then cells.(row + u) <- acc.(a + u)
+    done
+  in
+  join_from (globals_at s);
+  (* [feeds]: the accumulator this step's row enters besides [all]; -1
+     for [FLocal] *)
+  let feeds =
+    match f with
+    | FGlobal ->
+        join_from (all_at s);
+        globals_at s
+    | FLocal -> -1
+    | FRead _ | FReadNa _ ->
+        join_from (writes_at s sl);
+        reads_at s sl
+    | FWrite _ | FWriteNa _ ->
+        join_from (reads_at s sl);
+        join_from (writes_at s sl);
+        writes_at s sl
+  in
+  cells.(row + t) <- j + 1;
+  cells.(base + tid_at) <- t;
+  cells.(base + prev_at) <- p;
+  cells.(base + mark_at) <- s.undo_len;
+  s.fp.(j) <- f;
+  let join_into a =
+    for u = 0 to nt - 1 do
+      if cells.(row + u) > acc.(a + u) then set s (a + u) cells.(row + u)
+    done
+  in
+  if feeds >= 0 then join_into feeds;
+  join_into (all_at s);
+  set s (last_at + t) (j + 1);
+  s.len <- j + 1
+
+let truncate s n =
+  if n > s.len then invalid_arg "Deps.truncate: past the end of the log";
+  if n < s.len then begin
+    let h = s.cells.((n * s.width) + mark_at) in
+    while s.undo_len > h do
+      s.undo_len <- s.undo_len - 2;
+      s.acc.(s.undo.(s.undo_len)) <- s.undo.(s.undo_len + 1)
+    done;
+    s.len <- n
+  end
 
 (* hb i j: step i is trace-ordered before step j (i < j in execution
    order; the predicate is about the partial order, not mere position). *)
-let hb s i j = i < j && s.s_clock.(j).(s.s_tid.(i)) >= s.s_seq.(i)
+let hb s i j =
+  i < j && s.cells.((j * s.width) + row_at + step_tid s i) > i
 
 (* A reversible race: a dependent pair of different-thread steps with no
    intermediate trace path — reversing it reaches a different
    Mazurkiewicz trace, so DPOR must schedule an alternative at the
    earlier step's pre-state.  [from] bounds the later step: only races
    whose {e later} member is at index >= [from] are reported (the
-   explorer has already handled races wholly inside a replayed
-   prefix). *)
+   explorer has already handled races wholly inside a replayed prefix).
+
+   Read off the rows.  Of thread u's steps ordered before j, only the
+   last, i (row j's entry for u), can race j directly: a later one would
+   lie between them.  And i races j unless it is ordered before j's own
+   previous step or another thread's last step ordered before j: any
+   intermediate w, i ->hb w ->hb j, is of j's thread (so at or before
+   that previous step) or of a third thread (so at or before its last
+   step before j), and these steps are intermediates themselves.  So per
+   j it costs O(threads^2), where a scan of earlier steps with a search
+   for an intermediate costs O(j^2). *)
 let races ?(from = 0) s =
-  let n = Array.length s.s_tid in
+  let nt = s.threads and cells = s.cells in
   let out = ref [] in
-  for j = max 1 from to n - 1 do
-    for i = 0 to j - 1 do
-      if
-        s.s_tid.(i) <> s.s_tid.(j)
-        && (not (independent s.s_fp.(i) s.s_fp.(j)))
-        && hb s i j
-      then begin
-        (* direct only: no w strictly between with i ->hb w ->hb j *)
-        let direct = ref true in
-        let w = ref (i + 1) in
-        while !direct && !w < j do
-          if hb s i !w && hb s !w j then direct := false;
-          incr w
+  for j = max 1 from to s.len - 1 do
+    let base = j * s.width in
+    let t = cells.(base + tid_at) and p = cells.(base + prev_at) in
+    let row = base + row_at in
+    let found = ref [] in
+    for u = 0 to nt - 1 do
+      let i = cells.(row + u) - 1 in
+      if u <> t && i >= 0 && not (independent s.fp.(i) s.fp.(j)) then begin
+        let covered = ref (p >= 0 && hb s i p) and v = ref 0 in
+        while (not !covered) && !v < nt do
+          if !v <> u && !v <> t then begin
+            let w = cells.(row + !v) - 1 in
+            if w >= 0 && hb s i w then covered := true
+          end;
+          incr v
         done;
-        if !direct then out := (i, j) :: !out
+        if not !covered then found := i :: !found
       end
-    done
+    done;
+    List.iter (fun i -> out := (i, j) :: !out) (List.sort Int.compare !found)
   done;
   List.rev !out
-
-let step_tid s i = s.s_tid.(i)
-let step_fp s i = s.s_fp.(i)
-let n_steps s = Array.length s.s_tid

@@ -3,8 +3,8 @@
     Two views of the same idea: the RC11-synchronisation vector-clock
     {!sweep} over recorded access logs (the race detector's
     happens-before), and the Mazurkiewicz-trace order over machine-step
-    sequences ({!analyze_steps}) built from footprint commutation — the
-    dependency relation source-DPOR needs. *)
+    sequences (the step log, {!steps}) built from footprint commutation —
+    the dependency relation source-DPOR needs. *)
 
 open Compass_rmc
 
@@ -45,16 +45,34 @@ val sweep : Access.t array -> int -> int -> bool
 (** {1 Mazurkiewicz order over machine steps} *)
 
 type steps
-(** The analysed dependency structure of one execution's (tid,
-    footprint) step sequence. *)
-
-val analyze_steps : (int * footprint) array -> steps
-(** One vector clock per step: the transitive closure of per-thread
+(** A step log: the (tid, footprint) sequence of one execution's
+    concurrent-phase steps, oldest first, with one vector clock per step
+    computed when it is pushed — the transitive closure of per-thread
     program order plus footprint dependence, restricted to execution
-    order.  Computed in one forward pass that keeps, per thread, per
-    location (reads and writes apart), for [FGlobal] steps and for all
-    steps, the join of the clocks so far; each step joins the ones it
-    does not commute with. *)
+    order.  Mutable and restorable: {!truncate} rolls it back to an
+    earlier length by replaying an undo stack, so a checkpoint only has
+    to record {!n_steps}. *)
+
+val create : threads:int -> steps
+(** an empty log for steps of threads [0 .. threads - 1] *)
+
+val push : steps -> int -> footprint -> unit
+(** [push s tid fp] appends a step and computes its clock from joins
+    accumulated per thread, per location (reads and writes apart), for
+    [FGlobal] steps and for all steps: each step joins the ones it does
+    not commute with.  O(threads) per join, plus a scan of the touched
+    locations. *)
+
+val truncate : steps -> int -> unit
+(** [truncate s n] rolls the log back to its state when it held [n]
+    steps, undoing the accumulator changes of the steps it drops.  Only
+    valid along the current execution: [n] must have been read by
+    {!n_steps} on a state the current one was reached from.
+    @raise Invalid_argument if [n] exceeds {!n_steps}. *)
+
+val n_steps : steps -> int
+val step_tid : steps -> int -> int
+val step_fp : steps -> int -> footprint
 
 val hb : steps -> int -> int -> bool
 (** [hb s i j]: step [i] is trace-ordered before step [j].  O(1). *)
@@ -64,8 +82,7 @@ val races : ?from:int -> steps -> (int * int) list
     with no intermediate trace path [i ->hb w ->hb j] — exactly the
     pairs whose reversal reaches a new Mazurkiewicz trace.  [from]
     restricts to races whose later member is at index [>= from].
-    Sorted by later member, then earlier. *)
-
-val step_tid : steps -> int -> int
-val step_fp : steps -> int -> footprint
-val n_steps : steps -> int
+    Sorted by later member, then earlier.  Read off the clocks: for each
+    [j], only another thread's last step ordered before [j] can race it
+    directly, and does unless it is ordered before [j]'s own previous
+    step or another thread's such step — O(threads{^2}) per [j]. *)

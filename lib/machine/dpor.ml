@@ -65,10 +65,12 @@ type node = {
 type task = {
   t_script : Decision.trace;  (** decision prefix to replay verbatim *)
   t_installs : (int * (int * fp) list) list;
-      (** decision position -> sleep entries, ascending; applied by the
+      (** decision position -> sleep entries, newest first; applied by the
           driver's oracle when the replay reaches each position *)
   t_path : (int * node) list;
-      (** (step, node) for every branch node along the prefix, ascending *)
+      (** (step, node) for every branch node along the prefix, newest
+          first.  Children share their parent's list: a child's path is
+          a suffix of it, with the child's branch node consed on. *)
   t_wakeup : int list;
       (** wakeup sequence: tids to prefer at scheduling choices past the
           branch point, abandoned on first divergence *)
@@ -124,49 +126,48 @@ let array_index a x =
   let rec go i = if i >= n then None else if a.(i) = x then Some i else go (i + 1) in
   go 0
 
+(* The suffix of a newest-first list below decision position [pos]:
+   shared, not copied. *)
+let rec drop_from pos pos_of = function
+  | x :: rest when pos_of x >= pos -> drop_from pos pos_of rest
+  | l -> l
+
 (* Process one finished (or pruned) execution of [task]: create nodes from
    its fresh scheduling observations, spawn sibling tasks for untaken data
    alternatives, and integrate the reversible races of its step log.
    [ds] is the full decision trace, [obs] the observations in execution
-   order, [steps] the (tid, footprint) step log oldest first.  Returns
-   the spawned tasks shallow-to-deep. *)
+   order, [steps] the machine's live step log.  Returns the spawned tasks
+   shallow-to-deep. *)
 let integrate st task ~ds ~obs ~steps =
   Mutex.lock st.lock;
   let slen = Array.length task.t_script in
-  let fresh_nodes =
-    List.filter_map
-      (function
+  (* The run's branch nodes, newest first: the fresh ones on top of the
+     task's own path. *)
+  let path =
+    List.fold_left
+      (fun path -> function
         | Osched o when o.o_pos >= slen ->
-            Some
-              ( o.o_step,
-                {
-                  n_pos = o.o_pos;
-                  n_step = o.o_step;
-                  n_tids = o.o_tids;
-                  n_fps = o.o_fps;
-                  n_sleep = o.o_sleep;
-                  n_sched = [ o.o_tids.(o.o_taken) ];
-                  n_installs = [];
-                } )
-        | _ -> None)
-      obs
+            ( o.o_step,
+              {
+                n_pos = o.o_pos;
+                n_step = o.o_step;
+                n_tids = o.o_tids;
+                n_fps = o.o_fps;
+                n_sleep = o.o_sleep;
+                n_sched = [ o.o_tids.(o.o_taken) ];
+                n_installs = [];
+              } )
+            :: path
+        | _ -> path)
+      task.t_path obs
   in
-  let path = task.t_path @ fresh_nodes in
   let children = ref [] in
-  (* Install list for a child branching at decision position [pos]: every
-     non-empty branch install along its prefix, read back from the fixed
-     per-(node, branch) records. *)
-  let installs_below pos =
-    List.filter_map
-      (fun (_, nd) ->
-        if nd.n_pos >= pos then None
-        else
-          match List.assoc_opt ds.(nd.n_pos).Decision.choice nd.n_installs with
-          | Some (_ :: _ as inst) -> Some (nd.n_pos, inst)
-          | _ -> None)
-      path
-  in
-  let path_below pos = List.filter (fun (_, nd) -> nd.n_pos < pos) path in
+  (* The install list of a child branching at decision position [pos]:
+     the task's own, below [pos].  A fresh node adds none: its taken
+     branch was scheduled first and sleeps nothing, and a branch's install
+     is fixed when the branch is queued, before any task takes it. *)
+  let installs_below pos = drop_from pos fst task.t_installs in
+  let path_below pos = drop_from pos (fun (_, nd) -> nd.n_pos) path in
   (* Data siblings: every untaken alternative of a fresh data choice owns
      a disjoint subtree; enumerate them all (DPOR does not reduce data
      nondeterminism). *)
@@ -212,14 +213,13 @@ let integrate st task ~ds ~obs ~steps =
     children :=
       {
         t_script = Array.append (Array.sub ds 0 nd.n_pos) [| branch |];
-        t_installs = installs_below nd.n_pos @ [ (nd.n_pos, install) ];
-        t_path = path_below nd.n_pos @ [ (nd.n_step, nd) ];
+        t_installs = (nd.n_pos, install) :: installs_below nd.n_pos;
+        t_path = (nd.n_step, nd) :: path_below nd.n_pos;
         t_wakeup = wakeup;
         t_branch_step = nd.n_step;
       }
       :: !children
   in
-  let sarr = Deps.analyze_steps steps in
   (* In rf mode, atomic-write-before-atomic-read races need no reversal:
      the read's alternatives (its data siblings) already cover every
      message the reversed order could make it read, and with the rf edge
@@ -227,7 +227,7 @@ let integrate st task ~ds ~obs ~steps =
   let keep_race (i, j) =
     (not st.rf)
     ||
-    match (Deps.step_fp sarr i, Deps.step_fp sarr j) with
+    match (Deps.step_fp steps i, Deps.step_fp steps j) with
     | Deps.FWrite _, Deps.FRead _ -> false
     | _ -> true
   in
@@ -243,15 +243,15 @@ let integrate st task ~ds ~obs ~steps =
       | Some nd ->
           let v = ref [ j ] in
           for k = j - 1 downto i + 1 do
-            if not (Deps.hb sarr i k) then v := k :: !v
+            if not (Deps.hb steps i k) then v := k :: !v
           done;
           let v = !v in
           let initials =
             let rec go acc seen = function
               | [] -> List.rev acc
               | k :: rest ->
-                  let blocked = List.exists (fun l -> Deps.hb sarr l k) seen in
-                  let t = Deps.step_tid sarr k in
+                  let blocked = List.exists (fun l -> Deps.hb steps l k) seen in
+                  let t = Deps.step_tid steps k in
                   let acc =
                     if blocked || List.mem t acc then acc else t :: acc
                   in
@@ -269,7 +269,7 @@ let integrate st task ~ds ~obs ~steps =
             with
             | [] -> () (* every initial asleep: covered at an ancestor *)
             | candidates -> (
-                let first_tid = Deps.step_tid sarr (List.hd v) in
+                let first_tid = Deps.step_tid steps (List.hd v) in
                 let u =
                   if List.mem first_tid candidates then first_tid
                   else List.hd candidates
@@ -278,7 +278,7 @@ let integrate st task ~ds ~obs ~steps =
                 | Some c ->
                     let wakeup =
                       if u = first_tid then
-                        List.map (Deps.step_tid sarr) (List.tl v)
+                        List.map (Deps.step_tid steps) (List.tl v)
                       else []
                     in
                     spawn_branch nd c u ~wakeup
@@ -296,7 +296,7 @@ let integrate st task ~ds ~obs ~steps =
                         then spawn_branch nd c w ~wakeup:[])
                       nd.n_tids)
           end)
-    (List.filter keep_race (Deps.races ~from:task.t_branch_step sarr));
+    (List.filter keep_race (Deps.races ~from:task.t_branch_step steps));
   (* Shallow-to-deep: the driver pushes in this order, so the owner's LIFO
      pop takes the deepest branch.  At jobs = 1 this explores the DPOR
      tree depth-first, which keeps the incremental engine's divergence

@@ -64,12 +64,16 @@ val integrate :
   task ->
   ds:Decision.trace ->
   obs:obs list ->
-  steps:(int * fp) array ->
+  steps:Deps.steps ->
   task list
 (** account one finished (or pruned) execution of [task]: create nodes
     from fresh scheduling observations, spawn data-alternative siblings,
     insert race-reversal branches per the source-DPOR rule.  [ds] is the
     full decision trace, [obs] the observations in execution order,
-    [steps] the (tid, footprint) log oldest first.  Returns the spawned
-    tasks sorted shallow-to-deep by branch step: pushed in that order on
-    a LIFO deque, the deepest branch runs next. *)
+    [steps] the run's step log — the machine's live one
+    ({!Machine.dpor_steps}), read here and not kept: its clocks give the
+    races ({!Deps.races}) and the trace order of each race's
+    [notdep(i) · j].  The children share the task's path instead of
+    copying it.  Returns the spawned tasks sorted shallow-to-deep by
+    branch step: pushed in that order on a LIFO deque, the deepest branch
+    runs next. *)

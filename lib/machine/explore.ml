@@ -773,7 +773,7 @@ let dpor_exec ~state ~reduction ~classify ~incremental ~config scenario st =
                let t = ref !base in
                while !wake <> [] && !t < s do
                  (match !wake with
-                 | w :: rest when w = fst steps.(!t) -> wake := rest
+                 | w :: rest when w = Deps.step_tid steps !t -> wake := rest
                  | _ -> wake := []);
                  incr t
                done;

@@ -108,7 +108,7 @@ type snapshot = {
   s_accesses : Access.t list;
   s_next_aid : int;
   s_sleep : (int * footprint) list;
-  s_dpor_log : (int * footprint) list;
+  s_dpor_len : int;
   s_run_deadline : int;
 }
 
@@ -130,10 +130,10 @@ type t = {
   mutable sleep : (int * footprint) list;
       (** sleep set along the current path (tid, pending footprint); lives
           in the machine so checkpoints can capture and resume it *)
-  mutable dpor_log : (int * footprint) list;
-      (** under [RDpor]: (tid, footprint) of every concurrent-phase step
-          taken along the current path, newest first — the input to the
-          Mazurkiewicz dependency analysis; checkpointed like [sleep] *)
+  mutable dpor_log : Deps.steps option;
+      (** under [RDpor]: the step log of the current path with its
+          clocks, made at the first logged step.  A checkpoint records
+          its length and {!restore} truncates back to it. *)
   mutable run_deadline : int;
       (** absolute step bound of the current concurrent phase; kept across
           checkpoint restores so a resumed run bounds exactly like a
@@ -161,7 +161,7 @@ let create ?(config = default_config) () =
     accesses = [];
     next_aid = 0;
     sleep = [];
-    dpor_log = [];
+    dpor_log = None;
     run_deadline = max_int;
     snap_cache = None;
     spawned = [];
@@ -634,12 +634,29 @@ let footprint m (th : thread) =
 
 let independent = Deps.independent
 
-(* DPOR driver hooks: the per-path step log (oldest first), the current
-   sleep set, driver installation of a sleep set at a branch point, and
-   the pending footprint of a thread by tid — what the driver snapshots
-   at each scheduling observation. *)
-let dpor_steps m = Array.of_list (List.rev m.dpor_log)
-let dpor_depth m = List.length m.dpor_log
+(* DPOR driver hooks: the per-path step log (the live one, oldest
+   first), the current sleep set, driver installation of a sleep set at a
+   branch point, and the pending footprint of a thread by tid — what the
+   driver snapshots at each scheduling observation. *)
+let dpor_steps m =
+  match m.dpor_log with
+  | Some l -> l
+  | None -> Deps.create ~threads:(Array.length m.threads)
+
+let dpor_depth m =
+  match m.dpor_log with Some l -> Deps.n_steps l | None -> 0
+
+let truncate_log m n =
+  match m.dpor_log with Some l -> Deps.truncate l n | None -> ()
+
+let log_step m tid fp =
+  match m.dpor_log with
+  | Some l -> Deps.push l tid fp
+  | None ->
+      let l = Deps.create ~threads:(Array.length m.threads) in
+      Deps.push l tid fp;
+      m.dpor_log <- Some l
+
 let get_sleep m = m.sleep
 let set_sleep m s = m.sleep <- s
 
@@ -669,7 +686,7 @@ let pending_footprint m tid =
 let prime m =
   m.run_deadline <- m.step + m.config.max_steps;
   m.sleep <- [];
-  m.dpor_log <- []
+  truncate_log m 0
 
 let run ?(reduction = RNone) ?(resume = false) ?on_step ?on_sched m oracle =
   let n = Array.length m.threads in
@@ -741,7 +758,7 @@ let run ?(reduction = RNone) ?(resume = false) ?on_step ?on_sched m oracle =
                steps and logs every step for the dependency analysis. *)
             let fp = footprint m th in
             m.sleep <- List.filter (fun (_, fu) -> independent fu fp) m.sleep;
-            m.dpor_log <- (th.tid, fp) :: m.dpor_log);
+            log_step m th.tid fp);
         step_thread m th oracle;
         (match on_step with Some f -> f () | None -> ());
         loop ()
@@ -805,7 +822,7 @@ let snapshot m =
       s_accesses = m.accesses;
       s_next_aid = m.next_aid;
       s_sleep = m.sleep;
-      s_dpor_log = m.dpor_log;
+      s_dpor_len = dpor_depth m;
       s_run_deadline = m.run_deadline;
     }
   in
@@ -837,7 +854,7 @@ let restore m s =
   m.accesses <- s.s_accesses;
   m.next_aid <- s.s_next_aid;
   m.sleep <- s.s_sleep;
-  m.dpor_log <- s.s_dpor_log;
+  truncate_log m s.s_dpor_len;
   m.run_deadline <- s.s_run_deadline;
   m.snap_cache <- Some s
 

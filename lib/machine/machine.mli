@@ -144,12 +144,15 @@ val run :
     installed at settled step boundaries (inside an oracle pick or an
     [on_sched] callback). *)
 
-val dpor_steps : t -> (int * Deps.footprint) array
-(** the (tid, footprint) log of every concurrent-phase step taken along
-    the current path, oldest first — only maintained under [RDpor] *)
+val dpor_steps : t -> Deps.steps
+(** the step log of every concurrent-phase step taken along the current
+    path, oldest first, with its clocks — only maintained under [RDpor].
+    This is the machine's live log, not a copy: valid until the next
+    {!restore} (or {!run} without [~resume]), which truncates it in
+    place. *)
 
 val dpor_depth : t -> int
-(** [Array.length (dpor_steps m)] without building the array *)
+(** [Deps.n_steps (dpor_steps m)]; O(1) *)
 
 val get_sleep : t -> (int * Deps.footprint) list
 val set_sleep : t -> (int * Deps.footprint) list -> unit
@@ -159,7 +162,7 @@ val pending_footprint : t -> int -> Deps.footprint
 
 type snapshot
 (** a value-copy of all machine state (threads, memory, graphs, views,
-    sleep set, DPOR step log), sharing persistent substructure:
+    sleep set, the DPOR step log's length), sharing persistent substructure:
     O(#locations + #graphs + #threads) pointers.  Valid to take between
     machine steps. *)
 
@@ -169,7 +172,10 @@ val restore : t -> snapshot -> unit
 (** roll the machine — including its memory, registry and thread records,
     all mutated in place so handles captured at build time stay valid —
     back to [snapshot].  Follow with {!run}[ ~resume:true] to re-explore
-    from that point under a different decision suffix. *)
+    from that point under a different decision suffix.  The histories
+    and the DPOR step log are rolled back by truncation and undo, so the
+    snapshot must have been taken along the current execution, as the
+    incremental explorer's checkpoints are. *)
 
 val join_views : t -> unit
 (** join all thread views into the setup view (parent joins children) *)

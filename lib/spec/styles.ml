@@ -20,30 +20,34 @@ type kind = Libspec.kind = Queue | Stack | Deque
 let check style kind g : Check.violation list =
   Libspec.check style (Libspec.of_kind kind) g
 
-(* Aggregated satisfaction counts across many executions (experiment E2). *)
+(* Aggregated satisfaction counts across many executions (experiment E2).
+   Atomic: a judge tallies from every worker domain of a [--jobs] search,
+   and the first failing execution to land keeps its example. *)
 type tally = {
-  mutable execs : int;
-  mutable failed : int;
-  mutable example : Check.violation option;
+  execs : int Atomic.t;
+  failed : int Atomic.t;
+  example : Check.violation option Atomic.t;
 }
 
-let fresh_tally () = { execs = 0; failed = 0; example = None }
+let fresh_tally () =
+  { execs = Atomic.make 0; failed = Atomic.make 0; example = Atomic.make None }
 
 let tally_one t violations =
-  t.execs <- t.execs + 1;
+  Atomic.incr t.execs;
   match violations with
   | [] -> ()
   | v :: _ ->
-      t.failed <- t.failed + 1;
-      if t.example = None then t.example <- Some v
+      Atomic.incr t.failed;
+      ignore (Atomic.compare_and_set t.example None (Some v))
 
-let satisfied t = t.failed = 0
+let satisfied t = Atomic.get t.failed = 0
 
 let pp_tally ppf t =
-  if satisfied t then Format.fprintf ppf "sat (%d execs)" t.execs
+  if satisfied t then Format.fprintf ppf "sat (%d execs)" (Atomic.get t.execs)
   else
-    Format.fprintf ppf "FAIL %d/%d%a" t.failed t.execs
+    Format.fprintf ppf "FAIL %d/%d%a" (Atomic.get t.failed)
+      (Atomic.get t.execs)
       (fun ppf -> function
         | Some v -> Format.fprintf ppf " e.g. %a" Check.pp_violation v
         | None -> ())
-      t.example
+      (Atomic.get t.example)

@@ -30,10 +30,12 @@ val check : style -> kind -> Graph.t -> Check.violation list
 
 (** {1 Aggregation across executions} *)
 
+(** Satisfaction counts and the first failure's example.  Atomic, so a
+    judge may tally from every worker domain of a [--jobs] search. *)
 type tally = {
-  mutable execs : int;
-  mutable failed : int;
-  mutable example : Check.violation option;
+  execs : int Atomic.t;
+  failed : int Atomic.t;
+  example : Check.violation option Atomic.t;
 }
 
 val fresh_tally : unit -> tally

@@ -2,9 +2,9 @@ open Compass_machine
 
 (* Step clocks by an all-pairs scan: step j joins the clock of every
    earlier step it does not commute with, then bumps its own thread's
-   component.  O(n^2 * threads); {!Deps.analyze_steps} computes the same
-   clocks in one forward pass, and the deps property checks that both
-   give the same trace order and races. *)
+   component.  O(n^2 * threads); the step log ({!Deps.push}) computes
+   the same order one step at a time, and the deps properties check that
+   both give the same trace order and races, also after truncations. *)
 
 type t = {
   tid : int array;

@@ -1,8 +1,8 @@
 open Compass_machine
 
 (** Mazurkiewicz trace order over a machine-step sequence by an
-    all-pairs scan: the reference {!Deps.analyze_steps}, {!Deps.hb} and
-    {!Deps.races} are checked against. *)
+    all-pairs scan: the reference the step log's clocks ({!Deps.push},
+    {!Deps.truncate}), {!Deps.hb} and {!Deps.races} are checked against. *)
 
 type t
 

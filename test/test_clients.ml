@@ -16,12 +16,31 @@ let test_mp_msqueue () =
   let r = Explore.dfs ~max_execs:100_000 (Mp.make Msqueue.instantiate st) in
   check_ok "mp" r;
   Alcotest.(check bool) "exhaustive" true r.Explore.complete;
-  Alcotest.(check int) "right deq never empty" 0 st.Mp.right_empty;
+  Alcotest.(check int) "right deq never empty" 0 (Atomic.get st.Mp.right_empty);
   Alcotest.(check bool) "got both values" true
-    (st.Mp.right_got_41 > 0 && st.Mp.right_got_42 > 0);
-  Alcotest.(check int) "LAThb excludes empty always" st.Mp.executions
-    st.Mp.excluded_hb;
-  Alcotest.(check int) "LATso never excludes" 0 st.Mp.excluded_so
+    (Atomic.get st.Mp.right_got_41 > 0 && Atomic.get st.Mp.right_got_42 > 0);
+  Alcotest.(check int) "LAThb excludes empty always"
+    (Atomic.get st.Mp.executions)
+    (Atomic.get st.Mp.excluded_hb);
+  Alcotest.(check int) "LATso never excludes" 0 (Atomic.get st.Mp.excluded_so)
+
+(* The tallies are shared by the worker domains of a [--jobs] search, so
+   after one on two domains they must still account for every judged
+   execution. *)
+let test_mp_tallies_jobs () =
+  let st = Mp.fresh_stats () in
+  let r =
+    Explore.dfs ~jobs:2 ~max_execs:20_000 (Mp.make Msqueue.instantiate st)
+  in
+  check_ok "mp jobs 2" r;
+  let n = r.Explore.executions in
+  Alcotest.(check int) "tallied executions" n (Atomic.get st.Mp.executions);
+  Alcotest.(check int) "right deq outcomes" n
+    (Atomic.get st.Mp.right_got_41
+    + Atomic.get st.Mp.right_got_42
+    + Atomic.get st.Mp.right_empty);
+  Alcotest.(check int) "LAThb excludes empty in all" n
+    (Atomic.get st.Mp.excluded_hb)
 
 (* MP for the HW queue: the LAThb specs suffice (Section 3.2). *)
 let test_mp_hwqueue () =
@@ -29,7 +48,7 @@ let test_mp_hwqueue () =
   let r = Explore.dfs ~max_execs:20_000 (Mp.make Hwqueue.instantiate st) in
   check_ok "mp-hw" r;
   Alcotest.(check bool) "exhaustive" true r.Explore.complete;
-  Alcotest.(check int) "right deq never empty" 0 st.Mp.right_empty
+  Alcotest.(check int) "right deq never empty" 0 (Atomic.get st.Mp.right_empty)
 
 (* The weak-flag ablation: the empty outcome becomes observable. *)
 let test_mp_weak_flag () =
@@ -37,7 +56,7 @@ let test_mp_weak_flag () =
   let r = Explore.dfs ~max_execs:400_000 (Mp.make_weak Msqueue.instantiate st) in
   check_ok "mp-weak (queue itself stays consistent)" r;
   Alcotest.(check bool) "empty observed without synchronisation" true
-    (st.Mp.right_empty > 0)
+    (Atomic.get st.Mp.right_empty > 0)
 
 (* SPSC (Section 3.2): end-to-end FIFO through arrays. *)
 let test_spsc () =
@@ -82,7 +101,8 @@ let test_resource_exchange () =
     Explore.dfs ~max_execs:60_000 (Resource_exchange.make ~threads:2 st)
   in
   check_ok "resource exchange" r;
-  Alcotest.(check bool) "some swaps happened" true (st.Resource_exchange.swaps > 0)
+  Alcotest.(check bool) "some swaps happened" true
+    (Atomic.get st.Resource_exchange.swaps > 0)
 
 let test_resource_exchange_three () =
   let st = Resource_exchange.fresh_stats () in
@@ -98,8 +118,10 @@ let test_mp_stack () =
       let st = Mp_stack.fresh_stats () in
       let r = Explore.dfs ~max_execs:250_000 (Mp_stack.make factory st) in
       check_ok "mp-stack" r;
-      Alcotest.(check int) "right pop never empty" 0 st.Mp_stack.right_empty;
-      Alcotest.(check bool) "pops succeeded" true (st.Mp_stack.right_got > 0))
+      Alcotest.(check int) "right pop never empty" 0
+        (Atomic.get st.Mp_stack.right_empty);
+      Alcotest.(check bool) "pops succeeded" true
+        (Atomic.get st.Mp_stack.right_got > 0))
     [ Treiber.instantiate ]
 
 (* Strong FIFO recovery under a client lock (Section 3.1). *)
@@ -109,13 +131,13 @@ let test_strong_fifo_recovery () =
       let st = Strong_fifo.fresh_stats () in
       let r = Explore.dfs ~max_execs:150_000 (Strong_fifo.make factory st) in
       check_ok "strong-fifo" r;
-      let broke = ref 0 in
+      let broke = Atomic.make 0 in
       let rc =
         Explore.dfs ~max_execs:60_000 (Strong_fifo.make_control factory broke)
       in
       check_ok "strong-fifo control (weak spec still holds)" rc;
       Alcotest.(check bool) "bare queue breaks totality somewhere" true
-        (!broke > 0))
+        (Atomic.get broke > 0))
     [ Msqueue.instantiate; Hwqueue.instantiate ]
 
 (* Litmus battery: the substrate's weak behaviours and guarantees. *)
@@ -145,6 +167,8 @@ let suite =
   [
     Alcotest.test_case "MP with MS queue (exhaustive)" `Slow test_mp_msqueue;
     Alcotest.test_case "MP with HW queue (exhaustive)" `Slow test_mp_hwqueue;
+    Alcotest.test_case "MP tallies add up under jobs 2" `Quick
+      test_mp_tallies_jobs;
     Alcotest.test_case "MP weak-flag ablation" `Slow test_mp_weak_flag;
     Alcotest.test_case "SPSC end-to-end FIFO" `Slow test_spsc;
     Alcotest.test_case "SPSC n=1 exhaustive" `Slow test_spsc_exhaustive_small;

@@ -504,7 +504,36 @@ let test_acceptance_mp_queue () =
     true
     (total_runs dpor < total_runs sleep)
 
+(* -- the search shape, pinned --------------------------------------------------
+
+   The counts of one complete DPOR search: the ms queue, 2 enqueuers x 1
+   dequeuer x 1 op, under plain source-DPOR.  Any change to which runs
+   DPOR makes (which races it reverses, which tasks it queues, which
+   sleep sets they install) moves these, so it fails here and not only in
+   a benchmark count. *)
+let test_search_shape () =
+  let factory =
+    match Specreg.find "ms" with
+    | Some { Libspec.impl = Specreg.Queue f; _ } -> f
+    | _ -> Alcotest.fail "no registered queue named ms"
+  in
+  let r =
+    Explore.dfs ~reduce:Machine.RDpor ~max_execs:max_int
+      (Harness.queue_workload factory ~enqers:2 ~deqers:1 ~ops:1 ())
+  in
+  Alcotest.(check bool) "complete" true r.Explore.complete;
+  Alcotest.(check bool) "pass" true (Explore.ok r);
+  Alcotest.(check int) "executions" 9_208 r.Explore.executions;
+  Alcotest.(check int) "dpor-pruned" 46 r.Explore.dpor_pruned
+
 (* -- the dependency layer itself ---------------------------------------------- *)
+
+(* A step log holding [steps], pushed one by one. *)
+let log_of steps =
+  let nt = Array.fold_left (fun m (t, _) -> max m (t + 1)) 1 steps in
+  let s = Deps.create ~threads:nt in
+  Array.iter (fun (t, fp) -> Deps.push s t fp) steps;
+  s
 
 let test_deps_relation () =
   let open Deps in
@@ -523,9 +552,7 @@ let test_deps_relation () =
   (* A 3-step log: two writes to [a] by different threads with an
      independent write to [b] between them — one direct reversible race,
      (0, 2). *)
-  let s =
-    analyze_steps [| (0, FWrite a); (1, FWrite b); (2, FWrite a) |]
-  in
+  let s = log_of [| (0, FWrite a); (1, FWrite b); (2, FWrite a) |] in
   Alcotest.(check bool) "conflicting writes trace-ordered" true (hb s 0 2);
   Alcotest.(check bool) "disjoint write unordered" false (hb s 0 1);
   Alcotest.(check (list (pair int int))) "one direct race" [ (0, 2) ] (races s);
@@ -533,69 +560,116 @@ let test_deps_relation () =
     "races before [from] dropped" [] (races ~from:3 s);
   (* With a conflicting step between them the race is indirect: the
      reversal is reached through the adjacent reversals instead. *)
-  let u =
-    analyze_steps [| (0, FWrite a); (1, FWrite a); (2, FWrite a) |]
-  in
+  let u = log_of [| (0, FWrite a); (1, FWrite a); (2, FWrite a) |] in
   Alcotest.(check (list (pair int int)))
     "only adjacent races are direct"
     [ (0, 1); (1, 2) ]
     (races u);
   (* Same-thread steps are program-ordered but never a race. *)
-  let t = analyze_steps [| (0, FWrite a); (0, FWrite a) |] in
+  let t = log_of [| (0, FWrite a); (0, FWrite a) |] in
   Alcotest.(check bool) "po orders same thread" true (hb t 0 1);
-  Alcotest.(check (list (pair int int))) "po is not a race" [] (races t)
+  Alcotest.(check (list (pair int int))) "po is not a race" [] (races t);
+  (* Truncation takes a step's clock contributions back out: after
+     rolling [u] back to one step, a write to [b] no longer follows the
+     dropped writes to [a]. *)
+  truncate u 1;
+  push u 1 (FWrite b);
+  Alcotest.(check int) "truncated length" 2 (n_steps u);
+  Alcotest.(check bool) "restored log forgets dropped steps" false (hb u 0 1);
+  Alcotest.(check (list (pair int int))) "no race after restore" [] (races u)
 
-(* The one-pass step clocks against the all-pairs scan, on random step
-   logs: four threads, three locations, atomic and non-atomic reads and
-   writes, local and global steps. *)
+(* Random step logs: four threads, three locations, atomic and non-atomic
+   reads and writes, local and global steps. *)
+let deps_locs =
+  Loc.[| make ~base:1 ~off:0; make ~base:1 ~off:1; make ~base:2 ~off:0 |]
+
+let gen_step =
+  QCheck.Gen.(
+    let at f = map (fun i -> f deps_locs.(i)) (int_bound 2) in
+    pair (int_bound 3)
+      (frequency
+         [
+           (3, at (fun l -> Deps.FRead l));
+           (3, at (fun l -> Deps.FWrite l));
+           (1, at (fun l -> Deps.FReadNa l));
+           (1, at (fun l -> Deps.FWriteNa l));
+           (1, return Deps.FLocal);
+           (1, return Deps.FGlobal);
+         ]))
+
+let print_step (t, fp) = Format.asprintf "%d:%a" t Deps.pp_footprint fp
+
+(* The log [s] against the all-pairs scan of the steps it should hold:
+   same length, [hb] on every pair, [races ~from] for every [from]. *)
+let agrees_with_scan s steps =
+  let n = Array.length steps in
+  let r = Deps_scan.analyze steps in
+  let hb_agrees = ref true in
+  for i = 0 to n - 1 do
+    for j = 0 to n - 1 do
+      if Deps.hb s i j <> Deps_scan.hb r i j then hb_agrees := false
+    done
+  done;
+  Deps.n_steps s = n && !hb_agrees
+  && List.for_all
+       (fun from -> Deps.races ~from s = Deps_scan.races ~from r)
+       (List.init (n + 1) Fun.id)
+
+(* The incremental step clocks against the all-pairs scan. *)
 let test_deps_one_pass =
-  let locs =
-    Loc.[| make ~base:1 ~off:0; make ~base:1 ~off:1; make ~base:2 ~off:0 |]
-  in
-  let gen_fp =
-    QCheck.Gen.(
-      let at f = map (fun i -> f locs.(i)) (int_bound 2) in
-      frequency
-        [
-          (3, at (fun l -> Deps.FRead l));
-          (3, at (fun l -> Deps.FWrite l));
-          (1, at (fun l -> Deps.FReadNa l));
-          (1, at (fun l -> Deps.FWriteNa l));
-          (1, return Deps.FLocal);
-          (1, return Deps.FGlobal);
-        ])
-  in
   let print steps =
-    String.concat " "
-      (Array.to_list
-         (Array.map
-            (fun (t, fp) -> Format.asprintf "%d:%a" t Deps.pp_footprint fp)
-            steps))
+    String.concat " " (Array.to_list (Array.map print_step steps))
   in
   let arb =
-    QCheck.make ~print
-      QCheck.Gen.(array_size (int_bound 40) (pair (int_bound 3) gen_fp))
+    QCheck.make ~print QCheck.Gen.(array_size (int_bound 40) gen_step)
   in
   QCheck.Test.make ~name:"deps: one-pass clocks == all-pairs scan" ~count:500
-    arb (fun steps ->
-      let n = Array.length steps in
-      let s = Deps.analyze_steps steps and r = Deps_scan.analyze steps in
-      let hb_agrees = ref true in
-      for i = 0 to n - 1 do
-        for j = 0 to n - 1 do
-          if Deps.hb s i j <> Deps_scan.hb r i j then hb_agrees := false
-        done
-      done;
-      !hb_agrees
-      && List.for_all
-           (fun from -> Deps.races ~from s = Deps_scan.races ~from r)
-           [ 0; n / 2 ])
+    arb (fun steps -> agrees_with_scan (log_of steps) steps)
+
+(* The log under checkpoint restores: random pushes interleaved with
+   truncations to random earlier lengths, then the live log against the
+   scan of the steps it holds. *)
+let test_deps_restore =
+  let gen_op =
+    QCheck.Gen.(
+      frequency
+        [
+          (5, map (fun st -> `Push st) gen_step);
+          (1, map (fun k -> `Truncate k) nat);
+        ])
+  in
+  let print ops =
+    String.concat " "
+      (List.map
+         (function
+           | `Push st -> print_step st | `Truncate k -> Printf.sprintf "<%d" k)
+         ops)
+  in
+  let arb = QCheck.make ~print QCheck.Gen.(list_size (int_bound 60) gen_op) in
+  QCheck.Test.make ~name:"deps: restored log == scan of its live prefix"
+    ~count:500 arb (fun ops ->
+      let s = Deps.create ~threads:4 in
+      (* the steps the log should hold, newest first *)
+      let live = ref [] in
+      List.iter
+        (function
+          | `Push (t, fp) ->
+              Deps.push s t fp;
+              live := (t, fp) :: !live
+          | `Truncate k ->
+              let len = List.length !live in
+              let n = k mod (len + 1) in
+              Deps.truncate s n;
+              live := List.filteri (fun i _ -> i >= len - n) !live)
+        ops;
+      agrees_with_scan s (Array.of_list (List.rev !live)))
 
 let suite =
   [
     Alcotest.test_case "deps: independence, trace order, races" `Quick
       test_deps_relation;
     Helpers.qtest test_deps_one_pass;
+    Helpers.qtest test_deps_restore;
     Alcotest.test_case "3-thread write race: dpor hits the optimum" `Quick
       test_optimal_count;
     Alcotest.test_case "dpor == sleep == unreduced (clients)" `Slow
@@ -608,6 +682,8 @@ let suite =
       test_acceptance_mp_queue;
     Alcotest.test_case "weakened ms next_load: sleep and dpor find it" `Quick
       test_weak_next_load_found;
+    Alcotest.test_case "search shape: ms 2x1 under dpor, 9208 + 46 runs" `Quick
+      test_search_shape;
     Alcotest.test_case "dpor-rf == exhaustive rf-class census (litmus)" `Slow
       test_rf_census;
     Alcotest.test_case "rf key: byte key splits runs as the formatted key"

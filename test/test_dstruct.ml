@@ -145,7 +145,7 @@ let test_mp_with_fence_queue () =
   let st = Mp.fresh_stats () in
   let r = Explore.dfs ~max_execs:250_000 (Mp.make Msqueue_fences.instantiate st) in
   check_ok "mp/msqueue-fences" r;
-  Alcotest.(check int) "right deq never empty" 0 st.Mp.right_empty
+  Alcotest.(check int) "right deq never empty" 0 (Atomic.get st.Mp.right_empty)
 
 let test_msqueue_hb_abs () =
   check_ok "msqueue"
@@ -260,13 +260,15 @@ let test_elimination_composition () =
   let st = Es_compose.fresh_stats () in
   check_ok "es-compose"
     (rand ~execs:1_500 (Es_compose.make ~pushers:2 ~poppers:2 ~ops:1 st));
-  Alcotest.(check bool) "base path exercised" true (st.Es_compose.via_base > 0)
+  Alcotest.(check bool) "base path exercised" true
+    (Atomic.get st.Es_compose.via_base > 0)
 
 let test_elimination_actually_eliminates () =
   (* Under contention, some ops must complete via the exchanger. *)
   let st = Es_compose.fresh_stats () in
   ignore (rand ~execs:4_000 (Es_compose.make ~pushers:2 ~poppers:2 ~ops:2 st));
-  Alcotest.(check bool) "eliminations occurred" true (st.Es_compose.eliminated > 0)
+  Alcotest.(check bool) "eliminations occurred" true
+    (Atomic.get st.Es_compose.eliminated > 0)
 
 (* -- lock-based SC baselines ---------------------------------------------------- *)
 
@@ -372,7 +374,8 @@ let test_chaselev_random_contended () =
       (Ws_client.make ~tasks:3 ~thieves:2 ~steals:2 st)
   in
   check_ok "chaselev contended" r;
-  Alcotest.(check bool) "steals occurred" true (st.Ws_client.stolen > 0)
+  Alcotest.(check bool) "steals occurred" true
+    (Atomic.get st.Ws_client.stolen > 0)
 
 let test_chaselev_weak_fences_break () =
   (* The ablation: acq-rel instead of SC fences loses elements to double

@@ -170,8 +170,8 @@ let test_tally () =
   let t = Styles.fresh_tally () in
   Styles.tally_one t [];
   Styles.tally_one t [ Check.v "x" "boom" ];
-  Alcotest.(check int) "execs" 2 t.Styles.execs;
-  Alcotest.(check int) "failed" 1 t.Styles.failed;
+  Alcotest.(check int) "execs" 2 (Atomic.get t.Styles.execs);
+  Alcotest.(check int) "failed" 1 (Atomic.get t.Styles.failed);
   Alcotest.(check bool) "not satisfied" false (Styles.satisfied t)
 
 let suite =
