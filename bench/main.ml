@@ -35,27 +35,27 @@ let stack_factory key =
                              the differential-testing oracle;
    - "incremental"         — the default checkpoint/restore engine, one
                              worker;
-   - "incremental_reduced" — the same engine with sleep-set reduction;
    - "incremental_dpor"    — the same engine under source-DPOR with
-                             wakeup sequences (strictly fewer executions
-                             than sleep sets on a complete search), with
-                             its runs per second (executions plus
-                             dpor-pruned runs) and their ratio to the
-                             "incremental" row's executions per second;
+                             wakeup sequences, with its runs per second
+                             (executions plus dpor-pruned runs) and their
+                             ratio to the "incremental" row's executions
+                             per second;
    - "jobs"                — the same driver at 2 and 4 domains (each
                              worker owns a per-domain incremental
                              engine); its one-domain row is
                              "incremental".
 
-   Both reduction rows carry a "reduction_factor" column: full-tree
-   executions over reduced executions (higher = stronger reduction).
+   The DPOR row carries a "reduction_factor" column: full-tree executions
+   over reduced executions (higher = stronger reduction).
 
    The report fields are exact whatever the mode; wall-clock speedups
    depend on the host.  Multi-domain rows are skipped (and marked as
    such) when the host recommends fewer domains than they use — a
    1-core box cannot exhibit parallel speedup, only scheduling noise.  [--check] exits
    nonzero if the incremental engine is slower than sequential replay on
-   any scenario: the CI perf-smoke gate. *)
+   any scenario, or if DPOR stops finishing the mp-queue and hw-queue
+   searches that the unreduced engine cannot finish within the budget:
+   the CI perf-smoke gate. *)
 
 let write_json_file file json =
   let s = Report.to_string ~tool:"bench" json in
@@ -114,7 +114,7 @@ let bench_explore ~quick ~check ~force_jobs =
   in
   let slow = ref []
   and inc_speedups = ref []
-  and reduction_gaps = ref []
+  and dpor_finishes = ref []
   and scale4 = ref [] in
   let run_row (r : Explore.report) (t, minor, majors) extra =
     let per_exec x = x /. float_of_int (max 1 r.Explore.executions) in
@@ -172,21 +172,16 @@ let bench_explore ~quick ~check ~force_jobs =
       end
     in
     let jobs_rows = List.map jobs_row [ 2; 4 ] in
-    let red, red_t, red_mw, red_mc =
-      time_gc (fun () ->
-          Explore.dfs ~reduce:Machine.RSleep ~max_execs (mk ()))
-    in
     let dpor, dpor_t, dpor_mw, dpor_mc =
       time_gc (fun () ->
           Explore.dfs ~reduce:Machine.RDpor ~max_execs (mk ()))
     in
-    (* reduction_factor: full-tree executions per reduced execution —
-       the measure the dpor >= sleep gate compares. *)
+    (* reduction_factor: full-tree executions per reduced execution. *)
     let factor (r : Explore.report) =
       float_of_int (max 1 seq.Explore.executions)
       /. float_of_int (max 1 r.Explore.executions)
     in
-    reduction_gaps := (name, factor red, factor dpor) :: !reduction_gaps;
+    dpor_finishes := (name, inc, dpor) :: !dpor_finishes;
     (* DPOR's cost per run: pruned runs are runs too, and the ratio to the
        unreduced incremental engine's rate is what a DPOR overhead gate
        would bound. *)
@@ -220,10 +215,6 @@ let bench_explore ~quick ~check ~force_jobs =
         ("sequential", run_row seq (seq_t, seq_mw, seq_mc) []);
         ("incremental", run_row inc (inc_t, inc_mw, inc_mc) [ speedup inc_t ]);
         ("jobs", Jsonout.List jobs_rows);
-        ( "incremental_reduced",
-          run_row red (red_t, red_mw, red_mc)
-            (("pruned", Jsonout.Int red.Explore.pruned)
-            :: reduced_extra red red_t) );
         ( "incremental_dpor",
           run_row dpor (dpor_t, dpor_mw, dpor_mc)
             (("dpor_pruned", Jsonout.Int dpor.Explore.dpor_pruned)
@@ -357,24 +348,32 @@ let bench_explore ~quick ~check ~force_jobs =
           Format.printf "perf-smoke: incremental %.2fx sequential on %s@." s
             name)
       (List.rev !inc_speedups);
-    (* DPOR must reduce at least as hard as sleep sets on the mp-queue
-       battery (on a complete search it explores a subset of the
-       sleep-set representatives, so equality is the worst legal case). *)
+    (* On mp-queue and hw-queue the unreduced tree outgrows the budget
+       (even --quick's 2,000), while DPOR finishes it (in 51 and 652
+       executions): the reduction must still turn a budget-limited
+       search into a complete one with the same verdict. *)
     List.iter
-      (fun (name, sleep_f, dpor_f) ->
-        if name = "mp-queue" then
-          if dpor_f < sleep_f then begin
+      (fun (name, (inc : Explore.report), (dpor : Explore.report)) ->
+        if List.mem name [ "mp-queue"; "hw-queue" ] then
+          if
+            dpor.Explore.complete
+            && (not inc.Explore.complete)
+            && Explore.ok dpor = Explore.ok inc
+          then
             Format.printf
-              "perf-smoke FAILED: dpor reduction %.2fx below sleep-set %.2fx \
-               on %s@."
-              dpor_f sleep_f name;
+              "perf-smoke: dpor completes %s in %d executions; unreduced \
+               stops at the %d budget, same verdict@."
+              name dpor.Explore.executions inc.Explore.executions
+          else begin
+            Format.printf
+              "perf-smoke FAILED: on %s dpor complete=%b ok=%b, unreduced \
+               complete=%b ok=%b (want a complete dpor search where the \
+               unreduced one stops at the budget, same verdict)@."
+              name dpor.Explore.complete (Explore.ok dpor)
+              inc.Explore.complete (Explore.ok inc);
             failed := true
-          end
-          else
-            Format.printf
-              "perf-smoke: dpor reduction %.2fx >= sleep-set %.2fx on %s@."
-              dpor_f sleep_f name)
-      (List.rev !reduction_gaps);
+          end)
+      (List.rev !dpor_finishes);
     (* Multi-domain scaling gates only where the host can express it. *)
     if domains >= 4 then
       List.iter
@@ -636,7 +635,7 @@ let bench_static ~check =
   let module Static = Compass_static.Static in
   let probes = [ "ms" ] in
   let options =
-    { Audit.execs = 4000; jobs = 1; reduce = Machine.RSleep }
+    { Audit.execs = 4000; jobs = 1; reduce = Machine.RDpor }
   in
   let failed = ref [] in
   let probe_json key =

@@ -26,22 +26,20 @@
    Every flag that several subcommands take is declared once, below, and
    its value is parsed by one converter: structure keys ([--struct])
    resolve through the central spec registry (Specreg; [compass specs]
-   lists them), [--script] reads choices like a v1 corpus line, and
-   [--weaken] specs parse as mode overrides.  Every exploring subcommand
-   also takes [--jobs N] (N domains share the DFS by work stealing, or
-   split a sample's executions),
-   [--reduce[=sleep|dpor|dpor-rf|none]] (partial-order reduction: sleep
-   sets, source-DPOR with wakeup sequences, or source-DPOR counting one
-   execution per reads-from class; bare [--reduce] means sleep),
-   and [--incremental BOOL] (checkpoint/restore exploration, default on;
-   false = replay-from-root oracle).
+   lists them), [--script] reads choices like a v1 corpus line,
+   [--weaken] specs parse as mode overrides, and numeric flags are
+   range-checked.  Every exploring subcommand also takes [--jobs N] (N
+   domains share the DFS by work stealing, or split a sample's
+   executions) and [--reduce=none|dpor|dpor-rf] (partial-order
+   reduction: source-DPOR with wakeup sequences, or source-DPOR
+   counting one execution per reads-from class).
 
    Exit codes: 0 pass, 1 finding, 2 options that conflict with each
    other (a [--weaken] site the structure lacks, a structure that cannot
    be refined, a scenario index out of range, a client id outside the
-   generated family, [--sim-client] without [--struct], a reduction or
-   [--incremental=false] on a sampled run), 124 usage error
-   (an unknown option or a malformed value).
+   generated family, [--sim-client] without [--struct], a reduction on a
+   sampled run), 124 usage error (an unknown option, or a malformed or
+   out-of-range value).
 *)
 
 open Cmdliner
@@ -75,29 +73,36 @@ let entry_conv =
   Arg.conv
     (parse, fun ppf (e : Libspec.entry) -> Format.pp_print_string ppf e.Libspec.key)
 
-(* A bare [--reduce] means [sleep]: the flag began life as a plain
-   switch for sleep sets. *)
 let reduction_conv =
-  let parse s =
-    match String.lowercase_ascii s with
-    | "sleep" -> Ok Machine.RSleep
+  let parse = function
     | "dpor" -> Ok Machine.RDpor
-    | "dpor-rf" | "dporrf" | "rf" -> Ok Machine.RDporRf
+    | "dpor-rf" -> Ok Machine.RDporRf
     | "none" -> Ok Machine.RNone
-    | _ ->
-        msg "invalid reduction %S (expected 'sleep', 'dpor', 'dpor-rf' or \
-             'none')"
-          s
+    | s -> msg "invalid reduction %S (expected 'none', 'dpor' or 'dpor-rf')" s
   in
   let print ppf r =
     Format.pp_print_string ppf
       (match r with
       | Machine.RNone -> "none"
-      | Machine.RSleep -> "sleep"
       | Machine.RDpor -> "dpor"
       | Machine.RDporRf -> "dpor-rf")
   in
   Arg.conv (parse, print)
+
+(* An integer from [min] to [max]: a value outside the range is a usage
+   error naming it, not a run that clamps or crashes. *)
+let int_conv ~what ?(max = max_int) min =
+  let range =
+    if max < max_int then Printf.sprintf "an integer from %d to %d" min max
+    else if min = 0 then "a non-negative integer"
+    else Printf.sprintf "an integer >= %d" min
+  in
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when min <= n && n <= max -> Ok n
+    | _ -> msg "invalid %s %S (expected %s)" what s range
+  in
+  Arg.conv (parse, Format.pp_print_int)
 
 (* Comma-separated choices, checked like a v1 corpus line: every one a
    non-negative integer.  A choice past a decision's last alternative is
@@ -120,14 +125,6 @@ let script_conv =
   in
   Arg.conv (parse, pp_script)
 
-let index_conv =
-  let parse s =
-    match int_of_string_opt s with
-    | Some i when i >= 0 -> Ok i
-    | _ -> msg "invalid index %S (expected a non-negative integer)" s
-  in
-  Arg.conv (parse, Format.pp_print_int)
-
 let weaken_conv =
   let parse s = Result.map_error (fun e -> `Msg e) (Override.of_specs [ s ]) in
   Arg.conv (parse, Override.pp)
@@ -140,29 +137,28 @@ let execs default =
     "Execution budget: the most executions to explore or sample ($(b,sim): \
      per generated client)."
   in
-  Arg.(value & opt int default & info [ "execs"; "e" ] ~docv:"N" ~doc)
+  Arg.(
+    value
+    & opt (int_conv ~what:"budget" 1) default
+    & info [ "execs"; "e" ] ~docv:"N" ~doc)
 
 let reduce default =
   let doc =
-    "Partial-order reduction: $(b,sleep) (sleep sets: skip interleavings \
-     that only reorder independent steps), $(b,dpor) (source-DPOR with \
-     wakeup sequences: near one execution per Mazurkiewicz trace), \
-     $(b,dpor-rf) (source-DPOR plus the reads-from reduction: one counted \
-     execution per distinct rf⊕mo class) or $(b,none).  Bare \
-     $(b,--reduce) means $(b,sleep).  $(b,sleep) and $(b,dpor) keep \
-     every verdict and violation of the unreduced search.  $(b,dpor-rf) \
-     can miss one: on $(b,ms) with $(b,msqueue.enq.next_load) weakened to \
-     $(b,rlx) it completes without the fault the other modes find."
+    "Partial-order reduction: $(b,dpor) (source-DPOR with wakeup \
+     sequences: skip interleavings that only reorder independent steps, \
+     near one execution per Mazurkiewicz trace), $(b,dpor-rf) \
+     (source-DPOR plus the reads-from reduction: one counted execution per \
+     distinct rf⊕mo class) or $(b,none).  $(b,dpor) keeps every verdict \
+     and violation of the unreduced search.  $(b,dpor-rf) can miss one: \
+     on $(b,ms) with $(b,msqueue.enq.next_load) weakened to $(b,rlx) it \
+     completes without the fault the other modes find."
   in
-  Arg.(
-    value
-    & opt ~vopt:Machine.RSleep reduction_conv default
-    & info [ "reduce" ] ~docv:"RED" ~doc)
+  Arg.(value & opt reduction_conv default & info [ "reduce" ] ~docv:"RED" ~doc)
 
 let random_mode =
   let doc =
-    "Use seeded random sampling instead of exhaustive DFS (a reduction or \
-     $(b,--incremental=false) conflicts with it)."
+    "Use seeded random sampling instead of exhaustive DFS (a reduction \
+     conflicts with it)."
   in
   Arg.(value & flag & info [ "random" ] ~doc)
 
@@ -170,21 +166,18 @@ let seed =
   let doc = "Seed for random exploration." in
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc)
 
+(* At most 127: OCaml 5.1 runs at most 128 domains, the main one
+   included, and a larger count would spawn domains until one fails. *)
 let jobs =
   let doc =
-    "Run on $(docv) domains (1 = a single worker): the DFS shares its task \
-     tree by work stealing, a sample deals out its executions by index."
+    "Run on $(docv) domains (1 = a single worker, at most 127): the DFS \
+     shares its task tree by work stealing, a sample deals out its \
+     executions by index."
   in
-  Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
-
-let incremental =
-  let doc =
-    "Incremental checkpoint/restore exploration (default on): backtrack \
-     by restoring machine snapshots and re-execute only decision \
-     suffixes.  $(b,--incremental=false) replays every execution from \
-     the root — the differential-testing oracle, with identical reports."
-  in
-  Arg.(value & opt bool true & info [ "incremental" ] ~docv:"BOOL" ~doc)
+  Arg.(
+    value
+    & opt (int_conv ~what:"job count" ~max:127 1) 1
+    & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
 (* [--struct KEY]: [Arg.required] where a structure must be named,
    [Arg.value] where the plain MP client stands in for it. *)
@@ -233,7 +226,10 @@ let scenario =
     "Scenario index within the structure's registered clients (default 0, \
      the MP client)."
   in
-  Arg.(value & opt index_conv 0 & info [ "scenario" ] ~docv:"I" ~doc)
+  Arg.(
+    value
+    & opt (int_conv ~what:"index" 0) 0
+    & info [ "scenario" ] ~docv:"I" ~doc)
 
 let queue_arg =
   let impls =
@@ -283,13 +279,16 @@ let mgc_depth_arg =
      sequences up to $(docv) requests (with every release/acquire \
      flag-handoff position)."
   in
-  Arg.(value & opt int 2 & info [ "mgc-depth" ] ~docv:"D" ~doc)
+  Arg.(
+    value
+    & opt (int_conv ~what:"depth" 1) 2
+    & info [ "mgc-depth" ] ~docv:"D" ~doc)
 
-(* [client] and [check] explore under six options: [--random] samples
+(* [client] and [check] explore under five options: [--random] samples
    [--execs] executions from [--seed] on [--jobs] domains, otherwise the
-   DFS runs with the [--execs] budget, [--jobs], [--reduce] and
-   [--incremental].  One call may override the budget, or force
-   sampling.  [conflict] is the option a sample cannot honour. *)
+   DFS runs with the [--execs] budget, [--jobs] and [--reduce].  One
+   call may override the budget, or force sampling.  [conflict] is the
+   option a sample cannot honour. *)
 type explorer = {
   budget : int;
   random : bool;
@@ -298,35 +297,33 @@ type explorer = {
 }
 
 let explorer =
-  let make random budget seed jobs reduce incremental =
+  let make random budget seed jobs reduce =
     let explore ?(random = random) ?(execs = budget) sc =
       if random then Explore.random ~jobs ~execs ~seed sc
-      else Explore.dfs ~jobs ~max_execs:execs ~reduce ~incremental sc
+      else Explore.dfs ~jobs ~max_execs:execs ~reduce sc
     in
     let conflict =
       if reduce <> Machine.RNone then
         Some
           (Format.asprintf "--reduce=%a" (Arg.conv_printer reduction_conv)
              reduce)
-      else if not incremental then Some "--incremental=false"
       else None
     in
     { budget; random; conflict; explore }
   in
   Term.(
     const make $ random_mode $ execs 100_000 $ seed $ jobs
-    $ reduce Machine.RNone $ incremental)
+    $ reduce Machine.RNone)
 
 (* -- shared output and exit policy ---------------------------------------------- *)
 
-(* A sample has no tree to reduce or checkpoint: a run that samples
-   ([--random], or [always] for a client that only samples) under such
-   an option is a two-option error, exit 2. *)
+(* A sample has no tree to reduce: a run that samples ([--random], or
+   [always] for a client that only samples) under a reduction is a
+   two-option error, exit 2. *)
 let unless_sampling_conflict ?always ex k =
   match (ex.conflict, if ex.random then Some "--random" else always) with
   | Some opt, Some sampler ->
-      Format.eprintf
-        "%s conflicts with %s: a sample has no tree to reduce or checkpoint@."
+      Format.eprintf "%s conflicts with %s: a sample has no tree to reduce@."
         opt sampler;
       2
   | _ -> k ()
@@ -362,7 +359,7 @@ let litmus_cmd =
     let doc = "Use the Gap timestamp policy (enables mo-middle insertion, e.g. 2+2W)." in
     Arg.(value & flag & info [ "gap" ] ~doc)
   in
-  let run gap execs jobs reduce incremental =
+  let run gap execs jobs reduce =
     let config =
       { Machine.default_config with policy = (if gap then `Gap else `Append) }
     in
@@ -373,7 +370,7 @@ let litmus_cmd =
     List.iter
       (fun (t : Litmus.t) ->
         let ok, report, obs =
-          Litmus.verdict ~max_execs:execs ~config ~jobs ~reduce ~incremental t
+          Litmus.verdict ~max_execs:execs ~config ~jobs ~reduce t
         in
         if not ok then code := 1;
         Format.printf "%-12s %-42s expect %-10s observed %-8d execs %-8d %s@."
@@ -388,9 +385,7 @@ let litmus_cmd =
   in
   let doc = "Run the litmus-test battery against the ORC11 substrate." in
   Cmd.v (Cmd.info "litmus" ~doc)
-    Term.(
-      const run $ gap $ execs 100_000 $ jobs $ reduce Machine.RNone
-      $ incremental)
+    Term.(const run $ gap $ execs 100_000 $ jobs $ reduce Machine.RNone)
 
 (* -- client -------------------------------------------------------------------- *)
 
@@ -506,12 +501,13 @@ let client_cmd =
 
 let check_cmd =
   let threads =
-    Arg.(value & opt int 2 & info [ "threads"; "t" ] ~docv:"N"
-           ~doc:"Producer and consumer threads (each).")
+    Arg.(value & opt (int_conv ~what:"thread count" 1) 2
+         & info [ "threads"; "t" ] ~docv:"N"
+             ~doc:"Producer and consumer threads (each).")
   in
   let ops =
-    Arg.(value & opt int 1 & info [ "ops"; "o" ] ~docv:"N"
-           ~doc:"Operations per thread.")
+    Arg.(value & opt (int_conv ~what:"operation count" 1) 1
+         & info [ "ops"; "o" ] ~docv:"N" ~doc:"Operations per thread.")
   in
   let run (e : Libspec.entry) style threads ops ex =
     unless_sampling_conflict ex @@ fun () ->
@@ -653,8 +649,7 @@ let sim_cmd =
     in
     Arg.(value & flag & info [ "until-violation" ] ~doc)
   in
-  let run entries client depth execs jobs reduce incremental until strict
-      json =
+  let run entries client depth execs jobs reduce until strict json =
     match client with
     | Some id when Mgc.find ~depth id = None ->
         unknown_client id ~depth;
@@ -667,7 +662,6 @@ let sim_cmd =
             max_execs = execs;
             jobs;
             reduce;
-            incremental;
             until_violation = until;
             only_client = client;
           }
@@ -725,19 +719,17 @@ let sim_cmd =
      failure yields a shrunk, replayable witness naming the exact commit \
      point (or faulting step) where the abstraction relation breaks."
   in
-  (* Like the analyzers, simulation defaults to sleep-set reduction.
-     Sleep sets and dpor keep the verdict (it only reads event graphs,
-     which they preserve per Mazurkiewicz trace), so they are pure
-     speedup; dpor-rf does not, as it can miss a class and the violation
-     in it (see test_dpor.ml). *)
+  (* Like the analyzers, simulation defaults to source-DPOR.  dpor keeps
+     the verdict (it only reads event graphs, which it preserves per
+     Mazurkiewicz trace), so it is pure speedup; dpor-rf does not, as it
+     can miss a class and the violation in it (see test_dpor.ml). *)
   Cmd.v (Cmd.info "sim" ~doc)
     Term.(
       const run
       $ structures ~all_doc:"Check every refinable registered structure."
           ~keep:(fun e -> e.Libspec.refinable)
       $ client_arg $ mgc_depth_arg $ execs 50_000 $ jobs
-      $ reduce Machine.RSleep $ incremental $ until_arg $ strict_arg
-      $ json_arg)
+      $ reduce Machine.RDpor $ until_arg $ strict_arg $ json_arg)
 
 (* -- matrix --------------------------------------------------------------------- *)
 
@@ -759,6 +751,8 @@ let matrix_cmd =
 
 (* -- dot ------------------------------------------------------------------------ *)
 
+let dot_samples = 1_000
+
 let dot_cmd =
   let which =
     let doc = "Structure to sample: $(b,ms), $(b,hw), $(b,treiber), $(b,es), $(b,exchanger), $(b,chaselev)." in
@@ -768,14 +762,36 @@ let dot_cmd =
       & info [] ~docv:"IMPL" ~doc)
   in
   let run which seed =
-    (* Sample one contended finished execution and dump its graph(s). *)
-    let rec sample seed (build : Machine.t -> Value.t Prog.t list * Graph.t list) =
-      let m = Machine.create () in
-      let threads, graphs = build m in
-      Machine.spawn m threads;
-      match Machine.run m (Oracle.random ~seed) with
-      | Machine.Finished _ -> graphs
-      | _ -> sample (seed + 1) build
+    (* Sample until one contended execution finishes and dump its
+       graph(s): the judge marks the first finished execution as the
+       sample's target, which stops it. *)
+    let sample seed (build : Machine.t -> Value.t Prog.t list * Graph.t list) =
+      let found = ref [] in
+      let scenario =
+        {
+          Explore.name = "dot";
+          build =
+            (fun m ->
+              let threads, graphs = build m in
+              Machine.spawn m threads;
+              function
+              | Machine.Finished _ ->
+                  found := graphs;
+                  Explore.Violation "finished"
+              | _ -> Explore.Pass);
+        }
+      in
+      let uniform =
+        {
+          Explore.worker = ignore;
+          oracle = (fun () seed -> Oracle.random ~seed);
+          observe = (fun () _ _ _ _ -> ());
+        }
+      in
+      ignore
+        (Explore.sample ~until_violation:true ~execs:dot_samples ~seed uniform
+           (fun () -> scenario));
+      !found
     in
     let vi n = Value.Int n in
     let queue_build (factory : Iface.queue_factory) m =
@@ -826,8 +842,14 @@ let dot_cmd =
               in
               ([ owner; Chaselev.steal t ], [ Chaselev.graph t ]))
     in
-    List.iter (fun g -> print_string (Graph.to_dot g)) graphs;
-    0
+    if graphs = [] then begin
+      Format.eprintf "no execution finished in %d samples@." dot_samples;
+      1
+    end
+    else begin
+      List.iter (fun g -> print_string (Graph.to_dot g)) graphs;
+      0
+    end
   in
   let doc = "Sample one execution and print its event graph(s) as DOT." in
   Cmd.v (Cmd.info "dot" ~doc) Term.(const run $ which $ seed)
@@ -835,7 +857,7 @@ let dot_cmd =
 (* -- axioms ------------------------------------------------------------------------ *)
 
 let axioms_cmd =
-  let run execs jobs reduce incremental =
+  let run execs jobs reduce =
     (* Differential validation: every execution of the litmus battery and
        a workload per structure must satisfy the RC11 axioms when rebuilt
        declaratively from the recorded accesses. *)
@@ -861,8 +883,7 @@ let axioms_cmd =
     let code = ref 0 in
     let run_sc sc =
       let r =
-        Explore.dfs ~jobs ~max_execs:execs ~reduce ~incremental
-          ~config (with_rc11 sc)
+        Explore.dfs ~jobs ~max_execs:execs ~reduce ~config (with_rc11 sc)
       in
       if not (Explore.ok r) then code := 1;
       Format.printf "%-38s %7d executions  %s@." r.Explore.name
@@ -881,8 +902,7 @@ let axioms_cmd =
      axioms (po/rf/mo/fr/sw/hb rebuilt from recorded accesses)."
   in
   Cmd.v (Cmd.info "axioms" ~doc)
-    Term.(
-      const run $ execs 100_000 $ jobs $ reduce Machine.RNone $ incremental)
+    Term.(const run $ execs 100_000 $ jobs $ reduce Machine.RNone)
 
 (* -- analyze ----------------------------------------------------------------------- *)
 
@@ -891,13 +911,12 @@ let contains ~sub s =
   let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
   n = 0 || go 0
 
-(* Unlike the exploring subcommands, analysis defaults to sleep-set
-   reduction: the audit needs *complete* explorations to call a mode
-   over-strong, and reduction keeps them small without losing
-   violations. *)
+(* Unlike the exploring subcommands, analysis defaults to source-DPOR:
+   the audit needs *complete* explorations to call a mode over-strong,
+   and the reduction keeps them small without losing violations. *)
 
 let analyze_races_cmd =
-  let run (e : Libspec.entry) execs reduce incremental strict json =
+  let run (e : Libspec.entry) execs reduce strict json =
     let agg = Races.agg_create () in
     let config =
       { Machine.default_config with record_accesses = true }
@@ -908,10 +927,7 @@ let analyze_races_cmd =
           Instrument.with_accesses (mk ()) (fun log ->
               Races.agg_add agg log)
         in
-        let r =
-          Explore.dfs ~max_execs:execs ~reduce ~incremental ~config
-            sc
-        in
+        let r = Explore.dfs ~max_execs:execs ~reduce ~config sc in
         Format.printf "%-38s %7d executions analysed@." r.Explore.name
           r.Explore.executions)
       e.Libspec.scenarios;
@@ -934,7 +950,7 @@ let analyze_races_cmd =
   Cmd.v (Cmd.info "races" ~doc)
     Term.(
       const run $ Arg.required structure $ execs 100_000
-      $ reduce Machine.RSleep $ incremental $ strict_arg $ json_arg)
+      $ reduce Machine.RDpor $ strict_arg $ json_arg)
 
 let analyze_modes_cmd =
   let site_arg =
@@ -1002,7 +1018,7 @@ let analyze_modes_cmd =
   Cmd.v (Cmd.info "modes" ~doc)
     Term.(
       const run $ Arg.required structure $ execs 100_000 $ jobs
-      $ reduce Machine.RSleep $ site_arg $ prioritize_arg $ strict_arg
+      $ reduce Machine.RDpor $ site_arg $ prioritize_arg $ strict_arg
       $ json_arg)
 
 let analyze_static_cmd =
@@ -1159,7 +1175,9 @@ let replay_cmd =
         else begin
           if not (Override.is_empty overrides) then
             Format.printf "weakened: %a@." Override.pp overrides;
-          let config = { Machine.default_config with overrides } in
+          let config =
+            { Machine.default_config with overrides; record_trace = true }
+          in
           let r = Explore.replay ~config sc script in
           if r.Explore.r_clamped > 0 then
             Format.printf
@@ -1215,7 +1233,10 @@ let fuzz_cmd =
   in
   let pct_depth =
     let doc = "PCT priority change points." in
-    Arg.(value & opt int 3 & info [ "pct-depth"; "d" ] ~docv:"D" ~doc)
+    Arg.(
+      value
+      & opt (int_conv ~what:"depth" 0) 3
+      & info [ "pct-depth"; "d" ] ~docv:"D" ~doc)
   in
   let corpus_arg =
     let doc =
@@ -1316,7 +1337,10 @@ let shrink_cmd =
   in
   let max_replays =
     let doc = "Replay budget for the shrinker." in
-    Arg.(value & opt int 20_000 & info [ "max-replays" ] ~docv:"N" ~doc)
+    Arg.(
+      value
+      & opt (int_conv ~what:"replay budget" 1) 20_000
+      & info [ "max-replays" ] ~docv:"N" ~doc)
   in
   let run factory script overrides probe scenario_idx max_replays =
     let mk =
@@ -1384,7 +1408,7 @@ let report_cmd =
     let options =
       (* reduction always: the summary needs complete explorations to
          tell over-strong from unknown within a sane budget *)
-      { Audit.execs = 12_000; jobs; reduce = Machine.RSleep }
+      { Audit.execs = 12_000; jobs; reduce = Machine.RDpor }
     in
     let ar = Audit.run ~options ~probe:e.Libspec.key e.Libspec.scenarios in
     let n, o, u, mi = Audit.counts ar in

@@ -33,33 +33,50 @@ let () =
     (Atomic.get st.Es_compose.via_base)
     (Atomic.get st.Es_compose.eliminated);
 
-  (* Hunt for an execution with an elimination and dump its graphs. *)
+  (* Hunt for an execution with an elimination and dump its graphs: the
+     judge marks the first finished execution whose exchanger paired a
+     push with a pop as the sample's target, which stops the sample.
+     Uniform scheduling rarely lines the two exchangers up (a few
+     executions in 200,000), hence the budget. *)
   Format.printf "== one execution with an elimination, as DOT ==@.@.";
-  let rec hunt seed attempts =
-    if attempts > 20_000 then None
-    else begin
-      let m = Machine.create () in
-      let t = Elimination.create m ~name:"es" in
-      let pushes =
-        Prog.returning_unit
-          (let* () = Elimination.push t (vi 1) in
-           Elimination.push t (vi 2))
-      in
-      let pops _ =
-        Prog.returning_unit
-          (let* _ = Elimination.pop t in
-           let* _ = Elimination.pop t in
-           Prog.return ())
-      in
-      Machine.spawn m [ pushes; pops 0; pops 1 ];
-      match Machine.run m (Oracle.random ~seed) with
-      | Machine.Finished _
-        when List.length (Graph.so (Exchanger.graph t.Elimination.ex)) > 0 ->
-          Some t
-      | _ -> hunt (seed + 1) (attempts + 1)
-    end
+  let found = ref None in
+  let hunt =
+    {
+      Explore.name = "elimination-hunt";
+      build =
+        (fun m ->
+          let t = Elimination.create m ~name:"es" in
+          let pushes =
+            Prog.returning_unit
+              (let* () = Elimination.push t (vi 1) in
+               Elimination.push t (vi 2))
+          in
+          let pops _ =
+            Prog.returning_unit
+              (let* _ = Elimination.pop t in
+               let* _ = Elimination.pop t in
+               Prog.return ())
+          in
+          Machine.spawn m [ pushes; pops 0; pops 1 ];
+          function
+          | Machine.Finished _
+            when Graph.so (Exchanger.graph t.Elimination.ex) <> [] ->
+              found := Some t;
+              Explore.Violation "elimination happened"
+          | _ -> Explore.Pass);
+    }
   in
-  match hunt 0 0 with
+  let uniform =
+    {
+      Explore.worker = ignore;
+      oracle = (fun () seed -> Oracle.random ~seed);
+      observe = (fun () _ _ _ _ -> ());
+    }
+  in
+  ignore
+    (Explore.sample ~until_violation:true ~execs:200_000 ~seed:0 uniform
+       (fun () -> hunt));
+  match !found with
   | Some t ->
       let es_g = Elimination.graph t in
       print_string (Graph.to_dot es_g);

@@ -90,7 +90,8 @@ let trace_demo () =
   match report.Explore.violations with
   | { Explore.message; trace } :: _ ->
       Format.printf "  found: %s@.  trace of the racy execution:@." message;
-      let r = Explore.replay ~config:Machine.default_config scenario trace in
+      let config = { Machine.default_config with record_trace = true } in
+      let r = Explore.replay ~config scenario trace in
       Format.printf "%a@." Trace.pp (Machine.trace r.Explore.r_machine)
   | [] -> Format.printf "  no race found (unexpected)@."
 

@@ -133,7 +133,7 @@ type options = {
   reduce : Machine.reduction;
 }
 
-let default_options = { execs = 100_000; jobs = 1; reduce = Machine.RSleep }
+let default_options = { execs = 100_000; jobs = 1; reduce = Machine.RDpor }
 
 let explore_one opts override mk =
   let config =

@@ -51,7 +51,8 @@ type options = {
 }
 
 val default_options : options
-(** 100,000 executions, one job, sleep sets.  Witness scripts (baseline
+(** 100,000 executions, one job, source-DPOR ([RDpor]: complete
+    explorations stay small without losing a violation).  Witness scripts (baseline
     failures and [Violated] mutants) are always shrunk to 1-minimal form
     (within 20,000 replays) before reporting; verdicts are unchanged and
     witnesses still replay to the same violation. *)

@@ -20,8 +20,8 @@ val e1 : ?max_execs:int -> ?jobs:int -> ?reduce:Machine.reduction -> unit -> lin
 (** MP client (Figures 1 and 3) + the weak-flag ablation, per queue.
 
     Every experiment's exhaustive leg accepts [jobs] (domains sharing
-    the DFS, {!Explore.dfs}) and [reduce] (sleep-set or source-DPOR
-    reduction).  Verdicts are preserved either way; with
+    the DFS, {!Explore.dfs}) and [reduce] (source-DPOR, plain or
+    reads-from–aware).  Verdicts are preserved either way; with
     [reduce] the
     per-execution client counters quoted in [measured] only cover the
     representative interleavings actually explored. *)

@@ -72,7 +72,7 @@ val verdict :
 (** run exhaustively; [true] iff the expectation holds (and no
     violations); also returns the report and the observation count.
     [jobs] domains share the DFS ({!Explore.dfs});
-    [reduce] selects a partial-order reduction (sleep sets or
-    source-DPOR) — the verdict is preserved, but the observation count
+    [reduce] selects a partial-order reduction (source-DPOR, plain or
+    reads-from–aware) — the verdict is preserved, but the observation count
     then only covers the representative interleavings actually
     explored. *)

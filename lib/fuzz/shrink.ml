@@ -34,17 +34,10 @@ type stats = {
 let measure = Decision.measure
 let strip_trailing_zeros = Decision.strip_trailing_zeros
 
-let run_clamped ~config scenario script =
-  let m = Machine.create ~config () in
-  let judge = scenario.Explore.build m in
-  let oracle = Oracle.script_clamped script in
-  let outcome = Machine.run m oracle in
-  (oracle, judge outcome)
-
 (* Does [script] (replayed clamped) still produce the target violation? *)
 let reproduces ?(config = Machine.default_config) ~scenario ~message script =
-  match run_clamped ~config scenario script with
-  | _, Explore.Violation m -> m = message
+  match (Explore.replay ~config scenario script).Explore.r_verdict with
+  | Explore.Violation m -> m = message
   | _ -> false
 
 let remove_chunk s i len =
@@ -55,33 +48,28 @@ let minimize ?(config = Machine.default_config) ?(max_replays = 20_000)
     ~scenario ~(message : string) (script0 : Decision.trace) =
   let replays = ref 0 in
   let clamped = ref 0 in
+  (* Replay a script; on reproduction return its normalized form. *)
+  let normalized script =
+    incr replays;
+    let r = Explore.replay ~config scenario script in
+    clamped := !clamped + r.Explore.r_clamped;
+    match r.Explore.r_verdict with
+    | Explore.Violation m when m = message ->
+        Some (strip_trailing_zeros r.Explore.r_trace)
+    | _ -> None
+  in
   (* Replay a candidate; on reproduction return its normalized form if
      strictly smaller than [cur], else None. *)
   let try_smaller cur cand =
     if !replays >= max_replays then None
-    else (
-      incr replays;
-      match run_clamped ~config scenario cand with
-      | oracle, Explore.Violation m when m = message ->
-          clamped := !clamped + Oracle.clamp_count oracle;
-          let norm = strip_trailing_zeros (Oracle.trace oracle) in
-          if measure norm < measure cur then Some norm else None
-      | oracle, _ ->
-          clamped := !clamped + Oracle.clamp_count oracle;
-          None)
+    else
+      match normalized cand with
+      | Some norm when measure norm < measure cur -> Some norm
+      | _ -> None
   in
   (* Normalize the input itself first (its logged trace can differ from
      the given script when the script over- or under-runs the path). *)
-  let start =
-    incr replays;
-    match run_clamped ~config scenario script0 with
-    | oracle, Explore.Violation m when m = message ->
-        clamped := !clamped + Oracle.clamp_count oracle;
-        Some (strip_trailing_zeros (Oracle.trace oracle))
-    | oracle, _ ->
-        clamped := !clamped + Oracle.clamp_count oracle;
-        None
-  in
+  let start = normalized script0 in
   match start with
   | None ->
       (* not reproducible under this config — hand the script back *)

@@ -9,7 +9,7 @@
    per multi-alternative scheduling choice), its data observations spawn
    sibling tasks for the untaken read/timestamp alternatives (DPOR
    reduces over scheduling only — data nondeterminism is enumerated
-   exhaustively, exactly as in the sleep-set and unreduced modes), and a
+   exhaustively, exactly as in the unreduced mode), and a
    race analysis of its step log ({!Deps.races}) inserts backtrack tasks
    at the nodes where a reversible race can be scheduled the other way.
 

@@ -55,7 +55,8 @@ val create : ?rf:bool -> unit -> t
     The argument is incomplete: the reversal is also what lets the
     reader's later steps race the writer's later steps, so the rule can
     lose executions and the violations in them (a weakened ms-queue
-    whose fault sleep sets and plain DPOR find; see [test_dpor.ml]).
+    whose fault plain DPOR and the unreduced search find; see
+    [test_dpor.ml]).
     Reversals involving a non-atomic access are always kept (na-race
     fault detection is order-sensitive). *)
 

@@ -42,15 +42,16 @@ type report = {
   discarded : int;
   bounded : int;
   blocked : int;
-  pruned : int;  (** subtrees skipped by sleep-set reduction *)
+  pruned : int;
+      (** always 0: DPOR books its pruned runs in [dpor_pruned]; the
+          field stays only for readers of the record *)
   dpor_pruned : int;
       (** executions cut short by DPOR sleep sets (a queued branch turned
-          out to be covered); like [pruned], never counted in
-          [executions] *)
+          out to be covered); never counted in [executions] *)
   rf_pruned : int;
       (** runs discarded by the reads-from reduction ([RDporRf]) because
-          their rf⊕mo class was already counted; like [pruned], never
-          counted in [executions] *)
+          their rf⊕mo class was already counted; like [dpor_pruned],
+          never counted in [executions] *)
   violations : failure list;  (** first few, oldest first *)
   complete : bool;  (** DFS exhausted the tree within the budget *)
 }
@@ -64,11 +65,9 @@ let pp_report ppf r =
        Printf.sprintf ", %d distinct" r.distinct
      else "")
     r.passed r.discarded r.blocked r.bounded
-    ((if r.pruned > 0 then Printf.sprintf ", pruned %d subtrees" r.pruned
+    ((if r.dpor_pruned > 0 then
+        Printf.sprintf ", dpor-pruned %d branches" r.dpor_pruned
       else "")
-    ^ (if r.dpor_pruned > 0 then
-         Printf.sprintf ", dpor-pruned %d branches" r.dpor_pruned
-       else "")
     ^
     if r.rf_pruned > 0 then
       Printf.sprintf ", rf-pruned %d duplicates" r.rf_pruned
@@ -94,7 +93,6 @@ let report_to_json (r : report) =
       ("discarded", Jsonout.Int r.discarded);
       ("bounded", Jsonout.Int r.bounded);
       ("blocked", Jsonout.Int r.blocked);
-      ("pruned", Jsonout.Int r.pruned);
       ("dpor_pruned", Jsonout.Int r.dpor_pruned);
       ("rf_pruned", Jsonout.Int r.rf_pruned);
       ("complete", Jsonout.Bool r.complete);
@@ -110,11 +108,12 @@ let report_to_json (r : report) =
              r.violations) );
     ]
 
-(* External replay — the CLI, the fuzzer's confirmation pass, the witness
-   detail recovery.  Uniformly *clamped*: scripts that cross a tool
-   boundary may be stale or hand-edited, so out-of-range choices take the
-   last alternative and are counted instead of raising; [r_trace] is the
-   typed decision log of what actually ran (a valid strict script). *)
+(* External replay — the CLI, the fuzzer's confirmation pass, the
+   shrinker, the witness detail recovery.  Uniformly *clamped*: scripts
+   that cross a tool boundary may be stale or hand-edited, so out-of-range
+   choices take the last alternative and are counted instead of raising;
+   [r_trace] is the typed decision log of what actually ran (a valid
+   strict script). *)
 type replayed = {
   r_machine : Machine.t;
   r_outcome : Machine.outcome;
@@ -124,7 +123,6 @@ type replayed = {
 }
 
 let replay ~config scenario script =
-  let config = { config with Machine.record_trace = true } in
   let m = Machine.create ~config () in
   let judge = scenario.build m in
   let oracle = Oracle.script_clamped script in
@@ -147,7 +145,6 @@ type stats = {
   mutable discarded : int;
   mutable bounded : int;
   mutable blocked : int;
-  mutable pruned : int;
   mutable dpor_pruned : int;
   mutable rf_pruned : int;
   mutable viol_count : int;  (** kept violations (avoids O(n) list length) *)
@@ -161,7 +158,6 @@ let fresh_stats () =
     discarded = 0;
     bounded = 0;
     blocked = 0;
-    pruned = 0;
     dpor_pruned = 0;
     rf_pruned = 0;
     viol_count = 0;
@@ -194,7 +190,7 @@ let to_report ~name ~complete st =
     discarded = st.discarded;
     bounded = st.bounded;
     blocked = st.blocked;
-    pruned = st.pruned;
+    pruned = 0;
     dpor_pruned = st.dpor_pruned;
     rf_pruned = st.rf_pruned;
     violations = List.rev st.violations;
@@ -363,12 +359,9 @@ let default_mk_oracle _m ~pos ~log script = Oracle.resume_script ~pos ~log scrip
 
 let default_classify _m _outcome = true
 
-let account_run ~reduction ~classify st m outcome judge tr =
+let account_run ~classify st m outcome judge tr =
   match outcome with
-  | Machine.Pruned -> (
-      match (reduction : Machine.reduction) with
-      | Machine.RDpor | Machine.RDporRf -> st.dpor_pruned <- st.dpor_pruned + 1
-      | _ -> st.pruned <- st.pruned + 1)
+  | Machine.Pruned -> st.dpor_pruned <- st.dpor_pruned + 1
   | _ ->
       if classify m outcome then account st outcome (judge outcome) tr
       else st.rf_pruned <- st.rf_pruned + 1
@@ -379,7 +372,7 @@ let run_tree ~config ~reduction ~mk_oracle ~classify scenario st script =
   let oracle = mk_oracle m ~pos:0 ~log:[] script in
   let outcome = Machine.run ~reduction m oracle in
   let tr = Oracle.trace oracle in
-  account_run ~reduction ~classify st m outcome judge tr;
+  account_run ~classify st m outcome judge tr;
   tr
 
 (* -- the incremental engine --------------------------------------------------
@@ -493,7 +486,7 @@ let engine_run eng ~reduction ~mk_oracle ~classify st script =
   let outcome = Machine.run ~reduction ~resume:true ~on_step ~on_sched m oracle in
   let tr = Oracle.trace oracle in
   eng.e_prev <- tr;
-  account_run ~reduction ~classify st m outcome eng.e_judge tr;
+  account_run ~classify st m outcome eng.e_judge tr;
   tr
 
 (* A worker's runner: one closure per worker, so each owns at most one
@@ -514,7 +507,6 @@ let merge_stats into from =
   into.discarded <- into.discarded + from.discarded;
   into.bounded <- into.bounded + from.bounded;
   into.blocked <- into.blocked + from.blocked;
-  into.pruned <- into.pruned + from.pruned;
   into.dpor_pruned <- into.dpor_pruned + from.dpor_pruned;
   into.rf_pruned <- into.rf_pruned + from.rf_pruned;
   into.viol_count <- into.viol_count + from.viol_count;
@@ -668,7 +660,7 @@ let drive ~jobs ~max_execs ~until_violation ~name ~root make_exec =
     ~complete:((not (Atomic.get stop)) && Atomic.get pending = 0)
     st
 
-(* -- plain tasks (no reduction, sleep sets) -----------------------------------
+(* -- plain tasks (no reduction) ------------------------------------------------
 
    A task [(script, lock)] owns the subtree of executions whose decision
    vectors extend [script] with positions below [lock] frozen.  Running
@@ -679,9 +671,7 @@ let drive ~jobs ~max_execs ~until_violation ~name ~root make_exec =
 
    — child [i] covers every execution that agrees with the leaf below
    position [i] and diverges at [i].  Run deepest first, they enumerate
-   the tree in lexicographic order of decision vectors.  Sleep sets need
-   nothing more: replay reconstructs them from the root, so pruning is
-   the same however the tree is carved. *)
+   the tree in lexicographic order of decision vectors. *)
 
 let split_exec run st (script, lock) =
   let tr = run st script in
@@ -844,7 +834,7 @@ let dfs ?(jobs = 1) ?(max_execs = 100_000) ?(reduce = Machine.RNone)
       ~root make_exec
   in
   match reduce with
-  | Machine.RNone | Machine.RSleep ->
+  | Machine.RNone ->
       drive ([||], 0) (fun st ->
           split_exec
             (make_runner ~incremental ~config ~reduction:reduce scenario)

@@ -5,10 +5,9 @@
     reads-from provenance.  One DFS driver, {!dfs}, enumerates the
     decision tree exhaustively: it splits the tree into disjoint tasks,
     run depth-first from a work-stealing deque per domain ([~jobs]), and
-    [~reduce] selects a partial-order reduction — sleep sets in the
-    scheduler (see {!Machine.run}), source-DPOR with wakeup sequences
-    ({!Dpor}), or reads-from–aware source-DPOR ([RDporRf]: one counted
-    execution per distinct rf⊕mo class).  One seeded sampler,
+    [~reduce] selects a partial-order reduction — source-DPOR with
+    wakeup sequences ({!Dpor}), or reads-from–aware source-DPOR
+    ([RDporRf]: one counted execution per distinct rf⊕mo class).  One seeded sampler,
     {!sample}, runs random executions for {!random} and the fuzzer.
     Where the paper {e proves} a property of all executions, we
     {e enumerate} them (up to the configured bounds) and check it on
@@ -50,8 +49,9 @@ type report = {
   bounded : int;
   blocked : int;
   pruned : int;
-      (** subtrees skipped by sleep-set reduction (0 unless
-          [~reduce:RSleep]) *)
+      (** always 0: every pruned run is a DPOR one, booked in
+          [dpor_pruned].  Left out of {!pp_report} and {!report_to_json};
+          the field stays only for readers of the record. *)
   dpor_pruned : int;
       (** executions killed as redundant under [~reduce:RDpor] — sleeping
           threads scheduled by a stale branch.  An optimal DPOR search
@@ -60,9 +60,9 @@ type report = {
   rf_pruned : int;
       (** completed runs discarded under [~reduce:RDporRf] because their
           reads-from class ({!rf_class_key}) was already counted.  Like
-          [pruned]/[dpor_pruned], never counted in [executions] and never
-          judged — on an exhaustive search [executions] equals the number
-          of distinct rf⊕mo classes. *)
+          [dpor_pruned], never counted in [executions] and never judged —
+          on an exhaustive search [executions] equals the number of
+          distinct rf⊕mo classes. *)
   violations : failure list;  (** first few, oldest first *)
   complete : bool;  (** DFS exhausted the tree within the budget *)
 }
@@ -78,7 +78,8 @@ val report_to_json : report -> Compass_util.Jsonout.t
     and rf provenance). *)
 
 (** The result of one {e clamped} external replay: what the CLI, the
-    fuzzer's confirmation pass and the witness detail recovery use. *)
+    fuzzer's confirmation pass, the shrinker and the witness detail
+    recovery use. *)
 type replayed = {
   r_machine : Machine.t;
   r_outcome : Machine.outcome;
@@ -90,7 +91,9 @@ type replayed = {
 }
 
 val replay : config:Machine.config -> scenario -> Decision.trace -> replayed
-(** re-run one script with tracing on, for counterexample display.
+(** re-run one script on a fresh machine under [config]; the machine
+    records its step trace ({!Machine.trace}) only when
+    [config.record_trace] asks, as counterexample display does.
     Uniformly {e clamped}: scripts crossing a tool boundary (saved
     corpora, witness files, hand-edited CLI input) may be stale, so
     out-of-range choices take the last alternative and are counted in
@@ -129,22 +132,20 @@ val dfs :
     and fully deterministic.
 
     [reduce] selects a partial-order reduction (default
-    {!Machine.RNone}): [RSleep] turns on sleep sets — redundant
-    interleavings of independent steps are pruned (counted in
-    {!report.pruned}), never losing a violation up to graph
-    isomorphism; [RDpor] switches to source-DPOR with wakeup sequences
-    ({!Dpor}), which explores strictly fewer executions than sleep sets
-    (near one per Mazurkiewicz trace) with the same verdicts and kept
-    violations, counting its few redundant kills in
-    {!report.dpor_pruned}; [RDporRf] stacks the reads-from reduction on
-    top — atomic write/read race reversals are not queued and completed
+    {!Machine.RNone}): [RDpor] switches to source-DPOR with wakeup
+    sequences ({!Dpor}), which explores near one execution per
+    Mazurkiewicz trace with the verdicts of the unreduced search, never
+    losing a violation up to graph isomorphism, and counts its few
+    redundant kills — runs that schedule a thread in a sleep set the
+    search installed — in {!report.dpor_pruned}; [RDporRf] stacks the
+    reads-from reduction on top — atomic write/read race reversals are not queued and completed
     runs are deduplicated by {!rf_class_key}, so [executions] counts the
     distinct rf⊕mo classes the search reaches.  It is {e not}
     verdict-preserving: a reversal is also what lets the reader's later
     steps race the writer's later steps, which no read choice
     enumerates, so it can miss classes and the violations in them (with
     [msqueue.enq.next_load] weakened to relaxed, the ms workload's fault
-    that sleep sets and [RDpor] find; see [test_dpor.ml]).
+    that [RDpor] and the unreduced search find; see [test_dpor.ml]).
 
     Per-worker tallies are merged into one report and kept violations are
     re-sorted into script order.  Without DPOR, a complete search

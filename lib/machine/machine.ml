@@ -77,15 +77,14 @@ type footprint = Deps.footprint =
   | FLocal
   | FGlobal
 
-(* How the scheduler prunes commuted interleavings.  [RSleep] is the
-   self-contained Godefroid sleep-set discipline reconstructed during
-   replay; [RDpor] is driven from outside: the machine only records the
-   (tid, footprint) step log, honours driver-installed sleep sets, and
-   wakes sleepers on dependent steps — the backtrack/wakeup-tree logic
-   lives in {!Dpor}/{!Explore}.  [RDporRf] is [RDpor] to the machine; the
-   driver additionally prunes race reversals and executions whose
-   reads-from class was already explored. *)
-type reduction = RNone | RSleep | RDpor | RDporRf
+(* How the scheduler prunes commuted interleavings.  [RDpor] is steered
+   from outside: the machine only records the (tid, footprint) step log,
+   honours the sleep sets the DPOR search installs, and wakes sleepers on
+   dependent steps — the backtrack/wakeup-tree logic lives in
+   {!Dpor}/{!Explore}.  [RDporRf] is [RDpor] to the machine; the search
+   additionally prunes race reversals and executions whose reads-from
+   class was already explored. *)
+type reduction = RNone | RDpor | RDporRf
 
 (* Snapshot types are declared here because the machine keeps its last
    snapshot as a cache; the snapshot/restore machinery lives further
@@ -664,20 +663,6 @@ let pending_footprint m tid =
   let th = Array.find_opt (fun th -> th.tid = tid) m.threads in
   match th with Some th -> footprint m th | None -> FLocal
 
-(* Interleave the spawned threads until they all finish (or fault / block /
-   exhaust the budget).
-
-   With [reduce] on, the scheduler maintains a sleep set (Godefroid-style)
-   along the replayed path: after the DFS has explored scheduling thread
-   [t] at a node, [t] goes to sleep in the later sibling branches of that
-   node and stays asleep while the steps actually taken are independent of
-   [t]'s pending step.  Scheduling a sleeping thread would only commute
-   independent steps of an already-explored subtree, so the run stops with
-   [Pruned] — the decision is still logged, which is what lets the DFS
-   bump past the redundant subtree.  Which threads have been explored at
-   the current node is exactly the set of scheduling alternatives below
-   the chosen one, so the sleep set can be reconstructed during replay
-   with no tree state. *)
 (* Initialise the concurrent-phase deadline and sleep set without running:
    what [run ~resume:false] does on entry.  The incremental explorer primes
    the machine once after build, snapshots it as the root checkpoint, and
@@ -736,29 +721,17 @@ let run ?(reduction = RNone) ?(resume = false) ?on_step ?on_sched m oracle =
       if arity > 1 then Oracle.annotate_sched oracle th.tid;
       if reduction <> RNone && List.mem_assq th.tid m.sleep then Pruned
       else begin
-        (match reduction with
-        | RNone -> ()
-        | RSleep ->
-            (* Earlier siblings fall asleep; survivors are the sleepers
-               whose pending step is independent of the one now taken. *)
-            let fp = footprint m th in
-            let explored = ref [] in
-            for k = j - 1 downto 0 do
-              let u = threads.(runnable.(k)) in
-              explored := (u.tid, footprint m u) :: !explored
-            done;
-            m.sleep <-
-              List.filter
-                (fun (_, fu) -> independent fu fp)
-                (m.sleep @ !explored)
-        | RDpor | RDporRf ->
-            (* No sibling-order sleep here: the DPOR driver installs sleep
-               sets at branch points (source sets, not left-to-right DFS
-               order).  The machine still wakes sleepers on dependent
-               steps and logs every step for the dependency analysis. *)
-            let fp = footprint m th in
-            m.sleep <- List.filter (fun (_, fu) -> independent fu fp) m.sleep;
-            log_step m th.tid fp);
+        if reduction <> RNone then begin
+          (* The DPOR search installs the sleep sets at branch points
+             ({!set_sleep}); the machine wakes sleepers on dependent steps
+             and logs every step for the dependency analysis.  A run
+             that schedules a sleeper stops above with [Pruned]: its
+             subtree only commutes independent steps of one already
+             explored. *)
+          let fp = footprint m th in
+          m.sleep <- List.filter (fun (_, fu) -> independent fu fp) m.sleep;
+          log_step m th.tid fp
+        end;
         step_thread m th oracle;
         (match on_step with Some f -> f () | None -> ());
         loop ()

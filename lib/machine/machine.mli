@@ -47,22 +47,21 @@ type outcome =
   | Bounded  (** step budget exhausted *)
   | Pruned
       (** partial-order reduction stopped the run: the scheduled thread
-          was asleep, so the subtree is a commuted copy of one already
-          explored.  Only produced by {!run} with a reduction other than
-          [RNone]; never counted as an execution by the explorer. *)
+          was in the sleep set the DPOR search installed, so the subtree
+          is a commuted copy of one already explored.  Only produced by
+          {!run} with a reduction other than [RNone]; never counted as an
+          execution by the explorer. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit
 
 type reduction =
   | RNone  (** explore every interleaving the oracle asks for *)
-  | RSleep
-      (** Godefroid sleep sets, reconstructed from DFS sibling order
-          during replay — self-contained in the machine *)
   | RDpor
       (** source-DPOR: the machine records the (tid, footprint) step log,
           honours driver-installed sleep sets ({!set_sleep}) and wakes
           sleepers on dependent steps; backtrack/wakeup-tree logic lives
-          in the {!Explore} DPOR driver *)
+          in {!Explore}'s DPOR search.  These installed sets are the
+          only sleep sets the machine keeps. *)
   | RDporRf
       (** reads-from–aware source-DPOR: identical to [RDpor] inside the
           machine; the driver additionally skips atomic write/read race
@@ -118,16 +117,16 @@ val run :
   Oracle.t ->
   outcome
 (** interleave the spawned threads to completion (or fault / block /
-    budget).  With [~reduction:RSleep] the scheduler maintains a sleep
-    set along the replayed path and stops with {!Pruned} as soon as the
-    decision script schedules a sleeping thread — i.e. as soon as the run
-    would only commute independent steps of an already-explored subtree.
-    Two pending steps are independent when they touch different locations
-    or are both reads (and neither is an allocation or SC fence); see
-    DESIGN.md, "Parallel exploration & reduction".  With
-    [~reduction:RDpor] the sleep sets come from the driver ({!set_sleep})
-    instead of sibling order, and every concurrent-phase step is logged
-    ({!dpor_steps}) for the dependency analysis.
+    budget).  With [~reduction:RDpor] (or [RDporRf]) the scheduler
+    honours the sleep set the DPOR search installed ({!set_sleep}): a sleeper
+    wakes when a step dependent on its pending step is taken, and the
+    run stops with {!Pruned} as soon as the decision script schedules a
+    sleeping thread — i.e. as soon as the run would only commute
+    independent steps of an already-explored subtree.  Two pending steps
+    are independent when they touch different locations or are both
+    reads (and neither is an allocation or SC fence); see DESIGN.md,
+    "Parallel exploration & reduction".  Every concurrent-phase step is
+    then logged ({!dpor_steps}) for the dependency analysis.
 
     [resume] (default off) continues a concurrent phase from a state
     installed by {!restore}: the step deadline and sleep set of the

@@ -23,7 +23,7 @@ let default_options =
     mgc_depth = 2;
     max_execs = 50_000;
     jobs = 1;
-    reduce = Machine.RSleep;
+    reduce = Machine.RDpor;
     incremental = true;
     until_violation = false;
     shrink = true;
@@ -307,13 +307,12 @@ let pp ppf r =
      else Printf.sprintf "no violation within %d executions" r.executions)
 
 (* Besides the executions it counted, a search launches runs that its
-   reduction throws away: sleep-set kills ([pruned]), DPOR's redundant
-   kills ([dpor_pruned]) and dpor-rf's repeats of an rf-class already
-   counted ([rf_pruned]).  [runs] is all of them. *)
+   reduction throws away: DPOR's redundant kills ([dpor_pruned]) and
+   dpor-rf's repeats of an rf-class already counted ([rf_pruned]).
+   [runs] is all of them. *)
 let to_json r =
   let sum f = List.fold_left (fun n row -> n + f row.c_report) 0 r.rows in
-  let pruned = sum (fun c -> c.Explore.pruned)
-  and dpor_pruned = sum (fun c -> c.Explore.dpor_pruned)
+  let dpor_pruned = sum (fun c -> c.Explore.dpor_pruned)
   and rf_pruned = sum (fun c -> c.Explore.rf_pruned) in
   Jsonout.Obj
     [
@@ -324,8 +323,7 @@ let to_json r =
       ("clients_total", Jsonout.Int r.clients_total);
       ("clients_run", Jsonout.Int r.clients_run);
       ("executions", Jsonout.Int r.executions);
-      ("runs", Jsonout.Int (r.executions + pruned + dpor_pruned + rf_pruned));
-      ("pruned", Jsonout.Int pruned);
+      ("runs", Jsonout.Int (r.executions + dpor_pruned + rf_pruned));
       ("dpor_pruned", Jsonout.Int dpor_pruned);
       ("rf_pruned", Jsonout.Int rf_pruned);
       ("sim_states", Jsonout.Int r.sim_states);
@@ -345,7 +343,6 @@ let to_json r =
                  [
                    ("client", Jsonout.Str row.c_id);
                    ("executions", Jsonout.Int c.Explore.executions);
-                   ("pruned", Jsonout.Int c.Explore.pruned);
                    ("dpor_pruned", Jsonout.Int c.Explore.dpor_pruned);
                    ("rf_pruned", Jsonout.Int c.Explore.rf_pruned);
                    ("complete", Jsonout.Bool c.Explore.complete);

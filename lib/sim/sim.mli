@@ -7,9 +7,9 @@ open Compass_spec
 
     The per-execution check depends only on the execution's event graph,
     which partial-order reductions preserve up to Mazurkiewicz
-    equivalence — so verdicts are invariant across
-    [--reduce=sleep|dpor], ±[--incremental] and any [jobs] (the
-    differential tests gate this).
+    equivalence — so verdicts are invariant across [RNone] and [RDpor],
+    the incremental and replay engines, and any [jobs] (the differential
+    tests gate this).
 
     Failures come in two shapes, both simulation-level:
 
@@ -29,8 +29,13 @@ type options = {
   mgc_depth : int;  (** client enumeration bound (default 2) *)
   max_execs : int;  (** exploration budget per generated client *)
   jobs : int;
-  reduce : Machine.reduction;  (** default {!Machine.RSleep} *)
+  reduce : Machine.reduction;
+      (** default {!Machine.RDpor}, which keeps every verdict; [RDporRf]
+          finishes sooner but can miss a violation (see
+          {!Explore.dfs}) *)
   incremental : bool;
+      (** default on; off runs the replay-from-root engine, the
+          differential oracle ({!Explore.dfs}) *)
   until_violation : bool;
       (** stop at the first breaking client (time-to-witness mode) *)
   shrink : bool;  (** ddmin the witness script (default on) *)
@@ -100,5 +105,5 @@ val to_json : report -> Compass_util.Jsonout.t
 (** the report as JSON: per-client [gave_up] counts and a top-level
     [gave_up_clients] list; the witness carries its typed ["trace"].
     Next to [executions], each client and the structure carry the runs
-    the reduction threw away ([pruned], [dpor_pruned], [rf_pruned]), and
+    the reduction threw away ([dpor_pruned], [rf_pruned]), and
     the structure their total with the executions as [runs]. *)

@@ -159,7 +159,7 @@ let run (e : Libspec.entry) =
           Explore.dfs ~max_execs:spec_execs (c.spec_sc ~judge:(collect tbl))
         in
         let r =
-          Explore.dfs ~max_execs ~reduce:Machine.RSleep
+          Explore.dfs ~max_execs ~reduce:Machine.RDpor
             (c.impl_sc ~judge:(membership tbl))
         in
         {

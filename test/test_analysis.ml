@@ -99,12 +99,12 @@ let test_incremental_logs_queue () =
 (* --- the weakened-mutant regression fixture (satellite b) ---------- *)
 
 let weak_opts =
-  { Audit.execs = 12_000; jobs = 1; reduce = Machine.RSleep }
+  { Audit.execs = 12_000; jobs = 1; reduce = Machine.RDpor }
 
 let test_msqueue_weak_violates () =
   let mk = List.hd (probe "ms-weak").Compass_spec.Libspec.scenarios in
   let r =
-    Explore.dfs ~max_execs:12_000 ~reduce:Machine.RSleep
+    Explore.dfs ~max_execs:12_000 ~reduce:Machine.RDpor
       ~config:Machine.default_config (mk ())
   in
   Alcotest.(check bool) "violation found" true (r.Explore.violations <> [])

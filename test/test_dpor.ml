@@ -5,34 +5,17 @@ open Compass_dstruct
 open Compass_clients
 open Prog.Syntax
 
-(* Source-DPOR differential suite.  The three reduction modes must agree
-   on verdicts and on the set of distinct violations everywhere; the
-   execution counts must be monotone (dpor <= sleep <= unreduced); and
-   the DPOR integration must be engine-independent: replay-from-root,
+(* Source-DPOR differential suite.  DPOR and the unreduced search must
+   agree on verdicts and on the set of distinct violations everywhere;
+   DPOR must count no more executions (dpor <= unreduced); and the DPOR
+   integration must be engine-independent: replay-from-root,
    incremental, and work stealing at 1/2/4 jobs all reach the same
-   verdicts.
-
-   "Total runs" below counts every machine run the search launched,
-   completed or killed: sleep sets keep one execution per Mazurkiewicz
-   trace but abort many partial redundant runs (report.pruned); DPOR's
-   win is not starting them (a small dpor_pruned remainder). *)
+   verdicts. *)
 
 let vi n = Value.Int n
 
-let distinct_msgs (r : Explore.report) =
-  List.sort_uniq compare
-    (List.map (fun (f : Explore.failure) -> f.Explore.message) r.Explore.violations)
-
-let total_runs (r : Explore.report) =
-  r.Explore.executions + r.Explore.pruned + r.Explore.dpor_pruned
-
-let check_equiv ~name (a : Explore.report) (b : Explore.report) =
-  Alcotest.(check bool) (name ^ ": ok agrees") (Explore.ok a) (Explore.ok b);
-  Alcotest.(check bool) (name ^ ": complete agrees") a.Explore.complete
-    b.Explore.complete;
-  Alcotest.(check (list string))
-    (name ^ ": distinct violations agree")
-    (distinct_msgs a) (distinct_msgs b)
+let distinct_msgs = Test_explore.distinct_msgs
+let check_equiv = Test_explore.check_equiv
 
 let scenarios () =
   [
@@ -49,34 +32,22 @@ let scenarios () =
     ("seeded-violation", fun () -> Test_explore.seeded_mp_violation ());
   ]
 
-(* -- dpor == sleep == unreduced on the client scenarios ----------------------- *)
+(* -- dpor == unreduced on the client scenarios ---------------------------------- *)
 
 let test_scenario_differential () =
   List.iter
     (fun (name, mk) ->
       let max_execs = 400_000 in
       let full = Explore.dfs ~max_execs (mk ()) in
-      let sleep = Explore.dfs ~reduce:Machine.RSleep ~max_execs (mk ()) in
       let dpor = Explore.dfs ~reduce:Machine.RDpor ~max_execs (mk ()) in
       Alcotest.(check bool) (name ^ ": unreduced exhausts") true
         full.Explore.complete;
-      check_equiv ~name:(name ^ " sleep vs unreduced") full sleep;
       check_equiv ~name:(name ^ " dpor vs unreduced") full dpor;
       Alcotest.(check bool)
-        (Printf.sprintf "%s: dpor %d <= sleep %d executions" name
-           dpor.Explore.executions sleep.Explore.executions)
+        (Printf.sprintf "%s: dpor %d <= unreduced %d executions" name
+           dpor.Explore.executions full.Explore.executions)
         true
-        (dpor.Explore.executions <= sleep.Explore.executions);
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: sleep %d <= unreduced %d executions" name
-           sleep.Explore.executions full.Explore.executions)
-        true
-        (sleep.Explore.executions <= full.Explore.executions);
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: dpor launches %d <= sleep's %d runs" name
-           (total_runs dpor) (total_runs sleep))
-        true
-        (total_runs dpor <= total_runs sleep))
+        (dpor.Explore.executions <= full.Explore.executions))
     (scenarios ())
 
 (* -- engine independence: ±incremental, parallel jobs ------------------------- *)
@@ -116,22 +87,16 @@ let test_engine_independence () =
 let test_litmus_differential () =
   List.iter
     (fun mk ->
-      let t_full = mk () and t_sleep = mk () and t_dpor = mk () in
+      let t_full = mk () and t_dpor = mk () in
       let ok_full, r_full, _ = Litmus.verdict t_full in
-      let ok_sleep, r_sleep, _ =
-        Litmus.verdict ~reduce:Machine.RSleep t_sleep
-      in
       let ok_dpor, r_dpor, _ = Litmus.verdict ~reduce:Machine.RDpor t_dpor in
       let name = r_full.Explore.name in
-      Alcotest.(check bool) (name ^ ": sleep verdict") ok_full ok_sleep;
       Alcotest.(check bool) (name ^ ": dpor verdict") ok_full ok_dpor;
       Alcotest.(check bool)
-        (Printf.sprintf "%s: dpor %d <= sleep %d <= full %d" name
-           r_dpor.Explore.executions r_sleep.Explore.executions
-           r_full.Explore.executions)
+        (Printf.sprintf "%s: dpor %d <= full %d" name
+           r_dpor.Explore.executions r_full.Explore.executions)
         true
-        (r_dpor.Explore.executions <= r_sleep.Explore.executions
-        && r_sleep.Explore.executions <= r_full.Explore.executions))
+        (r_dpor.Explore.executions <= r_full.Explore.executions))
     (List.map (fun t () -> t) (Litmus.all ()))
 
 (* -- reads-from classes: dpor-rf counts one execution per rf⊕mo graph --------- *)
@@ -402,10 +367,9 @@ let test_rf_registry_smoke () =
 (* -- a weakened ms-queue: the complete searches find its fault ---------------
 
    With [msqueue.enq.next_load] weakened to relaxed, an enqueuer's load
-   of [next] can read poison where it expects a pointer.  Sleep sets and
-   dpor, searched to completion, must find that fault on the ms registry
-   workload at every job count and with or without incremental
-   exploration.  dpor-rf completes on this mutant without finding it,
+   of [next] can read poison where it expects a pointer.  dpor, searched
+   to completion, must find that fault on the ms registry workload at
+   every job count and with or without incremental exploration.  dpor-rf completes on this mutant without finding it,
    because it skips write->read race reversals; it is left unasserted
    here, so that neither the miss nor its eventual fix is written into
    this test. *)
@@ -427,8 +391,6 @@ let test_weak_next_load_found () =
       (List.mem "fault: program error: Value.to_loc_exn: POISON"
          (distinct_msgs r))
   in
-  finds "sleep"
-    (Explore.dfs ~config ~reduce:Machine.RSleep ~max_execs:400_000 (sc ()));
   List.iter
     (fun (jobs, incremental) ->
       finds
@@ -443,7 +405,7 @@ let test_weak_next_load_found () =
    (independent of both); no data nondeterminism under the Append
    policy.  6 interleavings, but only the t0/t1 order matters: exactly 2
    Mazurkiewicz traces.  An optimal DPOR explores 2 executions and kills
-   none; sleep sets also keep 2 but only by aborting redundant runs. *)
+   none. *)
 let write_race_scenario () =
   {
     Explore.name = "write-race-3t";
@@ -466,11 +428,9 @@ let write_race_scenario () =
 
 let test_optimal_count () =
   let full = Explore.dfs (write_race_scenario ()) in
-  let sleep = Explore.dfs ~reduce:Machine.RSleep (write_race_scenario ()) in
   let dpor = Explore.dfs ~reduce:Machine.RDpor (write_race_scenario ()) in
   Alcotest.(check int) "unreduced: 3! interleavings" 6 full.Explore.executions;
   Alcotest.(check bool) "unreduced complete" true full.Explore.complete;
-  Alcotest.(check int) "sleep: one per trace" 2 sleep.Explore.executions;
   Alcotest.(check int) "dpor: one per trace" 2 dpor.Explore.executions;
   Alcotest.(check int) "dpor: optimal — nothing killed" 0
     dpor.Explore.dpor_pruned;
@@ -488,21 +448,13 @@ let test_optimal_count () =
 
 (* -- acceptance: the E1 MP-queue client ---------------------------------------
 
-   [--reduce=dpor] must finish the MP-queue client launching strictly
-   fewer machine runs than sleep sets, with the same (empty) violation
-   set and a complete search. *)
+   [--reduce=dpor] must finish the MP-queue client with a complete search
+   and no violation. *)
 let test_acceptance_mp_queue () =
   let mk () = Mp.make Msqueue.instantiate (Mp.fresh_stats ()) in
-  let sleep = Explore.dfs ~reduce:Machine.RSleep ~max_execs:400_000 (mk ()) in
   let dpor = Explore.dfs ~reduce:Machine.RDpor ~max_execs:400_000 (mk ()) in
   Alcotest.(check bool) "dpor completes" true dpor.Explore.complete;
-  Alcotest.(check (list string))
-    "identical violation set" (distinct_msgs sleep) (distinct_msgs dpor);
-  Alcotest.(check bool)
-    (Printf.sprintf "dpor launches %d < sleep's %d runs" (total_runs dpor)
-       (total_runs sleep))
-    true
-    (total_runs dpor < total_runs sleep)
+  Alcotest.(check (list string)) "no violation" [] (distinct_msgs dpor)
 
 (* -- the search shape, pinned --------------------------------------------------
 
@@ -672,15 +624,15 @@ let suite =
     Helpers.qtest test_deps_restore;
     Alcotest.test_case "3-thread write race: dpor hits the optimum" `Quick
       test_optimal_count;
-    Alcotest.test_case "dpor == sleep == unreduced (clients)" `Slow
+    Alcotest.test_case "dpor == unreduced (clients)" `Slow
       test_scenario_differential;
     Alcotest.test_case "dpor engine-independent (±inc, jobs)" `Slow
       test_engine_independence;
     Alcotest.test_case "dpor preserves litmus verdicts" `Slow
       test_litmus_differential;
-    Alcotest.test_case "acceptance: mp-queue dpor < sleep runs" `Quick
+    Alcotest.test_case "acceptance: mp-queue dpor completes" `Quick
       test_acceptance_mp_queue;
-    Alcotest.test_case "weakened ms next_load: sleep and dpor find it" `Quick
+    Alcotest.test_case "weakened ms next_load found by dpor" `Quick
       test_weak_next_load_found;
     Alcotest.test_case "search shape: ms 2x1 under dpor, 9208 + 46 runs" `Quick
       test_search_shape;

@@ -157,7 +157,7 @@ let compare_graph label kind g =
 
 (* Run [compare_graph] on every object graph of every finished execution;
    returns how many graphs needed reordering. *)
-let differential_battery ?(max_execs = 6_000) ?(reduce = Machine.RSleep) name
+let differential_battery ?(max_execs = 6_000) ?(reduce = Machine.RDpor) name
     kind sc =
   let execs = ref 0 and reordered = ref 0 in
   let sc =
@@ -252,7 +252,7 @@ let test_styles_shim_agrees () =
 let test_smoke_all_entries () =
   List.iter
     (fun (e : Libspec.entry) ->
-      let r = Explore.dfs ~max_execs:8_000 ~reduce:Machine.RSleep (e.Libspec.smoke ()) in
+      let r = Explore.dfs ~max_execs:8_000 ~reduce:Machine.RDpor (e.Libspec.smoke ()) in
       Alcotest.(check bool)
         (e.Libspec.key ^ " explored")
         true

@@ -467,7 +467,9 @@ let test_sim_json_discarded_runs () =
         (name ^ " sums the client rows")
         (int name j)
         (List.fold_left (fun n row -> n + int name row) 0 rows))
-    [ "executions"; "pruned"; "dpor_pruned"; "rf_pruned" ]
+    [ "executions"; "dpor_pruned"; "rf_pruned" ];
+  Alcotest.(check bool) "no pruned field: only DPOR prunes" false
+    (match j with J.Obj fields -> List.mem_assoc "pruned" fields | _ -> true)
 
 let test_sim_agrees_with_refine () =
   (* simulation is the stronger method: across the whole refinable
@@ -517,18 +519,15 @@ let test_sim_verdict_invariance () =
                 (Printf.sprintf "%s invariant under (%s, incremental=%b, jobs=%d)"
                    key
                    (match reduce with
-                   | Machine.RSleep -> "sleep"
                    | Machine.RDpor -> "dpor"
                    | Machine.RDporRf -> "dpor-rf"
                    | Machine.RNone -> "none")
                    incremental jobs)
                 true (v = verdict))
         [
-          (Machine.RSleep, true, 1);
-          (Machine.RSleep, false, 1);
+          (Machine.RNone, true, 1);
           (Machine.RDpor, true, 1);
           (Machine.RDpor, false, 1);
-          (Machine.RSleep, true, 2);
           (Machine.RDpor, true, 2);
         ])
     [ "lock-queue"; "ms-weak" ]

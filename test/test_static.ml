@@ -141,7 +141,7 @@ let test_differential_structures () =
 let test_prioritize_static () =
   let e = entry "ms" in
   let options =
-    { Audit.execs = 4000; jobs = 1; reduce = Machine.RSleep }
+    { Audit.execs = 4000; jobs = 1; reduce = Machine.RDpor }
   in
   let scenarios = e.Compass_spec.Libspec.scenarios in
   let decl = Audit.run ~options ~probe:"ms" scenarios in
