@@ -242,18 +242,18 @@ let style_arg =
   let impls =
     Arg.enum
       [
-        ("hb", Styles.Hb);
-        ("so-abs", Styles.So_abs);
-        ("hb-abs", Styles.Hb_abs);
-        ("hist", Styles.Hist);
-        ("sc-abs", Styles.Sc_abs);
+        ("hb", Libspec.Hb);
+        ("so-abs", Libspec.So_abs);
+        ("hb-abs", Libspec.Hb_abs);
+        ("hist", Libspec.Hist);
+        ("sc-abs", Libspec.Sc_abs);
       ]
   in
   let doc =
     "Spec style to check: $(b,hb), $(b,so-abs), $(b,hb-abs), $(b,hist), or \
      $(b,sc-abs)."
   in
-  Arg.(value & opt impls Styles.Hb & info [ "style"; "s" ] ~docv:"STYLE" ~doc)
+  Arg.(value & opt impls Libspec.Hb & info [ "style"; "s" ] ~docv:"STYLE" ~doc)
 
 let json_arg =
   let doc = "Also write the analysis report as JSON to $(docv)." in

@@ -35,7 +35,6 @@ let fresh_stats () =
     eliminated = Atomic.make 0;
     via_base = Atomic.make 0;
   }
-let ( &&& ) = Harness.( &&& )
 
 (* Simulation check: partition ES events by commit step against the base
    and exchanger graphs. *)
@@ -76,7 +75,7 @@ let simulation_violations (t : Elimination.t) =
     ]
   else []
 
-let make ?(style = Styles.Hb) ?(pushers = 1) ?(poppers = 2) ?(ops = 1)
+let make ?(style = Libspec.Hb) ?(pushers = 1) ?(poppers = 2) ?(ops = 1)
     (st : stats) =
   Harness.scenario
     ~name:(Printf.sprintf "es-compose[%d push, %d pop]" pushers poppers)
@@ -104,12 +103,13 @@ let make ?(style = Styles.Hb) ?(pushers = 1) ?(poppers = 2) ?(ops = 1)
         ignore
           (Atomic.fetch_and_add st.eliminated (List.length (Graph.so ex_g) / 2));
         ignore (Atomic.fetch_and_add st.via_base (Graph.size base_g));
-        (Harness.graph_judge style Styles.Stack es_g
-        &&& Harness.graph_judge Styles.Hb Styles.Stack base_g
-        &&& fun _ -> Harness.first_violation (Exchanger_spec.consistent ex_g))
+        Libspec.(
+          graph_judge style stack es_g
+          &&& graph_judge Hb stack base_g
+          &&& fun _ -> first_violation (Exchanger_spec.consistent ex_g))
           vs
         |> function
-        | Explore.Pass -> Harness.first_violation (simulation_violations t)
+        | Explore.Pass -> Libspec.first_violation (simulation_violations t)
         | v -> v
       in
       (threads, judge))

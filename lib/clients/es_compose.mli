@@ -21,7 +21,7 @@ val fresh_stats : unit -> stats
 val simulation_violations : Elimination.t -> Check.violation list
 
 val make :
-  ?style:Styles.style ->
+  ?style:Libspec.style ->
   ?pushers:int ->
   ?poppers:int ->
   ?ops:int ->

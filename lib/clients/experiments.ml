@@ -22,12 +22,6 @@ let pp_line ppf l =
     l.id l.name l.paper l.measured
 
 let queue_factories = [ Msqueue.instantiate; Hwqueue.instantiate ]
-let stack_factories = [ Treiber.instantiate; Elimination.instantiate ]
-
-(* SC baselines, included in the matrix only (MP etc. hold trivially). *)
-let matrix_queue_factories =
-  queue_factories @ [ Msqueue_fences.instantiate; Lockqueue.instantiate ]
-let matrix_stack_factories = stack_factories @ [ Lockstack.instantiate ]
 
 (* -- E1: MP client (Figures 1 and 3) ------------------------------------------ *)
 
@@ -85,83 +79,61 @@ let e1 ?(max_execs = 150_000) ?(jobs = 1) ?(reduce = Machine.RNone) () =
 
 type matrix_cell = {
   impl : string;
-  style : Styles.style;
+  style : Libspec.style;
   tally : Styles.tally;
 }
 
+(* The matrix rows are the registry entries with a ladder: the paper's
+   implementations and the lock-based SC baselines.  Each cell runs one
+   client — two inserting threads (two values, then one) against two
+   removing threads (two removals, then one) — over every style. *)
 let matrix ?(dfs_execs = 25_000) ?(rand_execs = 2_000) ?(jobs = 1)
     ?(reduce = Machine.RNone) () =
-  let run_queue (factory : Iface.queue_factory) style =
+  let cell (e : Libspec.entry) style =
     let tally = Styles.fresh_tally () in
     let sc =
-      Harness.scenario ~name:factory.q_name (fun m ->
-          let q = factory.make_queue m ~name:"q" in
-          let enq tid i = q.Iface.enq (Harness.val_of ~tid ~i) in
+      Harness.scenario ~name:e.Libspec.struct_name (fun m ->
+          let insert, remove, g =
+            match e.Libspec.impl with
+            | Specreg.Queue f ->
+                let q = f.Iface.make_queue m ~name:"q" in
+                (q.Iface.enq, q.Iface.deq, q.Iface.q_graph)
+            | Specreg.Stack f ->
+                let s = f.Iface.make_stack m ~name:"s" in
+                (s.Iface.push, s.Iface.pop, s.Iface.s_graph)
+            | _ -> invalid_arg ("matrix: no factory for " ^ e.Libspec.key)
+          in
+          let ins tid i = insert (Harness.val_of ~tid ~i) in
+          let rem () = Prog.bind (remove ()) (fun _ -> Prog.return ()) in
           let threads =
             [
-              Prog.returning_unit (Prog.seq [ enq 0 0; enq 0 1 ]);
-              Prog.returning_unit (Prog.seq [ enq 1 0 ]);
-              Prog.returning_unit
-                (Prog.seq
-                   [
-                     Prog.bind (q.Iface.deq ()) (fun _ -> Prog.return ());
-                     Prog.bind (q.Iface.deq ()) (fun _ -> Prog.return ());
-                   ]);
-              Prog.returning_unit
-                (Prog.bind (q.Iface.deq ()) (fun _ -> Prog.return ()));
+              Prog.returning_unit (Prog.seq [ ins 0 0; ins 0 1 ]);
+              Prog.returning_unit (Prog.seq [ ins 1 0 ]);
+              Prog.returning_unit (Prog.seq [ rem (); rem () ]);
+              Prog.returning_unit (rem ());
             ]
           in
           ( threads,
             fun _ ->
-              Styles.tally_one tally (Styles.check style Styles.Queue q.Iface.q_graph);
+              Styles.tally_one tally (Libspec.check style e.Libspec.spec g);
               Explore.Pass ))
     in
     ignore (Explore.dfs ~jobs ~reduce ~max_execs:dfs_execs sc);
     ignore (Explore.random ~jobs ~execs:rand_execs ~seed:23 sc);
-    { impl = factory.q_name; style; tally }
-  in
-  let run_stack (factory : Iface.stack_factory) style =
-    let tally = Styles.fresh_tally () in
-    let sc =
-      Harness.scenario ~name:factory.s_name (fun m ->
-          let s = factory.make_stack m ~name:"s" in
-          let push tid i = s.Iface.push (Harness.val_of ~tid ~i) in
-          let threads =
-            [
-              Prog.returning_unit (Prog.seq [ push 0 0; push 0 1 ]);
-              Prog.returning_unit (Prog.seq [ push 1 0 ]);
-              Prog.returning_unit
-                (Prog.seq
-                   [
-                     Prog.bind (s.Iface.pop ()) (fun _ -> Prog.return ());
-                     Prog.bind (s.Iface.pop ()) (fun _ -> Prog.return ());
-                   ]);
-              Prog.returning_unit
-                (Prog.bind (s.Iface.pop ()) (fun _ -> Prog.return ()));
-            ]
-          in
-          ( threads,
-            fun _ ->
-              Styles.tally_one tally (Styles.check style Styles.Stack s.Iface.s_graph);
-              Explore.Pass ))
-    in
-    ignore (Explore.dfs ~jobs ~reduce ~max_execs:dfs_execs sc);
-    ignore (Explore.random ~jobs ~execs:rand_execs ~seed:23 sc);
-    { impl = factory.s_name; style; tally }
+    { impl = e.Libspec.struct_name; style; tally }
   in
   List.concat_map
-    (fun f -> List.map (run_queue f) Styles.all_styles)
-    matrix_queue_factories
-  @ List.concat_map
-      (fun f -> List.map (run_stack f) Styles.all_styles)
-      matrix_stack_factories
+    (fun (e : Libspec.entry) ->
+      if e.Libspec.ladder = [] then []
+      else List.map (cell e) Libspec.all_styles)
+    (Specreg.all ())
 
 let pp_matrix ppf cells =
   let impls = List.sort_uniq compare (List.map (fun c -> c.impl) cells) in
   Format.fprintf ppf "%-14s" "impl \\ style";
   List.iter
-    (fun s -> Format.fprintf ppf " %-12s" (Styles.style_name s))
-    Styles.all_styles;
+    (fun s -> Format.fprintf ppf " %-12s" (Libspec.style_name s))
+    Libspec.all_styles;
   Format.pp_print_newline ppf ();
   List.iter
     (fun impl ->
@@ -179,14 +151,14 @@ let pp_matrix ppf cells =
                      (Atomic.get c.tally.Styles.failed)
                      (Atomic.get c.tally.Styles.execs))
           | None -> Format.fprintf ppf " %-12s" "-")
-        Styles.all_styles;
+        Libspec.all_styles;
       Format.pp_print_newline ppf ())
     impls
 
-(* The paper's expectations for the matrix.  "sat" means every explored
-   execution passed; note SC-abs must fail for every relaxed
-   implementation (Section 2.3), and LATabs styles must fail for the HW
-   queue (Section 3.2). *)
+(* The paper's expectations for the matrix are the registry ladders.
+   "sat" means every explored execution passed; note SC-abs must fail for
+   every relaxed implementation (Section 2.3), and LATabs styles must fail
+   for the HW queue (Section 3.2). *)
 let e2 ?dfs_execs ?rand_execs ?jobs ?reduce () =
   let cells = matrix ?dfs_execs ?rand_execs ?jobs ?reduce () in
   let sat impl style =
@@ -194,40 +166,13 @@ let e2 ?dfs_execs ?rand_execs ?jobs ?reduce () =
     | Some c -> Styles.satisfied c.tally
     | None -> false
   in
-  let expectations =
-    [
-      (* impl, style, expected-satisfied *)
-      ("ms-queue", Styles.Hb, true);
-      ("ms-queue", Styles.So_abs, true);
-      ("ms-queue", Styles.Hb_abs, true);
-      ("ms-queue", Styles.Hist, true);
-      ("ms-queue", Styles.Sc_abs, false);
-      (* The fence-based MS queue sits exactly where the access-based one
-         does: fences and accesses are interchangeable at the spec level. *)
-      ("ms-queue-fences", Styles.Hb, true);
-      ("ms-queue-fences", Styles.Hb_abs, true);
-      ("ms-queue-fences", Styles.Hist, true);
-      ("ms-queue-fences", Styles.Sc_abs, false);
-      ("hw-queue", Styles.Hb, true);
-      ("hw-queue", Styles.So_abs, false);
-      ("hw-queue", Styles.Hb_abs, false);
-      ("hw-queue", Styles.Hist, true);
-      ("treiber", Styles.Hb, true);
-      ("treiber", Styles.Hist, true);
-      ("treiber", Styles.Sc_abs, false);
-      ("elimination", Styles.Hb, true);
-      ("elimination", Styles.Hist, true);
-      (* The coarse-grained SC baselines satisfy everything, including the
-         SC-strength spec — Section 3.1's "sufficient synchronisation"
-         limit. *)
-      ("lock-queue", Styles.Sc_abs, true);
-      ("lock-queue", Styles.Hist, true);
-      ("lock-stack", Styles.Sc_abs, true);
-      ("lock-stack", Styles.Hist, true);
-    ]
-  in
   let ok =
-    List.for_all (fun (impl, style, expect) -> sat impl style = expect) expectations
+    List.for_all
+      (fun (e : Libspec.entry) ->
+        List.for_all
+          (fun (style, expect) -> sat e.Libspec.struct_name style = expect)
+          e.Libspec.ladder)
+      (Specreg.all ())
   in
   ( cells,
     {
@@ -304,9 +249,10 @@ let e3 ?(max_execs = 60_000) ?(jobs = 1) ?(reduce = Machine.RNone) () =
         in
         ( threads,
           fun _ ->
-            Styles.tally_one tally_abs (Queue_spec.abstract_state (Hwqueue.graph t));
+            Styles.tally_one tally_abs
+              (Libspec.check Libspec.So_abs Libspec.queue (Hwqueue.graph t));
             Styles.tally_one tally_hist
-              (Styles.check Styles.Hist Styles.Queue (Hwqueue.graph t));
+              (Libspec.check Libspec.Hist Libspec.queue (Hwqueue.graph t));
             Explore.Pass ))
   in
   ignore (Explore.dfs ~jobs ~reduce ~max_execs sc);
@@ -427,7 +373,7 @@ let e6 ?(dfs_execs = 40_000) ?(rand_execs = 4_000) ?(jobs = 1)
   in
   let stes = Es_compose.fresh_stats () in
   let res =
-    Explore.random ~jobs ~execs:(max rand_execs 4_000) ~seed:31
+    Explore.random ~jobs ~execs:(max rand_execs 20_000) ~seed:31
       (Es_compose.make ~pushers:2 ~poppers:2 ~ops:2 stes)
   in
   [

@@ -28,7 +28,7 @@ val e1 : ?max_execs:int -> ?jobs:int -> ?reduce:Machine.reduction -> unit -> lin
 
 type matrix_cell = {
   impl : string;
-  style : Styles.style;
+  style : Libspec.style;
   tally : Styles.tally;
 }
 
@@ -39,8 +39,9 @@ val matrix :
   ?reduce:Machine.reduction ->
   unit ->
   matrix_cell list
-(** the raw spec-style satisfaction matrix (E2), including the lock-based
-    SC baselines *)
+(** the raw spec-style satisfaction matrix (E2): every style on each
+    registry entry with a ladder — the paper's implementations and the
+    lock-based SC baselines *)
 
 val pp_matrix : Format.formatter -> matrix_cell list -> unit
 
@@ -51,6 +52,7 @@ val e2 :
   ?reduce:Machine.reduction ->
   unit ->
   matrix_cell list * line
+(** the matrix, OK when every cell agrees with its entry's ladder *)
 
 val e2b : ?max_execs:int -> ?jobs:int -> ?reduce:Machine.reduction -> unit -> line
 (** strong FIFO recovery under a client lock (Section 3.1), with the bare

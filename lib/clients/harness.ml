@@ -30,12 +30,6 @@ let scenario ~name build =
           | Machine.Pruned -> Explore.Discard "pruned");
   }
 
-(* The verdict/judge glue lives once in {!Libspec}; these are the
-   kind-indexed convenience aliases clients are written against. *)
-let first_violation = Libspec.first_violation
-let ( &&& ) = Libspec.( &&& )
-let graph_judge style kind g = Libspec.graph_judge style (Libspec.of_kind kind) g
-
 (* -- parametric workloads ----------------------------------------------------
 
    [n] enqueuer threads each enqueue [ops] distinct values; [d] dequeuer
@@ -45,7 +39,7 @@ let graph_judge style kind g = Libspec.graph_judge style (Libspec.of_kind kind) 
 
 let val_of ~tid ~i = vi (((tid + 1) * 100) + i)
 
-let queue_workload ?(style = Styles.Hb) (factory : Iface.queue_factory)
+let queue_workload ?(style = Libspec.Hb) (factory : Iface.queue_factory)
     ~enqers ~deqers ~ops () =
   scenario ~name:(Printf.sprintf "%s[%dx%d enq, %d deq]" factory.q_name enqers ops deqers)
     (fun m ->
@@ -62,9 +56,9 @@ let queue_workload ?(style = Styles.Hb) (factory : Iface.queue_factory)
       let threads =
         List.init enqers enq_thread @ List.init deqers deq_thread
       in
-      (threads, graph_judge style Styles.Queue q.Iface.q_graph))
+      (threads, Libspec.graph_judge style Libspec.queue q.Iface.q_graph))
 
-let stack_workload ?(style = Styles.Hb) (factory : Iface.stack_factory)
+let stack_workload ?(style = Libspec.Hb) (factory : Iface.stack_factory)
     ~pushers ~poppers ~ops () =
   scenario
     ~name:(Printf.sprintf "%s[%dx%d push, %d pop]" factory.s_name pushers ops poppers)
@@ -82,10 +76,10 @@ let stack_workload ?(style = Styles.Hb) (factory : Iface.stack_factory)
       let threads =
         List.init pushers push_thread @ List.init poppers pop_thread
       in
-      (threads, graph_judge style Styles.Stack s.Iface.s_graph))
+      (threads, Libspec.graph_judge style Libspec.stack s.Iface.s_graph))
 
 (* Mixed workload: every thread both pushes and pops. *)
-let stack_mixed ?(style = Styles.Hb) (factory : Iface.stack_factory) ~threads
+let stack_mixed ?(style = Libspec.Hb) (factory : Iface.stack_factory) ~threads
     ~ops () =
   scenario ~name:(Printf.sprintf "%s[mixed %dx%d]" factory.s_name threads ops)
     (fun m ->
@@ -96,7 +90,8 @@ let stack_mixed ?(style = Styles.Hb) (factory : Iface.stack_factory) ~threads
                Prog.bind (s.Iface.push (val_of ~tid ~i)) (fun () ->
                    Prog.bind (s.Iface.pop ()) (fun _ -> Prog.return ()))))
       in
-      (List.init threads thread, graph_judge style Styles.Stack s.Iface.s_graph))
+      ( List.init threads thread,
+        Libspec.graph_judge style Libspec.stack s.Iface.s_graph ))
 
 (* Exchanger workload: [threads] threads, each exchanging one distinct
    value; judge checks ExchangerConsistent plus pairwise value swaps.
@@ -109,7 +104,9 @@ let exchanger_workload ?(impl = fun m ~name -> Exchanger.instantiate m ~name)
       let x = impl m ~name:"x" in
       let thread tid = x.Iface.exchange (val_of ~tid ~i:0) in
       let judge vs =
-        match first_violation (Exchanger_spec.consistent x.Iface.x_graph) with
+        match
+          Libspec.first_violation (Exchanger_spec.consistent x.Iface.x_graph)
+        with
         | Explore.Pass ->
             (* A thread's return value, if non-bottom, must be some other
                thread's input, and the swaps must pair up. *)

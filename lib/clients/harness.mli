@@ -1,5 +1,4 @@
 open Compass_rmc
-open Compass_event
 open Compass_machine
 open Compass_spec
 open Compass_dstruct
@@ -16,25 +15,13 @@ val scenario :
 (** standard outcome plumbing: faults are violations, blocked/bounded
     executions are discarded, finished ones go to the judge *)
 
-val first_violation : Check.violation list -> Explore.verdict
-
-val ( &&& ) :
-  (Value.t array -> Explore.verdict) ->
-  (Value.t array -> Explore.verdict) ->
-  Value.t array ->
-  Explore.verdict
-(** combine judges; first violation wins *)
-
-val graph_judge :
-  Styles.style -> Styles.kind -> Graph.t -> Value.t array -> Explore.verdict
-
 val val_of : tid:int -> i:int -> Value.t
 (** distinct per (thread, index) — required for unambiguous so matching *)
 
 (** {1 Parametric workloads} *)
 
 val queue_workload :
-  ?style:Styles.style ->
+  ?style:Libspec.style ->
   Iface.queue_factory ->
   enqers:int ->
   deqers:int ->
@@ -43,7 +30,7 @@ val queue_workload :
   Explore.scenario
 
 val stack_workload :
-  ?style:Styles.style ->
+  ?style:Libspec.style ->
   Iface.stack_factory ->
   pushers:int ->
   poppers:int ->
@@ -52,7 +39,7 @@ val stack_workload :
   Explore.scenario
 
 val stack_mixed :
-  ?style:Styles.style ->
+  ?style:Libspec.style ->
   Iface.stack_factory ->
   threads:int ->
   ops:int ->

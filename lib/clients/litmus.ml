@@ -432,10 +432,8 @@ let all () =
    distinguished outcome is invariant under commuting independent
    steps). *)
 let verdict ?(max_execs = 100_000) ?config ?(jobs = 1)
-    ?(reduce = Machine.RNone) ?(incremental = true) t =
-  let report =
-    Explore.dfs ~jobs ~max_execs ~reduce ~incremental ?config t.scenario
-  in
+    ?(reduce = Machine.RNone) t =
+  let report = Explore.dfs ~jobs ~max_execs ~reduce ?config t.scenario in
   let obs = Atomic.get t.observed in
   let ok =
     Explore.ok report

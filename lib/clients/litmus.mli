@@ -66,7 +66,6 @@ val verdict :
   ?config:Machine.config ->
   ?jobs:int ->
   ?reduce:Machine.reduction ->
-  ?incremental:bool ->
   t ->
   bool * Explore.report * int
 (** run exhaustively; [true] iff the expectation holds (and no

@@ -67,7 +67,7 @@ let pp_stats ppf s =
    threads could have committed (here at most 1, by deqPerm). *)
 let excluded ~m0_size ~other_deqs = m0_size > other_deqs
 
-let make ?(flag_write = Mode.Rel) ?(flag_read = Mode.Acq) ?(style = Styles.Hb)
+let make ?(flag_write = Mode.Rel) ?(flag_read = Mode.Acq) ?(style = Libspec.Hb)
     (factory : Iface.queue_factory) (st : stats) =
   Harness.scenario
     ~name:
@@ -116,7 +116,7 @@ let make ?(flag_write = Mode.Rel) ?(flag_read = Mode.Acq) ?(style = Styles.Hb)
           && Value.equal right_v Value.Null
         then Explore.Violation "right thread's dequeue returned empty"
         else
-          Harness.graph_judge style Styles.Queue q.Iface.q_graph vs
+          Libspec.graph_judge style Libspec.queue q.Iface.q_graph vs
       in
       ([ left; middle; right ], judge))
 
@@ -152,6 +152,6 @@ let make_weak (factory : Iface.queue_factory) (st : stats) =
         | _ -> ());
         (* Consistency must still hold — the queue is correct; only the
            client-level exclusion argument is lost. *)
-        Harness.graph_judge Styles.Hb Styles.Queue q.Iface.q_graph vs
+        Libspec.graph_judge Libspec.Hb Libspec.queue q.Iface.q_graph vs
       in
       ([ left; middle; right ], judge))

@@ -36,7 +36,7 @@ val excluded : m0_size:int -> other_deqs:int -> bool
 val make :
   ?flag_write:Mode.access ->
   ?flag_read:Mode.access ->
-  ?style:Styles.style ->
+  ?style:Libspec.style ->
   Iface.queue_factory ->
   stats ->
   Explore.scenario

@@ -15,4 +15,4 @@ type stats = {
 }
 
 val fresh_stats : unit -> stats
-val make : ?style:Styles.style -> Iface.stack_factory -> stats -> Explore.scenario
+val make : ?style:Libspec.style -> Iface.stack_factory -> stats -> Explore.scenario

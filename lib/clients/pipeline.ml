@@ -19,9 +19,8 @@ open Prog.Syntax
 type stats = { executions : int Atomic.t }
 
 let fresh_stats () = { executions = Atomic.make 0 }
-let ( &&& ) = Harness.( &&& )
 
-let make ?(style = Styles.Hb) ?(n = 2) ?(retries = 24)
+let make ?(style = Libspec.Hb) ?(n = 2) ?(retries = 24)
     (f1 : Iface.queue_factory) (f2 : Iface.queue_factory)
     (st : stats) =
   Harness.scenario
@@ -65,8 +64,9 @@ let make ?(style = Styles.Hb) ?(n = 2) ?(retries = 24)
             (Format.asprintf "pipeline order broken: sink got %a, expected %d"
                Value.pp vs.(2) expected)
         else
-          (Harness.graph_judge style Styles.Queue q1.Iface.q_graph
-          &&& Harness.graph_judge style Styles.Queue q2.Iface.q_graph)
+          Libspec.(
+            graph_judge style queue q1.Iface.q_graph
+            &&& graph_judge style queue q2.Iface.q_graph)
             vs
       in
       ([ source; stage; sink ], judge))

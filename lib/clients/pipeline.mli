@@ -15,7 +15,7 @@ type stats = { executions : int Atomic.t }
 val fresh_stats : unit -> stats
 
 val make :
-  ?style:Styles.style ->
+  ?style:Libspec.style ->
   ?n:int ->
   ?retries:int ->
   Iface.queue_factory ->

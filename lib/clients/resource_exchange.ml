@@ -57,7 +57,10 @@ let make ?(threads = 2) (st : stats) =
         ignore
           (Atomic.fetch_and_add st.fails
              (List.length got - List.length succeeded));
-        match Harness.first_violation (Exchanger_spec.consistent (Exchanger.graph x)) with
+        match
+          Libspec.first_violation
+            (Exchanger_spec.consistent (Exchanger.graph x))
+        with
         | Explore.Pass ->
             (* Conservation: successful receivers hold distinct payloads
                drawn from the offered set, and swaps pair up: if thread i

@@ -4,8 +4,6 @@ open Compass_spec
 open Compass_dstruct
 open Prog.Syntax
 
-let ( &&& ) = Harness.( &&& )
-
 (* The single-producer single-consumer client of Section 3.2.
 
      producer(q, a_p, 0, n)  ||  consumer(q, a_c, 0, n)
@@ -23,7 +21,7 @@ type stats = { executions : int Atomic.t; empties : int Atomic.t }
 
 let fresh_stats () = { executions = Atomic.make 0; empties = Atomic.make 0 }
 
-let make ?(style = Styles.Hb) ?(n = 3) ?(retries = 16)
+let make ?(style = Libspec.Hb) ?(n = 3) ?(retries = 16)
     (factory : Iface.queue_factory) (st : stats) =
   Harness.scenario
     ~name:(Printf.sprintf "spsc[%s, n=%d]" factory.q_name n)
@@ -77,8 +75,9 @@ let make ?(style = Styles.Hb) ?(n = 3) ?(retries = 16)
         if Value.equal vp vc then
           (* The requested style, plus the *derived* SPSC spec of
              Section 3.2: strict FIFO and counted empty dequeues. *)
-          (Harness.graph_judge style Styles.Queue q.Iface.q_graph
-          &&& fun _ -> Harness.first_violation (Spsc_spec.consistent q.Iface.q_graph))
+          Libspec.(
+            graph_judge style queue q.Iface.q_graph
+            &&& fun _ -> first_violation (Spsc_spec.consistent q.Iface.q_graph))
             _vs
         else
           Explore.Violation

@@ -85,8 +85,7 @@ let make (factory : Iface.queue_factory) (st : stats) =
         else if not (strong_fifo g) then
           Explore.Violation "strong FIFO not regained"
         else
-          Harness.first_violation
-            (Styles.check Styles.Sc_abs Styles.Queue g)
+          Libspec.first_violation (Libspec.check Libspec.Sc_abs Libspec.queue g)
       in
       ([ enq_thread 0; enq_thread 1; deq_thread 0 ], judge))
 
@@ -112,6 +111,6 @@ let make_control (factory : Iface.queue_factory) (broke : int Atomic.t) =
         let g = q.Iface.q_graph in
         if not (lhb_total g) then Atomic.incr broke;
         (* Consistency of the plain (weak) spec must of course hold. *)
-        Harness.graph_judge Styles.Hb Styles.Queue g _vs
+        Libspec.graph_judge Libspec.Hb Libspec.queue g _vs
       in
       ([ enq_thread 0; enq_thread 1; deq_thread 0 ], judge))

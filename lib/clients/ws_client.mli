@@ -27,6 +27,6 @@ val make :
   ?tasks:int ->
   ?thieves:int ->
   ?steals:int ->
-  ?style:Styles.style ->
+  ?style:Libspec.style ->
   stats ->
   Explore.scenario

@@ -1,22 +1,12 @@
 open Compass_rmc
 
-(* Dependency relations, shared by the race detector and the DPOR engine.
-
-   Two views of the same idea live here:
-
-   - {!sweep}: the RC11-synchronisation vector-clock sweep over recorded
-     access logs.  This used to be private to the analysis-side race
-     detector ({!Compass_analysis.Races}); it moved here unchanged so the
-     DPOR layer and the race detector share one happens-before engine.
-
-   - the step log ({!steps}): the Mazurkiewicz-trace order over a
-     machine-step sequence, built from the same footprint independence
-     relation the sleep sets use.  This is the dependency relation
-     source-DPOR needs: steps of the same thread are ordered by program
-     order, steps of different threads only by chains of dependent
-     (non-commuting) steps, and a {e reversible race} is a dependent pair
-     with no intermediate path — exactly the pairs whose reversal reaches
-     a new Mazurkiewicz trace. *)
+(* The dependency relation of the DPOR engine: footprints, their
+   commutation, and the step log ({!steps}) — the Mazurkiewicz-trace order
+   over a machine-step sequence built from footprint independence.  Steps
+   of the same thread are ordered by program order, steps of different
+   threads only by chains of dependent (non-commuting) steps, and a
+   {e reversible race} is a dependent pair with no intermediate path —
+   exactly the pairs whose reversal reaches a new Mazurkiewicz trace. *)
 
 (* -- footprints --------------------------------------------------------------
 
@@ -64,122 +54,6 @@ let pp_footprint ppf = function
   | FWriteNa l -> Format.fprintf ppf "Wna%a" Loc.pp l
   | FLocal -> Format.pp_print_string ppf "local"
   | FGlobal -> Format.pp_print_string ppf "global"
-
-(* -- the RC11-synchronisation sweep over access logs -------------------------
-
-   Recomputes happens-before with a vector-clock forward sweep — a
-   genuinely different algorithm from {!Rc11}'s explicit transitive
-   closure over (po ∪ asw ∪ sw) edge lists.  The sweep models RC11
-   synchronisation (not the machine's operational views — rf alone never
-   creates hb):
-
-   - each access bumps its thread's own clock component and snapshots
-     the thread clock; hb(a, b) iff b's snapshot includes a's stamp;
-   - a write publishes a clock on its message: its own snapshot if it
-     releases, the clock captured at the last release fence if it is
-     atomic but relaxed, and bottom if non-atomic.  Updates additionally
-     inherit the clock of the message they read — rf chains among
-     updates, i.e. release sequences;
-   - an acquire read joins the message clock into the thread clock; a
-     relaxed atomic read parks it in a pending-acquire clock that the
-     next acquire fence joins in; non-atomic reads never synchronise;
-   - a release fence snapshots the thread clock for later relaxed
-     writes; an SC fence additionally joins and updates one global
-     clock, totally ordering SC fences;
-   - fork/join edges (the asw of {!Rc11}): a spawned thread's first
-     access joins the setup pseudo-thread's clock, and a post-join
-     setup access joins every thread's clock.  (Setup runs solo,
-     strictly before spawn and after join, so the eager join is exact.) *)
-
-let mode_geq_rel = function Mode.Rel | Mode.AcqRel -> true | _ -> false
-let mode_geq_acq = function Mode.Acq | Mode.AcqRel -> true | _ -> false
-let mode_atomic = function Mode.Na -> false | _ -> true
-
-let rel_fence = function
-  | Mode.F_rel | Mode.F_acqrel | Mode.F_sc -> true
-  | _ -> false
-
-let acq_fence = function
-  | Mode.F_acq | Mode.F_acqrel | Mode.F_sc -> true
-  | _ -> false
-
-(* The sweep.  Returns [knows] : aid -> aid -> bool, the hb predicate
-   (irreflexive use only — callers never ask [knows a a]). *)
-let sweep items =
-  let n = Array.length items in
-  Array.iteri (fun i a -> assert (Access.aid a = i)) items;
-  let max_tid = Array.fold_left (fun m a -> max m (Access.tid a)) (-1) items in
-  let nt = max_tid + 2 in
-  (* thread slots: index 0 is the setup pseudo-thread (tid -1) *)
-  let ix tid = tid + 1 in
-  let bottom () = Array.make nt 0 in
-  let join dst src =
-    Array.iteri (fun i v -> if v > dst.(i) then dst.(i) <- v) src
-  in
-  let cur = Array.init nt (fun _ -> bottom ()) in
-  let dacq = Array.init nt (fun _ -> bottom ()) in
-  let frel = Array.init nt (fun _ -> bottom ()) in
-  let sc = ref (bottom ()) in
-  let seq = Array.make nt 0 in
-  let started = Array.make nt false in
-  let msg : (Loc.t * Timestamp.t, int array) Hashtbl.t = Hashtbl.create 64 in
-  let snap = Array.make n [||] in
-  let stamp = Array.make n (0, 0) in
-  Array.iter
-    (fun a ->
-      let tid = Access.tid a in
-      let t = ix tid in
-      (* fork: a spawned thread's first access inherits the setup clock. *)
-      if not started.(t) then begin
-        started.(t) <- true;
-        if tid >= 0 then join cur.(t) cur.(ix (-1))
-      end;
-      (* join: a post-join setup access inherits every thread's clock. *)
-      if tid = -1 then
-        Array.iteri (fun u c -> if u <> t then join cur.(t) c) cur;
-      match a with
-      | Access.Access r ->
-          let rclock =
-            match r.read_ts with
-            | Some ts -> Hashtbl.find_opt msg (r.loc, ts)
-            | None -> None
-          in
-          (match rclock with
-          | Some c when mode_geq_acq r.mode -> join cur.(t) c
-          | Some c when mode_atomic r.mode -> join dacq.(t) c
-          | _ -> () (* non-atomic reads never synchronise *));
-          seq.(t) <- seq.(t) + 1;
-          cur.(t).(t) <- seq.(t);
-          stamp.(r.aid) <- (t, seq.(t));
-          snap.(r.aid) <- Array.copy cur.(t);
-          (match r.write_ts with
-          | Some wts ->
-              let published = bottom () in
-              if mode_geq_rel r.mode then join published snap.(r.aid)
-              else if mode_atomic r.mode then join published frel.(t);
-              (* updates inherit the read message's clock: release
-                 sequences as rf chains among updates *)
-              (match (r.kind, rclock) with
-              | Access.Update, Some c -> join published c
-              | _ -> ());
-              Hashtbl.replace msg (r.loc, wts) published
-          | None -> ())
-      | Access.Fence f ->
-          if acq_fence f.fence then begin
-            join cur.(t) dacq.(t);
-            dacq.(t) <- bottom ()
-          end;
-          if f.fence = Mode.F_sc then join cur.(t) !sc;
-          seq.(t) <- seq.(t) + 1;
-          cur.(t).(t) <- seq.(t);
-          stamp.(f.aid) <- (t, seq.(t));
-          snap.(f.aid) <- Array.copy cur.(t);
-          if rel_fence f.fence then frel.(t) <- Array.copy cur.(t);
-          if f.fence = Mode.F_sc then sc := Array.copy cur.(t))
-    items;
-  fun a b ->
-    let ta, sa = stamp.(a) in
-    Array.length snap.(b) > 0 && snap.(b).(ta) >= sa
 
 (* -- the step log: Mazurkiewicz order over machine steps ----------------------
 

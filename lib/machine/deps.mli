@@ -1,10 +1,6 @@
-(** Dependency relations shared by the race detector and the DPOR engine.
-
-    Two views of the same idea: the RC11-synchronisation vector-clock
-    {!sweep} over recorded access logs (the race detector's
-    happens-before), and the Mazurkiewicz-trace order over machine-step
-    sequences (the step log, {!steps}) built from footprint commutation —
-    the dependency relation source-DPOR needs. *)
+(** The dependency relation source-DPOR needs: the Mazurkiewicz-trace
+    order over machine-step sequences (the step log, {!steps}) built from
+    footprint commutation. *)
 
 open Compass_rmc
 
@@ -31,16 +27,6 @@ val independent : footprint -> footprint -> bool
     from the same state reaches the same state. *)
 
 val pp_footprint : Format.formatter -> footprint -> unit
-
-(** {1 Access-log happens-before (RC11 synchronisation)} *)
-
-val sweep : Access.t array -> int -> int -> bool
-(** [sweep items] runs a vector-clock forward sweep over an access log
-    (aids must equal indices) and returns the hb predicate
-    [knows : aid -> aid -> bool].  Models RC11 synchronisation:
-    release/acquire message clocks, release sequences through updates,
-    fence semantics, SC-fence total order, and fork/join edges.
-    Irreflexive use only. *)
 
 (** {1 Mazurkiewicz order over machine steps} *)
 

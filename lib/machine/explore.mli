@@ -170,9 +170,10 @@ val dfs :
     keyed by decision depth (one per decision), and only the decision
     suffix past the deepest valid checkpoint re-executed per run —
     instead of replaying every execution from the root.  Reports are
-    field-for-field identical either way (the replay path,
-    [~incremental:false], is kept as the differential-testing
-    oracle).
+    field-for-field identical either way.  No subcommand sets it: the
+    replay path, [~incremental:false], is the tests' differential
+    oracle, [bench --explore]'s sequential rows run it, and the
+    benchmark suite passes [Sim.options.incremental] through.
 
     [until_violation] (default off) stops the search at the first kept
     violation — what the mode-necessity audit uses to witness a broken

@@ -35,7 +35,8 @@ type options = {
           {!Explore.dfs}) *)
   incremental : bool;
       (** default on; off runs the replay-from-root engine, the
-          differential oracle ({!Explore.dfs}) *)
+          differential oracle ({!Explore.dfs}).  No tool sets it; the
+          tests and the benchmark suite do. *)
   until_violation : bool;
       (** stop at the first breaking client (time-to-witness mode) *)
   shrink : bool;  (** ddmin the witness script (default on) *)

@@ -1,6 +1,6 @@
 (** The COMPASS specification framework, operationalised: consistency
     conditions for queues ({!Queue_spec}), stacks ({!Stack_spec}) and
-    exchangers ({!Exchanger_spec}); the spec-style hierarchy ({!Styles});
+    exchangers ({!Exchanger_spec}); the satisfaction tallies ({!Styles});
     and {!Libspec} — first-class spec objects, the generic style checker,
     the executable abstract machine behind spec-as-implementation, the
     commit-point search that decides linearisable histories (the LAThist

@@ -184,64 +184,119 @@ let search kind g =
         result (Breaks_at (find 1 - 1))
   end
 
+(* -- the commit-order replay (the LATabs styles) ---------------------------------
+
+   LATabs (Sections 2.3 and 3.1) asks whether every commit point is an
+   atomic step of the sequential object: fold [transition] over the
+   graph's events in commit order from the empty state, and check each
+   commit's result and so edge against the spec's prediction.  Strongly
+   synchronised implementations (Michael-Scott) pass; the relaxed
+   Herlihy-Wing queue does not (Section 3.2), which is why the paper
+   introduces the abstract-state-free LAThb style.
+
+   [require_empty] adds the SC-only condition that an empty removal commits
+   on a truly empty state (SC-DEQ in Figure 2).  The RMC specs drop it: a
+   thread may see the queue as empty while an enqueue it cannot see yet has
+   committed (Section 2.3).
+
+   A failed commit does not stop the replay.  A queue or stack removal that
+   found an element still consumes the one the spec removes (reported as
+   the wrong value, or as taken against so); every other failed commit
+   leaves the state as it was.  A deque removal must match its so source
+   exactly; a queue or stack removal needs the predicted edge among its
+   so edges. *)
+
+let in_vocabulary kind (typ : Event.typ) =
+  match (kind, typ) with
+  | Queue, (Event.Enq _ | Event.Deq _ | Event.EmpDeq)
+  | (Stack | Deque), (Event.Push _ | Event.Pop _ | Event.EmpPop)
+  | Deque, (Event.Steal _ | Event.EmpSteal) ->
+      true
+  | _ -> false
+
+let replay ?(require_empty = false) kind g =
+  let so = Graph.so g in
+  let noun, holder, end_ =
+    match kind with
+    | Queue -> ("dequeue", "abstract queue", "head")
+    | Stack -> ("pop", "abstract stack", "top")
+    | Deque -> ("op", "the abstract deque", "")
+  in
+  let took (e : Event.data) (ins, _) =
+    if kind = Deque then Graph.so_in g e.id = [ ins ]
+    else List.mem (ins, e.id) so
+  in
+  let step (st, acc) (e : Event.data) =
+    match op_of_typ e.typ with
+    | Some op when in_vocabulary kind e.typ -> (
+        let st', typ, pred = transition kind st ~id:e.id op in
+        if Event.typ_equal typ e.typ && List.for_all (took e) pred then
+          (st', acc)
+        else
+          match (e.typ, st) with
+          | (Event.EmpDeq | Event.EmpPop | Event.EmpSteal), _ ->
+              if not require_empty then (st, acc)
+              else
+                ( st,
+                  Check.v "latabs-empty"
+                    "empty %s %a commits while %s holds %d elements" noun
+                    Event.pp e holder (List.length st)
+                  :: acc )
+          | Event.Steal _, _ ->
+              ( st,
+                Check.v "latabs-ws-steal"
+                  "steal %a does not take the abstract front" Event.pp e
+                :: acc )
+          | Event.Pop _, _ when kind = Deque ->
+              ( st,
+                Check.v "latabs-ws-pop" "pop %a does not take the abstract back"
+                  Event.pp e
+                :: acc )
+          | (Event.Deq v | Event.Pop v), (w, ins) :: _ ->
+              ( st',
+                (if Value.equal v w then
+                   Check.v "latabs-match"
+                     "%s %a takes abstract %s e%d but so says otherwise" noun
+                     Event.pp e end_ ins
+                 else
+                   Check.v
+                     (if kind = Queue then "latabs-fifo" else "latabs-lifo")
+                     "%s %a at commit point returns %a but %s is %a" noun
+                     Event.pp e Value.pp v end_ Value.pp w)
+                :: acc )
+          | _ ->
+              ( st,
+                Check.v "latabs-nonempty" "%s %a commits on an empty %s" noun
+                  Event.pp e holder
+                :: acc ))
+    | _ -> (st, acc)
+  in
+  List.rev (snd (List.fold_left step ([], []) (Graph.events_by_cix g)))
+
 (* -- the common specification signature --------------------------------------- *)
 
 type t = {
   name : string;
   kind : kind option;
   consistent : Graph.t -> Check.violation list;
-  abstract : (?require_empty:bool -> Graph.t -> Check.violation list) option;
 }
 
-let queue =
-  {
-    name = "queue";
-    kind = Some Queue;
-    consistent = Queue_spec.consistent;
-    abstract = Some Queue_spec.abstract_state;
-  }
-
-let stack =
-  {
-    name = "stack";
-    kind = Some Stack;
-    consistent = Stack_spec.consistent;
-    abstract = Some Stack_spec.abstract_state;
-  }
-
-let deque =
-  {
-    name = "ws-deque";
-    kind = Some Deque;
-    consistent = Ws_spec.consistent;
-    abstract = Some Ws_spec.abstract_state;
-  }
-
-let exchanger =
-  {
-    name = "exchanger";
-    kind = None;
-    consistent = Exchanger_spec.consistent;
-    abstract = None;
-  }
-
-let spsc =
-  {
-    name = "spsc-queue";
-    kind = Some Queue;
-    consistent = Spsc_spec.consistent;
-    abstract = Some Queue_spec.abstract_state;
-  }
+let spec name kind consistent = { name; kind; consistent }
+let queue = spec "queue" (Some Queue) Queue_spec.consistent
+let stack = spec "stack" (Some Stack) Stack_spec.consistent
+let deque = spec "ws-deque" (Some Deque) Ws_spec.consistent
+let exchanger = spec "exchanger" None Exchanger_spec.consistent
+let spsc = spec "spsc-queue" (Some Queue) Spsc_spec.consistent
 
 let of_kind = function Queue -> queue | Stack -> stack | Deque -> deque
 
 (* The one generic checker.  Styles a spec has no machinery for are
-   vacuous: an exchanger has no abstract-sequence styles, so [So_abs]
-   checks nothing rather than failing spuriously. *)
+   vacuous: an exchanger has no sequential kind, so [So_abs] checks
+   nothing rather than failing spuriously. *)
 let check style spec g : Check.violation list =
   let abs ?require_empty () =
-    match spec.abstract with
-    | Some f -> f ?require_empty g
+    match spec.kind with
+    | Some kind -> replay ?require_empty kind g
     | None -> []
   in
   match style with

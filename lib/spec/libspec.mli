@@ -10,16 +10,14 @@ open Compass_machine
     This module makes that architecture literal:
 
     - {!t} is the common specification signature: a name, the event-graph
-      consistency predicate, the commit-point abstract-state machine, and
-      (when one exists) the sequential kind driving linearisation;
-    - {!check} is the one generic style checker — the per-kind dispatch
-      that used to be duplicated across [Styles], [check.ml] and
-      [harness.ml] judges lives here once;
+      consistency predicate, and (when one exists) the sequential kind
+      whose abstract machine the LATabs and LAThist styles step;
     - {!transition}/{!step} expose the spec's abstract machine as an
       executable labelled transition system;
-    - {!search} is the one commit-point search over that machine: the
-      LAThist leg of {!check} and the forward-simulation checker
-      ([Compass_sim.Simrel]) both ask it for a legal total order;
+    - {!check} is the one generic style checker: its LATabs legs replay
+      that machine in commit order, and its LAThist leg asks {!search},
+      the one commit-point search over it, for a legal total order — as
+      the forward-simulation checker ([Compass_sim.Simrel]) does;
     - the {!entry} registry binds each [lib/dstruct] structure to its
       spec, default workloads, ladder expectations and site metadata, so
       every tool resolves [--struct] through a single table. *)
@@ -27,7 +25,22 @@ open Compass_machine
 (** {1 The spec-style ladder} *)
 
 type style = So_abs | Hb_abs | Hb | Hist | Sc_abs
-(** see {!Styles} (which re-exports this type) for the paper mapping *)
+(** The spec-style hierarchy (paper, Sections 2.3-3.3), as checkable
+    predicates on one execution's graph:
+
+    - [So_abs]: commit-point abstract state only (Cosmo's demand);
+    - [Hb]: graph consistency only (lhb/so conditions) — the LAThb style;
+    - [Hb_abs]: both — LAThb-abs;
+    - [Hist]: graph consistency plus a linearisable history, found by
+      the commit-point search {!search} — LAThist;
+    - [Sc_abs]: the SC spec of Figure 2 including the truly-empty
+      condition — satisfied by no relaxed implementation (Section 2.3's
+      "an RMC spec cannot be quite as strong as the SC spec"), only by
+      the coarse-grained lock baselines.
+
+    An implementation "satisfies" a style when every explored execution
+    passes — the checking counterpart of the paper's per-style
+    verification results (experiment E2's matrix). *)
 
 val style_name : style -> string
 val style_of_string : string -> style option
@@ -121,14 +134,11 @@ val search : kind -> Graph.t -> search
 type t = {
   name : string;  (** spec name, e.g. ["queue"] *)
   kind : kind option;
-      (** sequential kind for linearisation / abstract replay; [None] for
-          specs without one (exchanger) *)
+      (** sequential kind for the commit-order replay and linearisation;
+          [None] for specs without one (exchanger) *)
   consistent : Graph.t -> Check.violation list;
       (** the event-graph consistency predicate (the paper's
           XxxConsistent) — the LAThb leg *)
-  abstract : (?require_empty:bool -> Graph.t -> Check.violation list) option;
-      (** commit-point abstract-state replay (the LATabs legs);
-          [require_empty] adds the SC-only truly-empty condition *)
 }
 
 val queue : t
@@ -144,14 +154,20 @@ val of_kind : kind -> t
 
 val check : style -> t -> Graph.t -> Check.violation list
 (** check one style of one spec on one execution's graph.  This is the
-    single generic checker: [Hb] runs [consistent], the abs styles run
-    [abstract], [Hist] adds the linearisable-history {!search} (via the
-    spec's [kind]).  Styles a spec has no machinery for check vacuously. *)
+    single generic checker: [Hb] runs [consistent]; the abs styles
+    replay the graph's events in commit order through {!transition}
+    from the empty state and check each commit's result and so edge
+    against the spec's prediction ([latabs-fifo], [latabs-lifo],
+    [latabs-ws-pop], [latabs-ws-steal], [latabs-match],
+    [latabs-nonempty]), [Sc_abs] adding that empty removals find the
+    state empty ([latabs-empty], SC-DEQ in Figure 2); [Hist] adds the
+    linearisable-history {!search}.  The replay and the search follow
+    the spec's [kind]; styles a spec has no machinery for check
+    vacuously. *)
 
 (** {1 Judge glue}
 
-    The verdict plumbing shared by every scenario judge (previously
-    duplicated in [harness.ml]). *)
+    The verdict plumbing every scenario judge is built from. *)
 
 val first_violation : Check.violation list -> Explore.verdict
 

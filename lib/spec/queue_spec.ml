@@ -8,8 +8,6 @@ open Compass_event
    event under inspection; operationally that is the commit-index prefix,
    so quantifiers over "already committed" events are bounded by [cix]. *)
 
-let before (a : Event.data) (b : Event.data) = Event.cix_compare a.cix b.cix < 0
-
 (* QUEUE-MATCHES: a dequeue returns the value its matched enqueue inserted. *)
 let check_matches g =
   List.fold_left
@@ -26,15 +24,6 @@ let check_matches g =
 (* QUEUE-UNIQ: so matches enqueues to dequeues bijectively — an element is
    dequeued at most once, and every successful dequeue dequeues exactly one
    enqueue (footnote 5 of the paper). *)
-(* so-degree scans over the (short) edge list, allocating nothing — the
-   checkers run on every completed execution, so the all-pass path must
-   stay cheap. *)
-let out_deg so id = List.fold_left (fun n (f, _) -> if f = id then n + 1 else n) 0 so
-let in_deg so id = List.fold_left (fun n (_, t) -> if t = id then n + 1 else n) 0 so
-
-let in_src so id =
-  List.fold_left (fun s (f, t) -> if t = id then f else s) (-1) so
-
 let check_uniq g =
   let so = Graph.so g in
   let events = Graph.events g in
@@ -42,7 +31,7 @@ let check_uniq g =
   List.iter
     (fun (e : Event.data) ->
       if Event.is_enq e then
-        let outs = out_deg so e.id in
+        let outs = Check.out_deg so e.id in
         if outs > 1 then
           acc :=
             Check.v "queue-uniq" "enqueue %a dequeued %d times" Event.pp e outs
@@ -51,47 +40,38 @@ let check_uniq g =
   List.iter
     (fun (d : Event.data) ->
       if Event.is_deq d then begin
-        (match in_deg so d.id with
+        (match Check.in_deg so d.id with
         | 1 ->
-            if not (Event.is_enq (Graph.find g (in_src so d.id))) then
-              acc := Check.v "queue-uniq" "dequeue %a matched to a non-enqueue" Event.pp d :: !acc
-        | 0 -> acc := Check.v "queue-uniq" "dequeue %a matched to no enqueue" Event.pp d :: !acc
+            if not (Event.is_enq (Graph.find g (Check.in_src so d.id))) then
+              acc :=
+                Check.v "queue-uniq" "dequeue %a matched to a non-enqueue"
+                  Event.pp d
+                :: !acc
+        | 0 ->
+            acc :=
+              Check.v "queue-uniq" "dequeue %a matched to no enqueue" Event.pp d
+              :: !acc
         | n ->
             acc :=
               Check.v "queue-uniq" "dequeue %a matched %d times" Event.pp d n
               :: !acc);
-        if out_deg so d.id > 0 then
-          acc := Check.v "queue-uniq" "dequeue %a used as so source" Event.pp d :: !acc
+        if Check.out_deg so d.id > 0 then
+          acc :=
+            Check.v "queue-uniq" "dequeue %a used as so source" Event.pp d
+            :: !acc
       end)
     events;
   List.iter
     (fun (d : Event.data) ->
-      if Event.is_empdeq d && (in_deg so d.id > 0 || out_deg so d.id > 0) then
-        acc := Check.v "queue-uniq" "empty dequeue %a has so edges" Event.pp d :: !acc)
+      if
+        Event.is_empdeq d
+        && (Check.in_deg so d.id > 0 || Check.out_deg so d.id > 0)
+      then
+        acc :=
+          Check.v "queue-uniq" "empty dequeue %a has so edges" Event.pp d
+          :: !acc)
     events;
   !acc
-
-(* so ⊆ lhb, and so respects commit order: a dequeue commits after the
-   enqueue it takes from and has synchronised with it. *)
-let check_so_lhb g =
-  List.fold_left
-    (fun acc (e_id, d_id) ->
-      let e = Graph.find g e_id and d = Graph.find g d_id in
-      (* Both ends were just found in the graph, so [Graph.lhb] reduces to
-         irreflexivity + logview membership. *)
-      let acc =
-        if e_id <> d_id && Lview.mem e_id d.Event.logview then acc
-        else
-          Check.v "queue-so-lhb" "(%a, %a) in so but not lhb" Event.pp e
-            Event.pp d
-          :: acc
-      in
-      if before e d then acc
-      else
-        Check.v "queue-so-cix" "so pair (%a, %a) violates commit order"
-          Event.pp e Event.pp d
-        :: acc)
-    [] (Graph.so g)
 
 (* QUEUE-FIFO (the paper's weak, RMC-compatible form): if enqueue e' happens
    before enqueue e and some dequeue d takes e, then e' has already been
@@ -118,7 +98,7 @@ let check_fifo g =
                     f = e'.id
                     &&
                     let d' = Graph.find g t in
-                    before d' d
+                    Check.before d' d
                     && (t = d_id || not (Lview.mem d_id d'.Event.logview)))
                   so
               in
@@ -150,7 +130,7 @@ let check_empdeq g =
             then
               let consumed =
                 List.exists
-                  (fun (f, t) -> f = e.id && before (Graph.find g t) d)
+                  (fun (f, t) -> f = e.id && Check.before (Graph.find g t) d)
                   so
               in
               if consumed then acc
@@ -164,94 +144,7 @@ let check_empdeq g =
           acc events)
     [] events
 
-(* lhb must be consistent with commit order: an event only observes events
-   committed in earlier steps — or in the *same* atomic step, which is how
-   helped pairs mutually observe each other (the paper's footnote 7: the
-   two matching exchange commits are not both hb-ordered, yet each call's
-   beginning happens before the other's end). *)
-let check_lhb_order g =
-  let acc = ref [] in
-  List.iter
-    (fun (e : Event.data) ->
-      Lview.iter
-        (fun d_id ->
-          if d_id <> e.id then
-            match Graph.find_opt g d_id with
-            | Some d ->
-                if fst d.Event.cix > fst e.Event.cix then
-                  acc :=
-                    Check.v "lhb-cix"
-                      "%a observes %a which commits later" Event.pp e Event.pp
-                      d
-                    :: !acc
-            | None -> ()
-            (* foreign-object event: fine *))
-        e.logview)
-    (Graph.events g);
-  !acc
-
 (* The full graph-based consistency (the paper's QueueConsistent). *)
 let consistent g =
-  check_matches g @ check_uniq g @ check_so_lhb g @ check_fifo g
-  @ check_empdeq g @ check_lhb_order g
-
-(* -- Abstract states (LATabs styles, Sections 2.3 and 3.1) ------------------
-
-   Replaying the commits in commit order while maintaining the abstract
-   queue [vs] checks that every commit point can be explained as an atomic
-   update of the abstract state — what the LATabs specs demand.  Strongly
-   synchronised implementations (Michael-Scott) pass; the relaxed
-   Herlihy-Wing queue does not (Section 3.2), which is precisely why the
-   paper introduces the abstract-state-free LAThb style. *)
-
-(* [require_empty] adds the SC-only condition that an empty dequeue commits
-   on a truly empty abstract state (SC-DEQ in Figure 2).  The RMC LATabs
-   specs deliberately drop it — a thread may see the queue as empty while a
-   not-yet-visible enqueue has committed (Section 2.3) — and our
-   experiments confirm that even the release-acquire Michael-Scott queue
-   admits such executions. *)
-let abstract_state ?(require_empty = false) g =
-  let events = Graph.events_by_cix g in
-  let rec go vs acc = function
-    | [] -> List.rev acc
-    | (e : Event.data) :: rest -> (
-        match e.typ with
-        | Event.Enq v -> go (vs @ [ (v, e.id) ]) acc rest
-        | Event.Deq v -> (
-            match vs with
-            | (w, e_id) :: vs' ->
-                let acc =
-                  if not (Value.equal v w) then
-                    Check.v "latabs-fifo"
-                      "dequeue %a at commit point returns %a but head is %a"
-                      Event.pp e Value.pp v Value.pp w
-                    :: acc
-                  else if not (List.mem (e_id, e.id) (Graph.so g)) then
-                    Check.v "latabs-match"
-                      "dequeue %a takes abstract head e%d but so says \
-                       otherwise"
-                      Event.pp e e_id
-                    :: acc
-                  else acc
-                in
-                go vs' acc rest
-            | [] ->
-                go vs
-                  (Check.v "latabs-nonempty"
-                     "dequeue %a commits on an empty abstract queue" Event.pp e
-                  :: acc)
-                  rest)
-        | Event.EmpDeq ->
-            let acc =
-              if require_empty && vs <> [] then
-                Check.v "latabs-empty"
-                  "empty dequeue %a commits while abstract queue holds %d \
-                   elements"
-                  Event.pp e (List.length vs)
-                :: acc
-              else acc
-            in
-            go vs acc rest
-        | _ -> go vs acc rest)
-  in
-  go [] [] events
+  check_matches g @ check_uniq g @ Check.so_lhb "queue" g @ check_fifo g
+  @ check_empdeq g @ Check.lhb_cix g

@@ -5,7 +5,10 @@ open Compass_event
 
     Quantifiers over "already committed" events are bounded by commit
     indices, so each condition is evaluated against the graph {e at the
-    commit point} of the event under inspection, as the specs demand. *)
+    commit point} of the event under inspection, as the specs demand.
+    The conditions every container states ([so ⊆ lhb], commit order) are
+    {!Check.so_lhb} and {!Check.lhb_cix}; the commit-point abstract state
+    (the LATabs styles) is {!Libspec.check}'s replay. *)
 
 val check_matches : Graph.t -> Check.violation list
 (** QUEUE-MATCHES: a dequeue returns its matched enqueue's value *)
@@ -13,9 +16,6 @@ val check_matches : Graph.t -> Check.violation list
 val check_uniq : Graph.t -> Check.violation list
 (** an element is dequeued at most once; every successful dequeue matches
     exactly one enqueue (the paper's footnote 5) *)
-
-val check_so_lhb : Graph.t -> Check.violation list
-(** [so ⊆ lhb], and so respects commit order *)
 
 val check_fifo : Graph.t -> Check.violation list
 (** QUEUE-FIFO in the paper's weak, RMC-compatible form: if [e' -lhb-> e]
@@ -27,18 +27,6 @@ val check_empdeq : Graph.t -> Check.violation list
     happens before it had already been dequeued — the condition that
     verifies the MP client (Figure 1) *)
 
-val check_lhb_order : Graph.t -> Check.violation list
-(** events only observe events of earlier steps (same-step mutual
-    observation is allowed: helped pairs, the paper's footnote 7) *)
-
 val consistent : Graph.t -> Check.violation list
-(** all of the above: the paper's QueueConsistent *)
-
-val abstract_state : ?require_empty:bool -> Graph.t -> Check.violation list
-(** Commit-point abstract-state replay (the LATabs styles, Sections 2.3
-    and 3.1): every commit must be an atomic update of the abstract queue.
-    Michael-Scott passes; the relaxed Herlihy-Wing queue fails — the
-    paper's motivation for the abstract-state-free LAThb style
-    (Section 3.2).  [require_empty] adds the SC-only condition that empty
-    dequeues find a truly empty state (SC-DEQ in Figure 2); the RMC specs
-    deliberately drop it. *)
+(** all of the above plus [queue-so-lhb], [queue-so-cix] and [lhb-cix]:
+    the paper's QueueConsistent *)

@@ -5,8 +5,6 @@ open Compass_event
    the queue instance in Figure 2 and notes in Section 4.1 that "the key
    difference is the change from FIFO to LIFO in consistency"). *)
 
-let before (a : Event.data) (b : Event.data) = Event.cix_compare a.cix b.cix < 0
-
 let check_matches g =
   List.fold_left
     (fun acc (e_id, d_id) ->
@@ -19,15 +17,6 @@ let check_matches g =
           :: acc)
     [] (Graph.so g)
 
-(* so-degree scans over the (short) edge list, allocating nothing — the
-   checkers run on every completed execution, so the all-pass path must
-   stay cheap. *)
-let out_deg so id = List.fold_left (fun n (f, _) -> if f = id then n + 1 else n) 0 so
-let in_deg so id = List.fold_left (fun n (_, t) -> if t = id then n + 1 else n) 0 so
-
-let in_src so id =
-  List.fold_left (fun s (f, t) -> if t = id then f else s) (-1) so
-
 let check_uniq g =
   let so = Graph.so g in
   let events = Graph.events g in
@@ -35,7 +24,7 @@ let check_uniq g =
   List.iter
     (fun (e : Event.data) ->
       if Event.is_push e then
-        let outs = out_deg so e.id in
+        let outs = Check.out_deg so e.id in
         if outs > 1 then
           acc :=
             Check.v "stack-uniq" "push %a popped %d times" Event.pp e outs
@@ -44,8 +33,10 @@ let check_uniq g =
   List.iter
     (fun (d : Event.data) ->
       if Event.is_pop d then
-        let ins = in_deg so d.id in
-        if not (ins = 1 && Event.is_push (Graph.find g (in_src so d.id))) then
+        let ins = Check.in_deg so d.id in
+        if
+          not (ins = 1 && Event.is_push (Graph.find g (Check.in_src so d.id)))
+        then
           acc :=
             Check.v "stack-uniq" "pop %a matched %d times (need exactly 1 push)"
               Event.pp d ins
@@ -53,30 +44,13 @@ let check_uniq g =
     events;
   List.iter
     (fun (d : Event.data) ->
-      if Event.is_emppop d && (in_deg so d.id > 0 || out_deg so d.id > 0) then
+      if
+        Event.is_emppop d
+        && (Check.in_deg so d.id > 0 || Check.out_deg so d.id > 0)
+      then
         acc := Check.v "stack-uniq" "empty pop %a has so edges" Event.pp d :: !acc)
     events;
   !acc
-
-let check_so_lhb g =
-  List.fold_left
-    (fun acc (e_id, d_id) ->
-      let e = Graph.find g e_id and d = Graph.find g d_id in
-      (* Both ends were just found in the graph, so [Graph.lhb] reduces to
-         irreflexivity + logview membership. *)
-      let acc =
-        if e_id <> d_id && Lview.mem e_id d.Event.logview then acc
-        else
-          Check.v "stack-so-lhb" "(%a, %a) in so but not lhb" Event.pp e
-            Event.pp d
-          :: acc
-      in
-      if before e d then acc
-      else
-        Check.v "stack-so-cix" "so pair (%a, %a) violates commit order"
-          Event.pp e Event.pp d
-        :: acc)
-    [] (Graph.so g)
 
 (* STACK-LIFO: if pop d takes push e, then any push e' with
    e -lhb-> e' -lhb-> d (pushed after e, visible to d) must already be
@@ -104,7 +78,7 @@ let check_lifo g =
                     f = e'.id
                     &&
                     let d' = Graph.find g t in
-                    before d' d
+                    Check.before d' d
                     && (t = d_id || not (Lview.mem d_id d'.Event.logview)))
                   so
               in
@@ -135,7 +109,9 @@ let check_emppop g =
               && Lview.mem e.id d.Event.logview
             then
               let consumed =
-                List.exists (fun (f, t) -> f = e.id && before (Graph.find g t) d) so
+                List.exists
+                  (fun (f, t) -> f = e.id && Check.before (Graph.find g t) d)
+                  so
               in
               if consumed then acc
               else
@@ -147,73 +123,6 @@ let check_emppop g =
           acc events)
     [] events
 
-(* Same-step observation is allowed: see Queue_spec.check_lhb_order. *)
-let check_lhb_order g =
-  let acc = ref [] in
-  List.iter
-    (fun (e : Event.data) ->
-      Lview.iter
-        (fun d_id ->
-          if d_id <> e.id then
-            match Graph.find_opt g d_id with
-            | Some d ->
-                if fst d.Event.cix > fst e.Event.cix then
-                  acc :=
-                    Check.v "lhb-cix" "%a observes %a which commits later"
-                      Event.pp e Event.pp d
-                    :: !acc
-            | None -> ())
-        e.logview)
-    (Graph.events g);
-  !acc
-
 let consistent g =
-  check_matches g @ check_uniq g @ check_so_lhb g @ check_lifo g
-  @ check_emppop g @ check_lhb_order g
-
-(* Commit-order abstract-state replay (the LATabs analogue for stacks).
-   [require_empty] adds the SC-only truly-empty condition; see
-   Queue_spec.abstract_state. *)
-let abstract_state ?(require_empty = false) g =
-  let events = Graph.events_by_cix g in
-  let rec go vs acc = function
-    | [] -> List.rev acc
-    | (e : Event.data) :: rest -> (
-        match e.typ with
-        | Event.Push v -> go ((v, e.id) :: vs) acc rest
-        | Event.Pop v -> (
-            match vs with
-            | (w, e_id) :: vs' ->
-                let acc =
-                  if not (Value.equal v w) then
-                    Check.v "latabs-lifo"
-                      "pop %a at commit point returns %a but top is %a"
-                      Event.pp e Value.pp v Value.pp w
-                    :: acc
-                  else if not (List.mem (e_id, e.id) (Graph.so g)) then
-                    Check.v "latabs-match"
-                      "pop %a takes abstract top e%d but so says otherwise"
-                      Event.pp e e_id
-                    :: acc
-                  else acc
-                in
-                go vs' acc rest
-            | [] ->
-                go vs
-                  (Check.v "latabs-nonempty"
-                     "pop %a commits on an empty abstract stack" Event.pp e
-                  :: acc)
-                  rest)
-        | Event.EmpPop ->
-            let acc =
-              if require_empty && vs <> [] then
-                Check.v "latabs-empty"
-                  "empty pop %a commits while abstract stack holds %d elements"
-                  Event.pp e (List.length vs)
-                :: acc
-              else acc
-            in
-            go vs acc rest
-        | _ -> go vs acc rest)
-  in
-  go [] [] events
+  check_matches g @ check_uniq g @ Check.so_lhb "stack" g @ check_lifo g
+  @ check_emppop g @ Check.lhb_cix g

@@ -6,16 +6,12 @@ open Compass_event
 
 val check_matches : Graph.t -> Check.violation list
 val check_uniq : Graph.t -> Check.violation list
-val check_so_lhb : Graph.t -> Check.violation list
 
 val check_lifo : Graph.t -> Check.violation list
 (** STACK-LIFO (weak form): if pop [d] takes [e], any push [e'] with
     [e -lhb-> e' -lhb-> d] must already be popped when [d] commits *)
 
 val check_emppop : Graph.t -> Check.violation list
-val check_lhb_order : Graph.t -> Check.violation list
 
 val consistent : Graph.t -> Check.violation list
-
-val abstract_state : ?require_empty:bool -> Graph.t -> Check.violation list
-(** commit-order abstract-state replay; see {!Queue_spec.abstract_state} *)
+(** all of the above plus [stack-so-lhb], [stack-so-cix] and [lhb-cix] *)

@@ -25,12 +25,8 @@ open Compass_event
      happens before it was already taken (the EMPDEQ analogue). *)
 
 let pushes g = List.filter Event.is_push (Graph.events g)
-let takers g = List.filter (fun e -> Event.is_pop e || Event.is_steal e) (Graph.events g)
-
-let empties g =
-  List.filter (fun e -> Event.is_emppop e || Event.is_empsteal e) (Graph.events g)
-
-let before (a : Event.data) (b : Event.data) = Event.cix_compare a.cix b.cix < 0
+let is_taker e = Event.is_pop e || Event.is_steal e
+let is_empty e = Event.is_emppop e || Event.is_empsteal e
 
 let taker_value (e : Event.data) =
   match e.Event.typ with
@@ -50,47 +46,35 @@ let check_matches g =
     [] (Graph.so g)
 
 let check_uniq g =
+  let so = Graph.so g in
+  let events = Graph.events g in
   let acc = ref [] in
   List.iter
     (fun (e : Event.data) ->
-      let outs = Graph.so_out g e.id in
-      if List.length outs > 1 then
-        acc :=
-          Check.v "ws-uniq" "push %a taken %d times" Event.pp e
-            (List.length outs)
-          :: !acc)
-    (pushes g);
+      if Event.is_push e then
+        let outs = Check.out_deg so e.id in
+        if outs > 1 then
+          acc :=
+            Check.v "ws-uniq" "push %a taken %d times" Event.pp e outs :: !acc)
+    events;
   List.iter
     (fun (d : Event.data) ->
-      match Graph.so_in g d.id with
-      | [ e_id ] when Event.is_push (Graph.find g e_id) -> ()
-      | ins ->
+      if is_taker d then
+        let ins = Check.in_deg so d.id in
+        if
+          not (ins = 1 && Event.is_push (Graph.find g (Check.in_src so d.id)))
+        then
           acc :=
             Check.v "ws-uniq" "taker %a matched %d times (need exactly 1 push)"
-              Event.pp d (List.length ins)
+              Event.pp d ins
             :: !acc)
-    (takers g);
+    events;
   List.iter
     (fun (d : Event.data) ->
-      if Graph.so_in g d.id <> [] || Graph.so_out g d.id <> [] then
-        acc := Check.v "ws-uniq" "empty op %a has so edges" Event.pp d :: !acc)
-    (empties g);
+      if is_empty d && (Check.in_deg so d.id > 0 || Check.out_deg so d.id > 0)
+      then acc := Check.v "ws-uniq" "empty op %a has so edges" Event.pp d :: !acc)
+    events;
   !acc
-
-let check_so_lhb g =
-  List.fold_left
-    (fun acc (e_id, d_id) ->
-      let e = Graph.find g e_id and d = Graph.find g d_id in
-      let acc =
-        Check.ensure acc "ws-so-lhb"
-          (Graph.lhb g ~before:e_id ~after:d_id)
-          (fun () ->
-            Format.asprintf "(%a, %a) in so but not lhb" Event.pp e Event.pp d)
-      in
-      Check.ensure acc "ws-so-cix" (before e d) (fun () ->
-          Format.asprintf "so pair (%a, %a) violates commit order" Event.pp e
-            Event.pp d))
-    [] (Graph.so g)
 
 let check_owner g =
   let owner_events =
@@ -124,7 +108,10 @@ let check_steal_order g =
     (fun acc (e1, s1) ->
       List.fold_left
         (fun acc (e2, s2) ->
-          if before s1 s2 && not (before e1 e2) && e1.Event.id <> e2.Event.id
+          if
+            Check.before s1 s2
+            && (not (Check.before e1 e2))
+            && e1.Event.id <> e2.Event.id
           then
             Check.v "ws-steal-order"
               "steal %a (of %a) before steal %a (of %a) against push order"
@@ -152,7 +139,7 @@ let check_owner_lifo g =
             then
               let taken_before =
                 List.exists
-                  (fun (f, t) -> f = e'.id && before (Graph.find g t) d)
+                  (fun (f, t) -> f = e'.id && Check.before (Graph.find g t) d)
                   so
               in
               Check.ensure acc "ws-owner-lifo" taken_before (fun () ->
@@ -189,75 +176,9 @@ let check_empty g =
                   Event.pp d Event.pp e)
           else acc)
         acc (pushes g))
-    [] (empties g)
-
-let check_lhb_order g =
-  let acc = ref [] in
-  List.iter
-    (fun (e : Event.data) ->
-      Lview.iter
-        (fun d_id ->
-          if d_id <> e.id then
-            match Graph.find_opt g d_id with
-            | Some d ->
-                if fst d.Event.cix > fst e.Event.cix then
-                  acc :=
-                    Check.v "lhb-cix" "%a observes %a which commits later"
-                      Event.pp e Event.pp d
-                    :: !acc
-            | None -> ())
-        e.logview)
-    (Graph.events g)
-  |> fun () -> !acc
+    [] (List.filter is_empty (Graph.events g))
 
 let consistent g =
-  check_matches g @ check_uniq g @ check_so_lhb g @ check_owner g
+  check_matches g @ check_uniq g @ Check.so_lhb "ws" g @ check_owner g
   @ check_steal_order g @ check_owner_lifo g @ check_empty g
-  @ check_lhb_order g
-
-(* Commit-order abstract-state replay (LATabs analogue): the deque as a
-   sequence, owner at the back, thieves at the front. *)
-let abstract_state ?(require_empty = false) g =
-  let events = Graph.events_by_cix g in
-  let mate d_id = match Graph.so_in g d_id with [ e ] -> Some e | _ -> None in
-
-  let rec go vs acc = function
-    | [] -> List.rev acc
-    | (e : Event.data) :: rest -> (
-        match e.typ with
-        | Event.Push v -> go (vs @ [ (v, e.id) ]) acc rest
-        | Event.Pop v -> (
-            match List.rev vs with
-            | (w, ins) :: front_rev
-              when Value.equal v w && mate e.id = Some ins ->
-                go (List.rev front_rev) acc rest
-            | _ ->
-                go vs
-                  (Check.v "latabs-ws-pop"
-                     "pop %a does not take the abstract back" Event.pp e
-                  :: acc)
-                  rest)
-        | Event.Steal v -> (
-            match vs with
-            | (w, ins) :: vs' when Value.equal v w && mate e.id = Some ins ->
-                go vs' acc rest
-            | _ ->
-                go vs
-                  (Check.v "latabs-ws-steal"
-                     "steal %a does not take the abstract front" Event.pp e
-                  :: acc)
-                  rest)
-        | Event.EmpPop | Event.EmpSteal ->
-            let acc =
-              if require_empty && vs <> [] then
-                Check.v "latabs-empty"
-                  "empty op %a commits while the abstract deque holds %d \
-                   elements"
-                  Event.pp e (List.length vs)
-                :: acc
-              else acc
-            in
-            go vs acc rest
-        | _ -> go vs acc rest)
-  in
-  go [] [] events
+  @ Check.lhb_cix g

@@ -14,15 +14,10 @@ open Compass_event
 
 val check_matches : Graph.t -> Check.violation list
 val check_uniq : Graph.t -> Check.violation list
-val check_so_lhb : Graph.t -> Check.violation list
 val check_owner : Graph.t -> Check.violation list
 val check_steal_order : Graph.t -> Check.violation list
 val check_owner_lifo : Graph.t -> Check.violation list
 val check_empty : Graph.t -> Check.violation list
-val check_lhb_order : Graph.t -> Check.violation list
 
 val consistent : Graph.t -> Check.violation list
-
-val abstract_state : ?require_empty:bool -> Graph.t -> Check.violation list
-(** commit-order replay of the deque (owner at the back, thieves at the
-    front) *)
+(** all of the above plus [ws-so-lhb], [ws-so-cix] and [lhb-cix] *)

@@ -80,7 +80,7 @@ let test_treiber_sequential () =
   in
   Alcotest.(check value) "LIFO + empty" (vi 219) r;
   Alcotest.(check bool) "LAThist holds" true
-    (Styles.check Styles.Hist Styles.Stack (Treiber.graph t) = [])
+    (Libspec.check Libspec.Hist Libspec.stack (Treiber.graph t) = [])
 
 let test_elimination_sequential () =
   let m = Machine.create () in
@@ -133,11 +133,11 @@ let test_msqueue_fences_hb_abs () =
      the same LATabs-hb checks pass. *)
   check_ok "msqueue-fences"
     (dfs ~max_execs:40_000
-       (Harness.queue_workload ~style:Styles.Hb_abs Msqueue_fences.instantiate
+       (Harness.queue_workload ~style:Libspec.Hb_abs Msqueue_fences.instantiate
           ~enqers:2 ~deqers:1 ~ops:1 ()));
   check_ok "msqueue-fences random"
     (rand
-       (Harness.queue_workload ~style:Styles.Hb_abs Msqueue_fences.instantiate
+       (Harness.queue_workload ~style:Libspec.Hb_abs Msqueue_fences.instantiate
           ~enqers:2 ~deqers:2 ~ops:2 ()))
 
 let test_mp_with_fence_queue () =
@@ -149,18 +149,18 @@ let test_mp_with_fence_queue () =
 
 let test_msqueue_hb_abs () =
   check_ok "msqueue"
-    (dfs (Harness.queue_workload ~style:Styles.Hb_abs Msqueue.instantiate
+    (dfs (Harness.queue_workload ~style:Libspec.Hb_abs Msqueue.instantiate
             ~enqers:2 ~deqers:1 ~ops:1 ()))
 
 let test_msqueue_mpmc () =
   check_ok "msqueue mpmc"
     (rand
-       (Harness.queue_workload ~style:Styles.Hb_abs Msqueue.instantiate
+       (Harness.queue_workload ~style:Libspec.Hb_abs Msqueue.instantiate
           ~enqers:2 ~deqers:2 ~ops:2 ()))
 
 let test_hwqueue_hb () =
   check_ok "hwqueue"
-    (dfs (Harness.queue_workload ~style:Styles.Hb Hwqueue.instantiate
+    (dfs (Harness.queue_workload ~style:Libspec.Hb Hwqueue.instantiate
             ~enqers:2 ~deqers:1 ~ops:1 ()))
 
 let test_hwqueue_fails_latabs () =
@@ -168,7 +168,7 @@ let test_hwqueue_fails_latabs () =
      commit-point abstract states.  Two concurrent enqueuers suffice: the
      FAA order and the slot-publication order diverge. *)
   let sc =
-    Harness.queue_workload ~style:Styles.So_abs Hwqueue.instantiate ~enqers:2
+    Harness.queue_workload ~style:Libspec.So_abs Hwqueue.instantiate ~enqers:2
       ~deqers:1 ~ops:1 ()
   in
   let r = Explore.dfs ~max_execs:60_000 sc in
@@ -183,18 +183,18 @@ let test_hwqueue_hist_by_search () =
   (* But a linearisation exists offline: LAThist holds via search. *)
   check_ok "hwqueue hist"
     (dfs ~max_execs:20_000
-       (Harness.queue_workload ~style:Styles.Hist Hwqueue.instantiate
+       (Harness.queue_workload ~style:Libspec.Hist Hwqueue.instantiate
           ~enqers:2 ~deqers:1 ~ops:1 ()))
 
 let test_treiber_hist () =
   check_ok "treiber hist"
-    (dfs (Harness.stack_workload ~style:Styles.Hist Treiber.instantiate
+    (dfs (Harness.stack_workload ~style:Libspec.Hist Treiber.instantiate
             ~pushers:2 ~poppers:1 ~ops:1 ()))
 
 let test_treiber_mixed () =
   check_ok "treiber mixed"
     (rand
-       (Harness.stack_mixed ~style:Styles.Hist Treiber.instantiate ~threads:3
+       (Harness.stack_mixed ~style:Libspec.Hist Treiber.instantiate ~threads:3
           ~ops:2 ()))
 
 let test_exchanger_pairs () =
@@ -225,7 +225,7 @@ let test_exchanger_array_matches () =
         let judge vs =
           if Array.exists (fun v -> not (Value.equal v Value.Null)) vs then
             incr matched;
-          Harness.first_violation
+          Libspec.first_violation
             (Exchanger_spec.consistent (Exchanger_array.graph x))
         in
         ([ t (vi 1); t (vi 2); t (vi 3) ], judge))
@@ -253,7 +253,7 @@ let test_exchanger_succeeds_sometimes () =
 let test_elimination_stack_consistent () =
   check_ok "es"
     (dfs ~max_execs:20_000
-       (Harness.stack_workload ~style:Styles.Hb Elimination.instantiate
+       (Harness.stack_workload ~style:Libspec.Hb Elimination.instantiate
           ~pushers:1 ~poppers:1 ~ops:1 ()))
 
 let test_elimination_composition () =
@@ -294,17 +294,17 @@ let test_lockqueue_satisfies_sc () =
   (* The SC baseline satisfies even the SC-strength spec. *)
   check_ok "lockqueue SC-abs"
     (dfs ~max_execs:40_000
-       (Harness.queue_workload ~style:Styles.Sc_abs Lockqueue.instantiate
+       (Harness.queue_workload ~style:Libspec.Sc_abs Lockqueue.instantiate
           ~enqers:2 ~deqers:1 ~ops:1 ()));
   check_ok "lockqueue random"
     (rand
-       (Harness.queue_workload ~style:Styles.Sc_abs Lockqueue.instantiate
+       (Harness.queue_workload ~style:Libspec.Sc_abs Lockqueue.instantiate
           ~enqers:2 ~deqers:2 ~ops:2 ()))
 
 let test_lockstack_satisfies_sc () =
   check_ok "lockstack SC-abs"
     (dfs ~max_execs:40_000
-       (Harness.stack_workload ~style:Styles.Sc_abs Lockstack.instantiate
+       (Harness.stack_workload ~style:Libspec.Sc_abs Lockstack.instantiate
           ~pushers:2 ~poppers:1 ~ops:1 ()))
 
 (* -- Chase-Lev work-stealing deque (E8) ------------------------------------------ *)

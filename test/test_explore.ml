@@ -159,8 +159,18 @@ let test_incremental_equivalence () =
    so the report alone cannot tell a corrupted history: the observation
    counts must agree too. *)
 let litmus_incremental_eq ?config ?(reduce = Machine.RNone) mk =
-  let ok_seq, r_seq, obs_seq =
-    Litmus.verdict ?config ~reduce ~incremental:false (mk ())
+  let t = mk () in
+  let r_seq =
+    Explore.dfs ~max_execs:100_000 ~reduce ~incremental:false ?config
+      t.Litmus.scenario
+  in
+  let obs_seq = Atomic.get t.Litmus.observed in
+  let ok_seq =
+    Explore.ok r_seq
+    &&
+    match t.Litmus.expect with
+    | `Observable -> obs_seq > 0
+    | `Forbidden -> obs_seq = 0
   in
   let ok_inc, r_inc, obs_inc = Litmus.verdict ?config ~reduce (mk ()) in
   let name =

@@ -13,6 +13,10 @@ let conds vs = List.map (fun (c : Check.violation) -> c.Check.cond) vs
 
 let has_cond c vs = List.mem c (conds vs)
 
+(* The LATabs legs: the commit-order replay, without and with SC-DEQ. *)
+let abs g = Libspec.check Libspec.So_abs Libspec.queue g
+let sc_abs g = Libspec.check Libspec.Sc_abs Libspec.queue g
+
 let test_good_graph () =
   (* Two enqueues by one thread, dequeued FIFO. *)
   let g =
@@ -26,7 +30,7 @@ let test_good_graph () =
       [ (0, 2); (1, 3) ]
   in
   Alcotest.(check (list string)) "consistent" [] (conds (Queue_spec.consistent g));
-  Alcotest.(check (list string)) "abs ok" [] (conds (Queue_spec.abstract_state g))
+  Alcotest.(check (list string)) "abs ok" [] (conds (abs g))
 
 let test_matches () =
   let g = mk_graph [ enq 0 1 [] 1; deq 1 2 [ 0 ] 2 ] [ (0, 1) ] in
@@ -129,19 +133,19 @@ let test_abs_fifo_violation () =
       [ (1, 2) ]
   in
   Alcotest.(check bool) "latabs-fifo" true
-    (has_cond "latabs-fifo" (Queue_spec.abstract_state g))
+    (has_cond "latabs-fifo" (abs g))
 
 let test_abs_empty_default_lenient () =
   let g = mk_graph [ enq 0 1 [] 1; empdeq 1 [] 2 ] [] in
   Alcotest.(check (list string)) "RMC abs allows non-empty empdeq" []
-    (conds (Queue_spec.abstract_state g));
+    (conds (abs g));
   Alcotest.(check bool) "SC abs rejects it" true
-    (has_cond "latabs-empty" (Queue_spec.abstract_state ~require_empty:true g))
+    (has_cond "latabs-empty" (sc_abs g))
 
 let test_abs_deq_on_empty () =
   let g = mk_graph [ deq 0 1 [] 1; enq 1 1 [] 2 ] [ (1, 0) ] in
   Alcotest.(check bool) "dequeue before any enqueue" true
-    (has_cond "latabs-nonempty" (Queue_spec.abstract_state g))
+    (has_cond "latabs-nonempty" (abs g))
 
 let test_abs_match_respects_so () =
   (* Two enqueues of the SAME value; the dequeue so-matches the second but
@@ -152,7 +156,7 @@ let test_abs_match_respects_so () =
       [ (1, 2) ]
   in
   Alcotest.(check bool) "so-mismatched head" true
-    (has_cond "latabs-match" (Queue_spec.abstract_state g))
+    (has_cond "latabs-match" (abs g))
 
 (* Styles dispatch. *)
 let test_styles_check () =
@@ -162,9 +166,9 @@ let test_styles_check () =
   List.iter
     (fun style ->
       Alcotest.(check (list string))
-        (Styles.style_name style) []
-        (conds (Styles.check style Styles.Queue good)))
-    Styles.all_styles
+        (Libspec.style_name style) []
+        (conds (Libspec.check style Libspec.queue good)))
+    Libspec.all_styles
 
 let test_tally () =
   let t = Styles.fresh_tally () in

@@ -10,7 +10,8 @@ open Compass_clients
      unique, payloads match their declared names, duplicates are
      rejected;
    - the generic [Libspec.check] is byte-identical to the legacy per-kind
-     checker compositions on explored executions (differential);
+     checker compositions on explored executions, and its LATabs legs to
+     the per-kind replays on random graphs (differential);
    - every entry's smoke workload explores cleanly — or violates, for
      the checked-in broken fixtures;
    - the spec object sits at the top of the ladder (SC-abs on every
@@ -99,11 +100,12 @@ let test_style_names_round_trip () =
 
 (* --- differential: generic checker vs the legacy compositions ------ *)
 
-(* The per-kind dispatch [Styles.check] used to hand-compose: replicate
-   it here from the primitive spec modules, with the LAThist leg decided
-   by the [Linearize] oracle (commit-order fast path, then its own
-   search at the 200k budget the checker gave it), and demand
-   byte-identical violation lists from the generic [Libspec.check]. *)
+(* The per-kind composition the generic checker replaces, rebuilt from
+   the primitive spec modules: the LATabs legs by the per-kind
+   [Latabs_replay] oracle, the LAThist leg by the [Linearize] oracle
+   (commit-order fast path, then its own search at the 200k budget the
+   checker gave it).  The generic [Libspec.check] must give
+   byte-identical violation lists. *)
 let oracle_kind = function
   | Libspec.Queue -> Linearize.Queue
   | Libspec.Stack -> Linearize.Stack
@@ -112,9 +114,9 @@ let oracle_kind = function
 let legacy_check style kind g =
   let consistent, abstract =
     match (kind : Libspec.kind) with
-    | Libspec.Queue -> (Queue_spec.consistent, Queue_spec.abstract_state)
-    | Libspec.Stack -> (Stack_spec.consistent, Stack_spec.abstract_state)
-    | Libspec.Deque -> (Ws_spec.consistent, Ws_spec.abstract_state)
+    | Libspec.Queue -> (Queue_spec.consistent, Latabs_replay.queue)
+    | Libspec.Stack -> (Stack_spec.consistent, Latabs_replay.stack)
+    | Libspec.Deque -> (Ws_spec.consistent, Latabs_replay.deque)
   in
   match (style : Libspec.style) with
   | Libspec.So_abs -> abstract g
@@ -231,21 +233,39 @@ let test_differential_gave_up () =
           (fun (v : Check.violation) -> v.Check.cond)
           (Libspec.check Libspec.Hist Libspec.stack g)))
 
-let test_styles_shim_agrees () =
-  (* the [Styles] compatibility shim must agree with [Libspec.check] on
-     an empty graph for every kind and style (the full agreement is the
-     differential above — this pins the re-export wiring) *)
-  let g = Graph.create ~obj:0 ~name:"empty" in
-  List.iter
-    (fun kind ->
-      List.iter
-        (fun style ->
-          Alcotest.(check (list string))
-            "shim agrees"
-            (render (Libspec.check style (Libspec.of_kind kind) g))
-            (render (Styles.check style kind g)))
-        Libspec.all_styles)
-    [ Libspec.Queue; Libspec.Stack; Libspec.Deque ]
+(* Random graphs the explorer never builds: events of every kind's
+   vocabulary mixed (so some lie outside the replayed kind's), values that
+   repeat, and so edges in any number between any events.  The LATabs legs
+   must still give the oracle's violation lists, SC-DEQ on and off. *)
+let gen_replay_case =
+  QCheck.Gen.(
+    let typ =
+      let* v = map Helpers.vi (int_range 1 3) in
+      oneofl
+        [
+          Event.Enq v; Event.Deq v; Event.EmpDeq; Event.Push v; Event.Pop v;
+          Event.EmpPop; Event.Steal v; Event.EmpSteal;
+        ]
+    in
+    let* kind = oneofl [ Libspec.Queue; Libspec.Stack; Libspec.Deque ] in
+    let* n = int_range 1 8 in
+    let* typs = list_repeat n typ in
+    let* so =
+      list_size (int_bound 6) (pair (int_bound (n - 1)) (int_bound (n - 1)))
+    in
+    return (kind, List.mapi (fun i t -> (i, t, [], i + 1)) typs, so))
+
+let test_replay_random =
+  Helpers.qtest
+    (QCheck.Test.make ~count:2_000
+       ~name:"check: generic = legacy LATabs replay on random graphs"
+       (QCheck.make gen_replay_case) (fun (kind, events, so) ->
+         let g = Helpers.mk_graph events so in
+         List.for_all
+           (fun style ->
+             legacy_check style kind g
+             = Libspec.check style (Libspec.of_kind kind) g)
+           [ Libspec.So_abs; Libspec.Sc_abs ]))
 
 (* --- registry smoke ------------------------------------------------ *)
 
@@ -268,7 +288,7 @@ let test_smoke_all_entries () =
 
 let test_spec_object_sc_queue () =
   let sc =
-    Harness.queue_workload ~style:Styles.Sc_abs (Specobj.queue ()) ~enqers:2
+    Harness.queue_workload ~style:Libspec.Sc_abs (Specobj.queue ()) ~enqers:2
       ~deqers:1 ~ops:1 ()
   in
   let r = Explore.dfs ~max_execs:100_000 sc in
@@ -280,7 +300,7 @@ let test_spec_object_sc_queue () =
 
 let test_spec_object_sc_stack () =
   let sc =
-    Harness.stack_workload ~style:Styles.Sc_abs (Specobj.stack ()) ~pushers:2
+    Harness.stack_workload ~style:Libspec.Sc_abs (Specobj.stack ()) ~pushers:2
       ~poppers:1 ~ops:1 ()
   in
   let r = Explore.dfs ~max_execs:100_000 sc in
@@ -330,8 +350,7 @@ let suite =
       test_differential_chaselev;
     Alcotest.test_case "check: generic = legacy when the search gives up"
       `Slow test_differential_gave_up;
-    Alcotest.test_case "check: Styles shim agrees with Libspec" `Quick
-      test_styles_shim_agrees;
+    test_replay_random;
     Alcotest.test_case "registry: smoke workloads (broken fixtures violate)"
       `Slow test_smoke_all_entries;
     Alcotest.test_case "specobj: queue satisfies SC-abs" `Slow

@@ -11,6 +11,10 @@ let emppop id preds step = (id, Event.EmpPop, preds, step)
 let conds vs = List.map (fun (c : Check.violation) -> c.Check.cond) vs
 let has_cond c vs = List.mem c (conds vs)
 
+(* The LATabs legs: the commit-order replay, without and with SC-DEQ. *)
+let abs g = Libspec.check Libspec.So_abs Libspec.stack g
+let sc_abs g = Libspec.check Libspec.Sc_abs Libspec.stack g
+
 let test_good_lifo () =
   (* push 1, push 2, pop 2, pop 1 — sequential LIFO. *)
   let g =
@@ -24,7 +28,7 @@ let test_good_lifo () =
       [ (1, 2); (0, 3) ]
   in
   Alcotest.(check (list string)) "consistent" [] (conds (Stack_spec.consistent g));
-  Alcotest.(check (list string)) "abs ok" [] (conds (Stack_spec.abstract_state g))
+  Alcotest.(check (list string)) "abs ok" [] (conds (abs g))
 
 let test_matches () =
   let g = mk_graph [ push 0 1 [] 1; pop 1 2 [ 0 ] 2 ] [ (0, 1) ] in
@@ -96,7 +100,7 @@ let test_eliminated_pair () =
   Alcotest.(check (list string)) "eliminated pair consistent" []
     (conds (Stack_spec.consistent g));
   Alcotest.(check (list string)) "abs replay fine" []
-    (conds (Stack_spec.abstract_state g))
+    (conds (abs g))
 
 let test_abs_lifo () =
   (* Commit order: push1 push2 pop1 — top is 2. *)
@@ -106,19 +110,19 @@ let test_abs_lifo () =
       [ (0, 2) ]
   in
   Alcotest.(check bool) "latabs-lifo" true
-    (has_cond "latabs-lifo" (Stack_spec.abstract_state g))
+    (has_cond "latabs-lifo" (abs g))
 
 let test_abs_empty_modes () =
   let g = mk_graph [ push 0 1 [] 1; emppop 1 [] 2 ] [] in
   Alcotest.(check (list string)) "RMC lenient" []
-    (conds (Stack_spec.abstract_state g));
+    (conds (abs g));
   Alcotest.(check bool) "SC strict" true
-    (has_cond "latabs-empty" (Stack_spec.abstract_state ~require_empty:true g))
+    (has_cond "latabs-empty" (sc_abs g))
 
 let test_abs_pop_on_empty () =
   let g = mk_graph [ pop 0 1 [] 1; push 1 1 [] 2 ] [ (1, 0) ] in
   Alcotest.(check bool) "pop before any push" true
-    (has_cond "latabs-nonempty" (Stack_spec.abstract_state g))
+    (has_cond "latabs-nonempty" (abs g))
 
 let suite =
   [

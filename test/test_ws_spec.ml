@@ -12,6 +12,9 @@ let empsteal id preds step = (id, Event.EmpSteal, preds, step)
 let conds vs = List.map (fun (c : Check.violation) -> c.Check.cond) vs
 let has_cond c vs = List.mem c (conds vs)
 
+(* The LATabs leg: the commit-order replay of the deque. *)
+let abs g = Libspec.check Libspec.So_abs Libspec.deque g
+
 (* Like mk_graph but with explicit tids (owner vs thieves matter here). *)
 let mk_graph_tid events so =
   let g = Graph.create ~obj:0 ~name:"dq" in
@@ -48,7 +51,7 @@ let test_good () =
       [ (1, 2); (0, 3) ]
   in
   Alcotest.(check (list string)) "consistent" [] (conds (Ws_spec.consistent g));
-  Alcotest.(check (list string)) "abs ok" [] (conds (Ws_spec.abstract_state g))
+  Alcotest.(check (list string)) "abs ok" [] (conds (abs g))
 
 let test_matches () =
   let g =
@@ -147,7 +150,7 @@ let test_abs_replay () =
       [ (0, 2); (1, 3) ]
   in
   Alcotest.(check (list string)) "abs replay ok" []
-    (conds (Ws_spec.abstract_state g));
+    (conds (abs g));
   (* A steal taking the back instead of the front. *)
   let bad =
     mk_graph_tid
@@ -159,7 +162,7 @@ let test_abs_replay () =
       [ (1, 2) ]
   in
   Alcotest.(check bool) "steal from the back flagged" true
-    (has_cond "latabs-ws-steal" (Ws_spec.abstract_state bad))
+    (has_cond "latabs-ws-steal" (abs bad))
 
 let test_linearize_deque () =
   (* The reservation shape is linearisable by reordering: push,
@@ -191,7 +194,7 @@ let test_linearize_deque () =
   | _ -> Alcotest.fail "shared search: expected linearizable");
   (* Styles dispatch covers Deque, LAThist included. *)
   Alcotest.(check bool) "styles hist" true
-    (Styles.check Styles.Hist Styles.Deque g = [])
+    (Libspec.check Libspec.Hist Libspec.deque g = [])
 
 let suite =
   [
