@@ -428,7 +428,11 @@ let client_cmd =
         if Atomic.get st.Mp.right_empty > 0 then 1 else code
     | `Mp_weak ->
         let st = Mp.fresh_stats () in
-        let code = finish (explore (Mp.make_weak factory st)) in
+        let code =
+          finish
+            (explore
+               (Mp.make ~flag_write:Mode.Rlx ~flag_read:Mode.Rlx factory st))
+        in
         Format.printf "%a@." Mp.pp_stats st;
         Format.printf
           "(the empty outcome above is the point: no synchronisation, no \

@@ -14,6 +14,7 @@
    deqPerm counting protocol of Figure 3.  This is the model-checking
    counterpart of the paper's Iris proof. *)
 
+open Compass_rmc
 open Compass_machine
 open Compass_dstruct
 open Compass_clients
@@ -40,7 +41,10 @@ let () =
      cannot exclude and the paper's hb-tracking specs do. *)
   Format.printf "== Ablation: relaxed flag (no view transfer) ==@.@.";
   let stats_weak = Mp.fresh_stats () in
-  let report_weak = Explore.dfs ~max_execs:400_000 (Mp.make_weak queue stats_weak) in
+  let report_weak =
+    Explore.dfs ~max_execs:400_000
+      (Mp.make ~flag_write:Mode.Rlx ~flag_read:Mode.Rlx queue stats_weak)
+  in
   Format.printf "%a@.@.%a@.@." Explore.pp_report report_weak Mp.pp_stats stats_weak;
 
   if

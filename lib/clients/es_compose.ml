@@ -75,7 +75,7 @@ let simulation_violations (t : Elimination.t) =
     ]
   else []
 
-let make ?(style = Libspec.Hb) ?(pushers = 1) ?(poppers = 2) ?(ops = 1)
+let make ?(pushers = 1) ?(poppers = 2) ?(ops = 1)
     (st : stats) =
   Harness.scenario
     ~name:(Printf.sprintf "es-compose[%d push, %d pop]" pushers poppers)
@@ -104,7 +104,7 @@ let make ?(style = Libspec.Hb) ?(pushers = 1) ?(poppers = 2) ?(ops = 1)
           (Atomic.fetch_and_add st.eliminated (List.length (Graph.so ex_g) / 2));
         ignore (Atomic.fetch_and_add st.via_base (Graph.size base_g));
         Libspec.(
-          graph_judge style stack es_g
+          graph_judge Hb stack es_g
           &&& graph_judge Hb stack base_g
           &&& fun _ -> first_violation (Exchanger_spec.consistent ex_g))
           vs

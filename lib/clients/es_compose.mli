@@ -21,7 +21,6 @@ val fresh_stats : unit -> stats
 val simulation_violations : Elimination.t -> Check.violation list
 
 val make :
-  ?style:Libspec.style ->
   ?pushers:int ->
   ?poppers:int ->
   ?ops:int ->

@@ -41,7 +41,8 @@ val matrix :
   matrix_cell list
 (** the raw spec-style satisfaction matrix (E2): every style on each
     registry entry with a ladder — the paper's implementations and the
-    lock-based SC baselines *)
+    lock-based SC baselines.  Each entry's client is explored once and
+    every execution is judged under every style. *)
 
 val pp_matrix : Format.formatter -> matrix_cell list -> unit
 

@@ -1,6 +1,5 @@
 open Compass_rmc
 open Compass_machine
-open Compass_spec
 open Compass_dstruct
 
 (** The Message-Passing client of queues — the paper's Figure 1 and its
@@ -36,12 +35,11 @@ val excluded : m0_size:int -> other_deqs:int -> bool
 val make :
   ?flag_write:Mode.access ->
   ?flag_read:Mode.access ->
-  ?style:Libspec.style ->
   Iface.queue_factory ->
   stats ->
   Explore.scenario
-
-val make_weak : Iface.queue_factory -> stats -> Explore.scenario
-(** the ablation: a relaxed flag transfers no views; the empty outcome
-    becomes observable (counted as [right_empty], not a violation — the
-    queue itself stays consistent) *)
+(** The client judged by LAThb.  The flag defaults to a release write and
+    an acquire await.  [~flag_write:Rlx ~flag_read:Rlx] is the ablation:
+    a relaxed flag transfers no view, so the empty outcome becomes
+    observable (counted as [right_empty], not a violation — the queue
+    itself stays consistent) and LAThb excludes it nowhere. *)

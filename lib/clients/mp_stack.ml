@@ -27,7 +27,7 @@ let fresh_stats () =
     right_empty = Atomic.make 0;
   }
 
-let make ?(style = Libspec.Hb) (factory : Iface.stack_factory) (st : stats) =
+let make (factory : Iface.stack_factory) (st : stats) =
   Harness.scenario
     ~name:(Printf.sprintf "mp-stack[%s]" factory.s_name)
     (fun m ->
@@ -59,6 +59,6 @@ let make ?(style = Libspec.Hb) (factory : Iface.stack_factory) (st : stats) =
             (Printf.sprintf "popPerm violated: %d successful pops" so_size)
         else if Value.equal vs.(2) Value.Null then
           Explore.Violation "right thread's pop returned empty"
-        else Libspec.graph_judge style Libspec.stack s.Iface.s_graph vs
+        else Libspec.graph_judge Libspec.Hb Libspec.stack s.Iface.s_graph vs
       in
       ([ left; middle; right ], judge))

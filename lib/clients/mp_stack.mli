@@ -1,4 +1,3 @@
-open Compass_spec
 open Compass_machine
 open Compass_dstruct
 
@@ -15,4 +14,5 @@ type stats = {
 }
 
 val fresh_stats : unit -> stats
-val make : ?style:Libspec.style -> Iface.stack_factory -> stats -> Explore.scenario
+val make : Iface.stack_factory -> stats -> Explore.scenario
+(** judged by LAThb *)

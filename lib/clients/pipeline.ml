@@ -20,7 +20,7 @@ type stats = { executions : int Atomic.t }
 
 let fresh_stats () = { executions = Atomic.make 0 }
 
-let make ?(style = Libspec.Hb) ?(n = 2) ?(retries = 24)
+let make ?(n = 2) ?(retries = 24)
     (f1 : Iface.queue_factory) (f2 : Iface.queue_factory)
     (st : stats) =
   Harness.scenario
@@ -65,8 +65,8 @@ let make ?(style = Libspec.Hb) ?(n = 2) ?(retries = 24)
                Value.pp vs.(2) expected)
         else
           Libspec.(
-            graph_judge style queue q1.Iface.q_graph
-            &&& graph_judge style queue q2.Iface.q_graph)
+            graph_judge Hb queue q1.Iface.q_graph
+            &&& graph_judge Hb queue q2.Iface.q_graph)
             vs
       in
       ([ source; stage; sink ], judge))

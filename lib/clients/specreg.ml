@@ -86,11 +86,11 @@ let entries () =
         "the checked-in publication-relaxed Michael-Scott mutant (its \
          baseline must fail)";
       spec = Libspec.queue;
-      impl = Queue Msqueue_weak.instantiate;
+      impl = Queue Msqueue.relaxed_publication;
       ladder = [];
-      site_prefix = Some "msqueue_weak.";
-      scenarios = [ mp_queue Msqueue_weak.instantiate ];
-      smoke = mp_queue Msqueue_weak.instantiate;
+      site_prefix = Some "msqueue.";
+      scenarios = [ mp_queue Msqueue.relaxed_publication ];
+      smoke = mp_queue Msqueue.relaxed_publication;
       expect_violation = true;
       refinable = true;
     };

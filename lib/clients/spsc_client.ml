@@ -21,7 +21,7 @@ type stats = { executions : int Atomic.t; empties : int Atomic.t }
 
 let fresh_stats () = { executions = Atomic.make 0; empties = Atomic.make 0 }
 
-let make ?(style = Libspec.Hb) ?(n = 3) ?(retries = 16)
+let make ?(n = 3) ?(retries = 16)
     (factory : Iface.queue_factory) (st : stats) =
   Harness.scenario
     ~name:(Printf.sprintf "spsc[%s, n=%d]" factory.q_name n)
@@ -73,10 +73,10 @@ let make ?(style = Libspec.Hb) ?(n = 3) ?(retries = 16)
         Machine.join_views m;
         let vp = read a_p and vc = read a_c in
         if Value.equal vp vc then
-          (* The requested style, plus the *derived* SPSC spec of
+          (* LAThb, plus the *derived* SPSC spec of
              Section 3.2: strict FIFO and counted empty dequeues. *)
           Libspec.(
-            graph_judge style queue q.Iface.q_graph
+            graph_judge Hb queue q.Iface.q_graph
             &&& fun _ -> first_violation (Spsc_spec.consistent q.Iface.q_graph))
             _vs
         else

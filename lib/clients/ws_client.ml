@@ -46,7 +46,7 @@ let pp_stats ppf s =
 let task i = Value.Int (500 + i)
 
 let make ?(weak_fences = false) ?(tasks = 2) ?(thieves = 1) ?(steals = 1)
-    ?(style = Libspec.Hist) (st : stats) =
+    (st : stats) =
   Harness.scenario
     ~name:
       (Printf.sprintf "work-stealing[%d tasks, %d thieves%s]" tasks thieves
@@ -111,6 +111,6 @@ let make ?(weak_fences = false) ?(tasks = 2) ?(thieves = 1) ?(steals = 1)
                  | _ -> false)
                taken)
         then Explore.Violation "a non-task value was taken"
-        else Libspec.graph_judge style Libspec.deque g _vs
+        else Libspec.graph_judge Libspec.Hist Libspec.deque g _vs
       in
       (owner :: List.init thieves thief, judge))

@@ -1,11 +1,10 @@
 open Compass_rmc
-open Compass_spec
 open Compass_machine
 
 (** A work-stealing scheduler client for the Chase-Lev deque (experiment
     E8).  The owner pushes distinct tasks and drains; thieves steal.
     Checked per execution: conservation (no task lost or duplicated),
-    WsDequeConsistent, and the requested spec style (LAThist by default).
+    WsDequeConsistent, and LAThist.
     [weak_fences] runs the broken ablation in which the checker exhibits
     the double-take. *)
 
@@ -27,6 +26,5 @@ val make :
   ?tasks:int ->
   ?thieves:int ->
   ?steals:int ->
-  ?style:Libspec.style ->
   stats ->
   Explore.scenario

@@ -3,11 +3,11 @@
     commit Yacovet events at their commit points:
 
     - {!Msqueue}: Michael-Scott queue, pure release-acquire (LATabs-hb);
+      its [relaxed_publication] factory runs the same body with the
+      enqueue's CASes relaxed — a deliberately broken regression fixture
+      for the synchronization analyzer;
     - {!Msqueue_fences}: the same algorithm with relaxed accesses and
       explicit release/acquire fences — spec-equivalent;
-    - {!Msqueue_weak}: the same algorithm with *relaxed* publication — a
-      deliberately broken regression fixture for the synchronization
-      analyzer;
     - {!Hwqueue}: weak Herlihy-Wing queue, rel enq / acq deq (LAThb);
     - {!Treiber}: relaxed Treiber stack (LAThist);
     - {!Exchanger}: single-slot exchanger with helping (Section 4.2);
@@ -23,7 +23,6 @@
 module Iface = Iface
 module Msqueue = Msqueue
 module Msqueue_fences = Msqueue_fences
-module Msqueue_weak = Msqueue_weak
 module Hwqueue = Hwqueue
 module Treiber = Treiber
 module Exchanger = Exchanger

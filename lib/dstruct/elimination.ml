@@ -165,11 +165,8 @@ let instantiate : Iface.stack_factory =
       (fun m ~name ->
         let t = create m ~name in
         {
-          Iface.s_kind = "elimination";
-          s_graph = t.graph;
+          Iface.s_graph = t.graph;
           push = (fun v -> push t v);
           pop = (fun () -> pop t);
-          try_push = (fun v -> try_push t v);
-          try_pop = (fun () -> try_pop t);
         });
   }

@@ -163,7 +163,6 @@ let exchange ?extra t v1 =
 let instantiate m ~name : Iface.exchanger =
   let t = create m ~name in
   {
-    Iface.x_kind = "slot-exchanger";
-    x_graph = t.graph;
+    Iface.x_graph = t.graph;
     exchange = (fun v -> exchange t v);
   }

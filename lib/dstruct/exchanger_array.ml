@@ -40,7 +40,6 @@ let exchange ?(extra = fun _ -> []) t v1 =
 let instantiate ?slots m ~name : Iface.exchanger =
   let t = create ?slots m ~name in
   {
-    Iface.x_kind = "exchanger-array";
-    x_graph = t.graph;
+    Iface.x_graph = t.graph;
     exchange = (fun v -> exchange t v);
   }

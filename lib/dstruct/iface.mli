@@ -11,7 +11,6 @@ open Compass_machine
     against several implementations. *)
 
 type queue = {
-  q_kind : string;  (** implementation name, for reports *)
   q_graph : Graph.t;
   enq : Value.t -> unit Prog.t;
       (** enqueue; commits an [Enq v] event at its commit point *)
@@ -21,20 +20,12 @@ type queue = {
 }
 
 type stack = {
-  s_kind : string;
   s_graph : Graph.t;
   push : Value.t -> unit Prog.t;
   pop : unit -> Value.t Prog.t;  (** [Value.Null] for the empty case *)
-  try_push : Value.t -> Value.t Prog.t;
-      (** single attempt: [Int 1] on success, [Fail] on contention — the
-          paper's [try_push'] (Section 4.1) *)
-  try_pop : unit -> Value.t Prog.t;
-      (** single attempt: the value, [Null] for empty, [Fail] on
-          contention — the paper's [try_pop'] *)
 }
 
 type exchanger = {
-  x_kind : string;
   x_graph : Graph.t;
   exchange : Value.t -> Value.t Prog.t;
       (** [exchange v] gives [v] (must not be [Null]) and returns the

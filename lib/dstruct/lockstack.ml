@@ -4,9 +4,7 @@ open Compass_machine
 open Prog.Syntax
 
 (* Coarse-grained lock-based stack — the stack-side SC baseline; see
-   Lockqueue for the rationale.  Also provides the try-operations, so it
-   can serve as an (elimination-free) base stack in composition tests:
-   its try ops never fail on contention — they just wait for the lock. *)
+   Lockqueue for the rationale. *)
 
 (* Block: [0] lock, [1] top index, [2..2+cap) slots (pointers to
    [value; eid] cells). *)
@@ -95,12 +93,8 @@ let instantiate : Iface.stack_factory =
       (fun m ~name ->
         let t = create m ~name in
         {
-          Iface.s_kind = "lock-stack";
-          s_graph = t.graph;
+          Iface.s_graph = t.graph;
           push = (fun v -> push t v);
           pop = (fun () -> pop t);
-          try_push =
-            (fun v -> Prog.map (push t v) (fun () -> Value.Int 1));
-          try_pop = (fun () -> pop t);
         });
   }

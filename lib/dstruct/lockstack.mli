@@ -2,8 +2,7 @@ open Compass_rmc
 open Compass_event
 open Compass_machine
 
-(** Coarse-grained lock-based stack — see {!Lockqueue}.  Its try
-    operations never fail on contention (they wait for the lock). *)
+(** Coarse-grained lock-based stack — see {!Lockqueue}. *)
 
 type t
 

@@ -19,18 +19,30 @@ open Prog.Syntax
    Commit points:
    - enqueue: the successful CAS on the predecessor's [next] field;
    - successful dequeue: the successful CAS on [head];
-   - empty dequeue: the acquire load of [head->next] that returned null. *)
+   - empty dequeue: the acquire load of [head->next] that returned null.
+
+   The same body with the enqueue's three CASes on [next] and [tail]
+   relaxed is the registry's deliberately broken [ms-weak] fixture
+   ({!relaxed_publication}): a relaxed link publishes a message that
+   carries no view, so the dequeuer's plain loads of the node's fields
+   race with the enqueuer's initialisation. *)
 
 (* Node block: [0] value, [1] event id, [2] next. *)
 let fval p = Loc.shift (Value.to_loc_exn p) 0
 let feid p = Loc.shift (Value.to_loc_exn p) 1
 let fnext p = Loc.shift (Value.to_loc_exn p) 2
 
-type t = { head : Loc.t; tail : Loc.t; graph : Graph.t; fuel : int }
+type t = {
+  head : Loc.t;
+  tail : Loc.t;
+  graph : Graph.t;
+  fuel : int;
+  publish : Mode.access;  (** the enqueue's link, swing and help CASes *)
+}
 
 let default_fuel = 32
 
-let create ?(fuel = default_fuel) m ~name =
+let build ~publish ?(fuel = default_fuel) m ~name =
   let graph = Machine.new_graph m ~name in
   let q = Machine.alloc m ~name 2 in
   let sentinel = Machine.alloc m ~name:(name ^ ".sent") 3 in
@@ -44,8 +56,9 @@ let create ?(fuel = default_fuel) m ~name =
              let* () = Prog.store (Loc.shift q 0) (Value.Ptr sentinel) Mode.Na in
              Prog.store (Loc.shift q 1) (Value.Ptr sentinel) Mode.Na)))
   in
-  { head = Loc.shift q 0; tail = Loc.shift q 1; graph; fuel }
+  { head = Loc.shift q 0; tail = Loc.shift q 1; graph; fuel; publish }
 
+let create = build ~publish:Mode.AcqRel
 let graph t = t.graph
 
 let enq ?(extra = fun _ -> []) t v =
@@ -72,13 +85,13 @@ let enq ?(extra = fun _ -> []) t v =
       | Value.Null ->
           let* _, ok =
             Prog.cas ~site:"msqueue.enq.link_cas" (fnext tl)
-              ~expected:Value.Null ~desired:np Mode.AcqRel ~commit
+              ~expected:Value.Null ~desired:np t.publish ~commit
           in
           if ok then
             (* Swing the tail (best effort; others may help). *)
             let* _ =
               Prog.cas ~site:"msqueue.enq.tail_swing" t.tail ~expected:tl
-                ~desired:np Mode.AcqRel
+                ~desired:np t.publish
             in
             Prog.return (Some ())
           else Prog.return None
@@ -86,7 +99,7 @@ let enq ?(extra = fun _ -> []) t v =
           (* Tail is lagging: help swing it, then retry. *)
           let* _ =
             Prog.cas ~site:"msqueue.enq.tail_help" t.tail ~expected:tl
-              ~desired:nx Mode.AcqRel
+              ~desired:nx t.publish
           in
           Prog.return None)
 
@@ -126,16 +139,18 @@ let deq ?(extra = fun _ -> []) t =
           in
           if ok then Prog.return (Some v) else Prog.return None)
 
-let instantiate : Iface.queue_factory =
+let factory ~q_name ~publish : Iface.queue_factory =
   {
-    Iface.q_name = "ms-queue";
+    Iface.q_name;
     make_queue =
       (fun m ~name ->
-        let t = create m ~name in
+        let t = build ~publish m ~name in
         {
-          Iface.q_kind = "ms-queue";
-          q_graph = t.graph;
+          Iface.q_graph = t.graph;
           enq = (fun v -> enq t v);
           deq = (fun () -> deq t);
         });
   }
+
+let instantiate = factory ~q_name:"ms-queue" ~publish:Mode.AcqRel
+let relaxed_publication = factory ~q_name:"ms-queue-weak" ~publish:Mode.Rlx

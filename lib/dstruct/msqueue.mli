@@ -26,3 +26,16 @@ val deq : ?extra:(Commit.spec list -> Commit.spec list) -> t -> Value.t Prog.t
 (** returns the value, or [Null] for the empty case *)
 
 val instantiate : Iface.queue_factory
+(** [q_name = "ms-queue"] *)
+
+val relaxed_publication : Iface.queue_factory
+(** The {e deliberately broken} queue, [q_name = "ms-queue-weak"]: this
+    body with the enqueue's three CASes on [next] and [tail] relaxed,
+    the same program as {!instantiate} run under the overrides
+    [msqueue.enq.link_cas=rlx], [msqueue.enq.tail_swing=rlx] and
+    [msqueue.enq.tail_help=rlx].  A dequeuer that reaches a node through
+    the relaxed link has not acquired the enqueuer's non-atomic
+    initialisation of [value]/[eid], so its plain loads of those fields
+    race: the counterexample the paper predicts for dropping the release
+    on publication.  The registry's [ms-weak] entry, a regression fixture
+    for the synchronization analyzer and forward simulation. *)

@@ -161,8 +161,7 @@ let instantiate : Iface.queue_factory =
       (fun m ~name ->
         let t = create m ~name in
         {
-          Iface.q_kind = "ms-queue-fences";
-          q_graph = t.graph;
+          Iface.q_graph = t.graph;
           enq = (fun v -> enq t v);
           deq = (fun () -> deq t);
         });

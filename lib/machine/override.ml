@@ -7,11 +7,16 @@ open Compass_rmc
    original program executed under an override — so a mutant counterexample
    can be replayed bit-for-bit with [compass replay --weaken site=mode].
 
+   The registry's broken [ms-weak] fixture is the same program with the
+   modes fixed at build time: [Msqueue.relaxed_publication] runs the
+   queue's one body with the enqueue's three CASes on [next] and [tail]
+   relaxed, and explores exactly like [ms] under the three overrides
+   [msqueue.enq.{link_cas,tail_swing,tail_help}=rlx] (a test pins it).
+
    Overrides only apply to labeled operations (an unlabeled op has no
    address), and only strengthen-to-weaken is meaningful: the audit never
-   asks for Na (racy-by-construction mutants are a different experiment,
-   see Msqueue_weak), but the machine does not police directions — replay
-   must be able to reproduce whatever the audit ran. *)
+   asks for Na, but the machine does not police directions — replay must
+   be able to reproduce whatever the audit ran. *)
 
 type fence_action = Weaken_fence of Mode.fence | Drop_fence
 

@@ -86,8 +86,7 @@ let queue ?(spec = Libspec.queue) () : Iface.queue_factory =
       (fun m ~name ->
         let t = create spec m ~name in
         {
-          Iface.q_kind = name_of spec;
-          q_graph = t.graph;
+          Iface.q_graph = t.graph;
           enq = (fun v -> insert t ~opname:"enq" v);
           deq = (fun () -> remove t ~opname:"deq");
         });
@@ -100,14 +99,8 @@ let stack ?(spec = Libspec.stack) () : Iface.stack_factory =
       (fun m ~name ->
         let t = create spec m ~name in
         {
-          Iface.s_kind = name_of spec;
-          s_graph = t.graph;
+          Iface.s_graph = t.graph;
           push = (fun v -> insert t ~opname:"push" v);
           pop = (fun () -> remove t ~opname:"pop");
-          try_push =
-            (fun v ->
-              let* () = insert t ~opname:"try_push" v in
-              Prog.return (Value.Int 1));
-          try_pop = (fun () -> remove t ~opname:"try_pop");
         });
   }

@@ -23,5 +23,4 @@ val queue : ?spec:Libspec.t -> unit -> Compass_dstruct.Iface.queue_factory
 (** defaults to {!Libspec.queue}; [q_name] is ["spec:" ^ spec name] *)
 
 val stack : ?spec:Libspec.t -> unit -> Compass_dstruct.Iface.stack_factory
-(** defaults to {!Libspec.stack}.  The [try_push]/[try_pop] operations
-    never fail with contention: the spec object's attempts are total. *)
+(** defaults to {!Libspec.stack} *)

@@ -1,4 +1,6 @@
+open Compass_rmc
 open Compass_machine
+open Compass_dstruct
 open Compass_clients
 open Compass_analysis
 
@@ -101,7 +103,7 @@ let test_incremental_logs_queue () =
 let weak_opts =
   { Audit.execs = 12_000; jobs = 1; reduce = Machine.RDpor }
 
-let test_msqueue_weak_violates () =
+let test_ms_weak_violates () =
   let mk = List.hd (probe "ms-weak").Compass_spec.Libspec.scenarios in
   let r =
     Explore.dfs ~max_execs:12_000 ~reduce:Machine.RDpor
@@ -109,7 +111,7 @@ let test_msqueue_weak_violates () =
   in
   Alcotest.(check bool) "violation found" true (r.Explore.violations <> [])
 
-let test_msqueue_weak_baseline_fails () =
+let test_ms_weak_baseline_fails () =
   let probe = probe "ms-weak" in
   let r =
     Audit.run ~options:weak_opts ~probe:probe.Compass_spec.Libspec.key
@@ -119,6 +121,61 @@ let test_msqueue_weak_baseline_fails () =
   Alcotest.(check bool) "failure witnessed" true
     (r.Audit.baseline_failure <> None);
   Alcotest.(check int) "no sites audited" 0 (List.length r.Audit.sites)
+
+(* The fixture is the real queue at weaker modes: ms-weak explores
+   exactly like ms under the overrides that relax the enqueue's three
+   CASes on [next] and [tail] — the same executions, violation messages
+   and scripts, searched to completion under DPOR and to a fixed budget
+   unreduced.  MP's single enqueuer never contends on [tail]; two
+   concurrent enqueuers do, and their search depends on the tail swing's
+   mode.  No workload this small depends on the helping CAS's mode;
+   test_static pins that site through the lints. *)
+let relaxed_publication =
+  List.fold_left
+    (fun o site -> Override.weaken_access site Mode.Rlx o)
+    Override.empty
+    [
+      "msqueue.enq.link_cas"; "msqueue.enq.tail_swing"; "msqueue.enq.tail_help";
+    ]
+
+let test_ms_weak_is_override () =
+  let weakened =
+    { Machine.default_config with overrides = relaxed_publication }
+  in
+  let failures (r : Explore.report) =
+    List.map
+      (fun f -> (f.Explore.message, Array.to_list (Explore.failure_script f)))
+      r.Explore.violations
+  in
+  let clients =
+    [
+      ("mp", fun f -> Mp.make f (Mp.fresh_stats ()));
+      ( "2 enqueuers",
+        fun f -> Harness.queue_workload f ~enqers:2 ~deqers:1 ~ops:1 () );
+    ]
+  in
+  List.iter
+    (fun (client, mk) ->
+      List.iter
+        (fun (leg, reduce, max_execs) ->
+          let name = client ^ ", " ^ leg in
+          let weak =
+            Explore.dfs ~reduce ~max_execs (mk Msqueue.relaxed_publication)
+          in
+          let ms =
+            Explore.dfs ~reduce ~max_execs ~config:weakened
+              (mk Msqueue.instantiate)
+          in
+          Test_explore.report_eq ~name weak ms;
+          Alcotest.(check (list (pair string (list int))))
+            (name ^ ": violations in order") (failures weak) (failures ms);
+          Alcotest.(check bool) (name ^ ": violations found") true
+            (weak.Explore.violations <> []);
+          if reduce = Machine.RDpor then
+            Alcotest.(check bool) (name ^ ": complete") true
+              weak.Explore.complete)
+        [ ("dpor", Machine.RDpor, 400_000); ("none", Machine.RNone, 5_000) ])
+    clients
 
 (* --- the mode-necessity audit on the healthy queue ----------------- *)
 
@@ -216,10 +273,12 @@ let suite =
       `Quick test_incremental_logs_litmus;
     Alcotest.test_case "instrument: logs identical across engines (ms probe)"
       `Slow test_incremental_logs_queue;
-    Alcotest.test_case "msqueue_weak: probe catches the violation" `Quick
-      test_msqueue_weak_violates;
-    Alcotest.test_case "msqueue_weak: audit baseline fails" `Slow
-      test_msqueue_weak_baseline_fails;
+    Alcotest.test_case "ms-weak: probe catches the violation" `Quick
+      test_ms_weak_violates;
+    Alcotest.test_case "ms-weak: audit baseline fails" `Slow
+      test_ms_weak_baseline_fails;
+    Alcotest.test_case "ms-weak: ms under relaxed publication" `Quick
+      test_ms_weak_is_override;
     Alcotest.test_case "audit: link_cas is Necessary" `Slow
       test_audit_link_cas_necessary;
     Alcotest.test_case "audit: tail_help is Over_strong" `Slow

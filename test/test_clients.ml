@@ -1,3 +1,4 @@
+open Compass_rmc
 open Compass_machine
 open Compass_dstruct
 open Compass_clients
@@ -53,7 +54,10 @@ let test_mp_hwqueue () =
 (* The weak-flag ablation: the empty outcome becomes observable. *)
 let test_mp_weak_flag () =
   let st = Mp.fresh_stats () in
-  let r = Explore.dfs ~max_execs:400_000 (Mp.make_weak Msqueue.instantiate st) in
+  let r =
+    Explore.dfs ~max_execs:400_000
+      (Mp.make ~flag_write:Mode.Rlx ~flag_read:Mode.Rlx Msqueue.instantiate st)
+  in
   check_ok "mp-weak (queue itself stays consistent)" r;
   Alcotest.(check bool) "empty observed without synchronisation" true
     (Atomic.get st.Mp.right_empty > 0)

@@ -21,8 +21,10 @@ let scenarios () =
   [
     ( "mp-queue",
       fun () -> Mp.make Msqueue.instantiate (Mp.fresh_stats ()) );
-    ( "ms-weak",
-      fun () -> Mp.make_weak Msqueue.instantiate (Mp.fresh_stats ()) );
+    ( "mp-queue rlx flag",
+      fun () ->
+        Mp.make ~flag_write:Mode.Rlx ~flag_read:Mode.Rlx Msqueue.instantiate
+          (Mp.fresh_stats ()) );
     ( "hw-queue",
       fun () -> Mp.make Hwqueue.instantiate (Mp.fresh_stats ()) );
     ( "treiber",

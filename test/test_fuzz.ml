@@ -52,7 +52,7 @@ let mp_rlx_scenario () =
         | Machine.Pruned -> Explore.Discard "pruned");
   }
 
-let ms_weak () = Mp.make Msqueue_weak.instantiate (Mp.fresh_stats ())
+let ms_weak () = Mp.make Msqueue.relaxed_publication (Mp.fresh_stats ())
 
 let find_violation mk =
   let r = Explore.dfs ~until_violation:true ~max_execs:200_000 (mk ()) in
@@ -150,7 +150,7 @@ let test_modes_deterministic () =
 (* -- finding the broken queue -------------------------------------------------- *)
 
 (* The seed the CI fuzz-smoke job documents: PCT at depth 3 finds the
-   Msqueue_weak violation well within 500 executions. *)
+   ms-weak violation well within 500 executions. *)
 let ci_seed = 1
 
 let test_pct_finds_ms_weak () =

@@ -37,7 +37,8 @@ let test_all_factories_registered () =
   let registered = List.map (fun e -> e.Libspec.struct_name) (Specreg.all ()) in
   let queue_factories =
     [
-      Msqueue.instantiate; Msqueue_fences.instantiate; Msqueue_weak.instantiate;
+      Msqueue.instantiate; Msqueue_fences.instantiate;
+      Msqueue.relaxed_publication;
       Hwqueue.instantiate; Lockqueue.instantiate;
     ]
   in

@@ -1,12 +1,13 @@
 open Compass_rmc
 open Compass_machine
+open Compass_dstruct
 open Compass_clients
 open Compass_analysis
 open Compass_static
 
 (* The static synchronization linter:
 
-   - the planted bug is found: msqueue_weak's relaxed publication CAS is
+   - the planted bug is found: ms-weak's relaxed publication CAS is
      a publication defect, and weakening the correct queue's link_cas
      the same way flips its report from clean to flagged — matching the
      dynamic audit's Necessary verdict for that site;
@@ -45,7 +46,7 @@ let test_ms_weak_flagged () =
     "publication defect lands on the relaxed link CAS" true
     (List.exists
        (fun (f : Lints.finding) ->
-         f.Lints.site = "msqueue_weak.enq.link_cas")
+         f.Lints.site = "msqueue.enq.link_cas")
        pubs)
 
 (* --- no false positives at declared modes --------------------------- *)
@@ -81,6 +82,34 @@ let test_weaken_flips_ms () =
   Alcotest.(check bool)
     "defect lands on the weakened site" true
     (List.mem "msqueue.enq.link_cas" (defect_sites weak))
+
+(* --- the fixture lints as the weakened queue ------------------------ *)
+
+(* ms-weak is ms's code with the enqueue's three CASes relaxed: on MP,
+   its findings, race candidates and predictions (scenario-blind) are
+   those of ms under the three overrides.  Unlike exploration, the lints
+   see the tail-helping CAS, which MP never runs. *)
+let test_ms_weak_lints_as_override () =
+  let lint ?overrides f =
+    let r =
+      Static.analyze ?overrides ~subject:"ms"
+        [ (fun () -> Mp.make f (Mp.fresh_stats ())) ]
+    in
+    ( List.sort_uniq compare (List.map Lints.fkey r.Static.findings),
+      (r.Static.race_candidates, r.Static.predicted_necessary,
+       r.Static.over_strong) )
+  in
+  let weak_f, weak_p = lint Msqueue.relaxed_publication in
+  let ms_f, ms_p =
+    lint ~overrides:Test_analysis.relaxed_publication Msqueue.instantiate
+  in
+  Alcotest.(check (list (triple string string (option string))))
+    "findings" ms_f weak_f;
+  Alcotest.(check
+              (triple (list (pair string string)) (list string) (list string)))
+    "race candidates, predicted necessary, over-strong" ms_p weak_p;
+  Alcotest.(check bool) "tail_help flagged" true
+    (List.exists (fun (_, site, _) -> site = "msqueue.enq.tail_help") weak_f)
 
 (* --- differential soundness: dynamic races \subseteq static --------- *)
 
@@ -173,6 +202,8 @@ let suite =
     Alcotest.test_case "declared modes lint clean" `Quick
       test_declared_modes_sweep;
     Alcotest.test_case "weakening link_cas flips ms" `Quick test_weaken_flips_ms;
+    Alcotest.test_case "ms-weak lints as ms under relaxed publication" `Quick
+      test_ms_weak_lints_as_override;
     Alcotest.test_case "static prioritization reaches the verdict cheaper"
       `Quick test_prioritize_static;
     Alcotest.test_case "differential: litmus races covered" `Slow
