@@ -142,32 +142,39 @@ let matrix ?(dfs_execs = 25_000) ?(rand_execs = 2_000) ?(jobs = 1)
     (fun (e : Libspec.entry) -> if e.Libspec.ladder = [] then [] else row e)
     (Specreg.all ())
 
+(* One row per implementation under a header row; each column is as wide
+   as its widest entry. *)
 let pp_matrix ppf cells =
   let impls = List.sort_uniq compare (List.map (fun c -> c.impl) cells) in
-  Format.fprintf ppf "%-14s" "impl \\ style";
+  let cell impl style =
+    match List.find_opt (fun c -> c.impl = impl && c.style = style) cells with
+    | Some c ->
+        if Styles.satisfied c.tally then "sat"
+        else
+          Printf.sprintf "FAIL %d/%d"
+            (Atomic.get c.tally.Styles.failed)
+            (Atomic.get c.tally.Styles.execs)
+    | None -> "-"
+  in
+  let rows =
+    ("impl \\ style", List.map Libspec.style_name Libspec.all_styles)
+    :: List.map
+         (fun impl -> (impl, List.map (cell impl) Libspec.all_styles))
+         impls
+  in
+  let widest entry =
+    List.fold_left (fun w r -> max w (String.length (entry r))) 0 rows
+  in
+  let first = widest fst in
+  let widths =
+    List.mapi (fun i _ -> widest (fun (_, cs) -> List.nth cs i)) Libspec.all_styles
+  in
   List.iter
-    (fun s -> Format.fprintf ppf " %-12s" (Libspec.style_name s))
-    Libspec.all_styles;
-  Format.pp_print_newline ppf ();
-  List.iter
-    (fun impl ->
-      Format.fprintf ppf "%-14s" impl;
-      List.iter
-        (fun style ->
-          match
-            List.find_opt (fun c -> c.impl = impl && c.style = style) cells
-          with
-          | Some c ->
-              Format.fprintf ppf " %-12s"
-                (if Styles.satisfied c.tally then "sat"
-                 else
-                   Printf.sprintf "FAIL %d/%d"
-                     (Atomic.get c.tally.Styles.failed)
-                     (Atomic.get c.tally.Styles.execs))
-          | None -> Format.fprintf ppf " %-12s" "-")
-        Libspec.all_styles;
+    (fun (name, cs) ->
+      Format.fprintf ppf "%-*s" first name;
+      List.iter2 (fun w c -> Format.fprintf ppf " %-*s" w c) widths cs;
       Format.pp_print_newline ppf ())
-    impls
+    rows
 
 (* The paper's expectations for the matrix are the registry ladders.
    "sat" means every explored execution passed; note SC-abs must fail for

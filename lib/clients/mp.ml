@@ -82,9 +82,11 @@ let make ?(flag_write = Mode.Rel) ?(flag_read = Mode.Acq)
   let m0_hb = if synced then 2 else 0 in
   Harness.scenario
     ~name:
-      (Printf.sprintf "mp[%s, flag %s/%s]" factory.q_name
-         (Mode.access_to_string flag_write)
-         (Mode.access_to_string flag_read))
+      ("mp[" ^ factory.q_name ^ ", flag "
+      ^ Mode.access_to_string flag_write
+      ^ "/"
+      ^ Mode.access_to_string flag_read
+      ^ "]")
     (fun m ->
       let q = factory.make_queue m ~name:"q" in
       let flag = Machine.alloc m ~name:"flag" ~init:(Value.Int 0) 1 in

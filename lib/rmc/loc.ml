@@ -59,6 +59,8 @@ let register_name ~base ~name =
       Atomic.set names (Imap.add base name (Atomic.get names));
       Mutex.unlock names_mutex
 
+let block_name = find_name
+
 let pp ppf l =
   let name =
     match find_name l.base with

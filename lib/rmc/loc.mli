@@ -30,6 +30,10 @@ val shift : t -> int -> t
 val register_name : base:int -> name:string -> unit
 (** Associate a human-readable name with a block, for printing. *)
 
+val block_name : int -> string option
+(** the name registered for a block base: the very string {!pp} prints,
+    which stays the same object until the block is renamed *)
+
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 

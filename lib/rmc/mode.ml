@@ -28,14 +28,14 @@ let valid_load = function Na | Rlx | Acq -> true | Rel | AcqRel -> false
 let valid_store = function Na | Rlx | Rel -> true | Acq | AcqRel -> false
 let valid_rmw = function Rlx | Acq | Rel | AcqRel -> true | Na -> false
 
-let pp_access ppf m =
-  Format.pp_print_string ppf
-    (match m with
-    | Na -> "na"
-    | Rlx -> "rlx"
-    | Acq -> "acq"
-    | Rel -> "rel"
-    | AcqRel -> "acq_rel")
+let access_to_string = function
+  | Na -> "na"
+  | Rlx -> "rlx"
+  | Acq -> "acq"
+  | Rel -> "rel"
+  | AcqRel -> "acq_rel"
+
+let pp_access ppf m = Format.pp_print_string ppf (access_to_string m)
 
 let pp_fence ppf f =
   Format.pp_print_string ppf
@@ -44,5 +44,3 @@ let pp_fence ppf f =
     | F_rel -> "fence_rel"
     | F_acqrel -> "fence_acq_rel"
     | F_sc -> "fence_sc")
-
-let access_to_string m = Format.asprintf "%a" pp_access m

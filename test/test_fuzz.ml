@@ -420,6 +420,138 @@ let test_uniform_fuzz_is_random () =
   Alcotest.(check bool) "the sample is not one execution repeated" true
     (Array.exists (fun l -> l <> sampled.(0)) sampled)
 
+(* The fuzz-ms benchmark workload's counts: the ms MP client under PCT
+   at depth 3, 5,000 executions from seed 1, no shrinking. *)
+let test_fuzz_ms_counts () =
+  let o =
+    Fz.Fuzz.run
+      ~options:{ (fuzz_opts ~execs:5_000 ~seed:1 ()) with Fz.Fuzz.shrink = false }
+      ms_mp
+  in
+  Alcotest.(check string) "execs, distinct, pairs, new-pair execs, corpus"
+    "execs=5000|distinct=70|pairs=16|npe=2|corpus=70"
+    (Printf.sprintf "execs=%d|distinct=%d|pairs=%d|npe=%d|corpus=%d"
+       o.Fz.Fuzz.execs o.Fz.Fuzz.distinct o.Fz.Fuzz.pairs
+       o.Fz.Fuzz.new_pair_execs o.Fz.Fuzz.corpus_size)
+
+(* -- site-pair coverage against its string-keyed oracle -------------------------
+
+   [Coverage] counts pairs of interned label ids; [Coverage_oracle]
+   formats every label and keys pairs by strings.  Fed the same logs,
+   they must agree on every execution's feedback and on every count. *)
+
+module Cov = Fz.Coverage
+module Ora = Coverage_oracle
+
+let agree here cov ora =
+  Alcotest.(check (triple int int int))
+    (here ^ ": distinct, pairs, new-pair executions")
+    (Ora.distinct ora, Ora.pair_count ora, Ora.new_pair_execs ora)
+    (Cov.distinct cov, Cov.pair_count cov, Cov.new_pair_execs cov)
+
+let note_both what cov ora logs =
+  List.iteri
+    (fun i log ->
+      let here = Printf.sprintf "%s, execution %d" what i in
+      let a = Cov.note cov log and b = Ora.note ora log in
+      Alcotest.(check (pair bool int))
+        (here ^ ": fresh, new pairs")
+        (b.Cov.fresh, b.Cov.new_pairs)
+        (a.Cov.fresh, a.Cov.new_pairs);
+      agree here cov ora)
+    logs
+
+(* [execs] access logs of a registry structure's first client, sampled
+   uniformly from seed 7, in index order. *)
+let registry_logs key ~execs =
+  match Option.bind (Specreg.find key) (fun e -> Specreg.scenario e 0) with
+  | Some mk -> Array.to_list (sampled_logs ~seed:7 ~execs mk)
+  | None -> Alcotest.failf "no registered client for %s" key
+
+let test_coverage_oracle_sampled () =
+  List.iter
+    (fun key ->
+      note_both key (Cov.create ()) (Ora.create ())
+        (registry_logs key ~execs:400))
+    [ "ms"; "ms-weak"; "treiber"; "hw" ]
+
+(* Two workers' trackers with overlapping labels met in different orders,
+   merged in worker order as [Fuzz.run] does; the merged tracker then
+   goes on noting. *)
+let test_coverage_oracle_merge () =
+  let ms = registry_logs "ms" ~execs:300 and hw = registry_logs "hw" ~execs:150 in
+  let first, second = List.partition (fun l -> Hashtbl.hash l mod 2 = 0) ms in
+  let c1 = Cov.create () and o1 = Ora.create () in
+  note_both "worker 1" c1 o1 first;
+  let c2 = Cov.create () and o2 = Ora.create () in
+  note_both "worker 2" c2 o2 (hw @ second);
+  let cov = Cov.create () and ora = Ora.create () in
+  List.iter (Cov.merge cov) [ c1; c2 ];
+  List.iter (Ora.merge ora) [ o1; o2 ];
+  agree "merged" cov ora;
+  note_both "after the merge" cov ora
+    (ms @ hw @ registry_logs "treiber" ~execs:100)
+
+(* Hand-built logs for the cases sampling may not reach: two blocks with
+   one name, the set-up thread's accesses, a site label spelled like an
+   unlabelled access's (so "t1.read" after the set-up's store to twin and
+   after the store sited "W@twin" covers one pair, not two), and a block
+   renamed between executions.  Bases this high are never handed out by
+   a machine. *)
+let test_coverage_oracle_handmade () =
+  let twin1 = Loc.make ~base:900_001 ~off:0
+  and twin2 = Loc.make ~base:900_002 ~off:1
+  and solo = Loc.make ~base:900_003 ~off:0 in
+  Loc.register_name ~base:900_001 ~name:"twin";
+  Loc.register_name ~base:900_002 ~name:"twin";
+  Loc.register_name ~base:900_003 ~name:"solo";
+  let log =
+    List.mapi
+      (fun aid (tid, loc, kind, site) ->
+        Access.Access
+          {
+            aid;
+            tid;
+            loc;
+            kind;
+            mode = Mode.Rlx;
+            read_ts = None;
+            write_ts = None;
+            site;
+          })
+      Access.
+        [
+          (-1, twin1, Store, None);
+          (-1, twin2, Store, None);
+          (-1, solo, Store, None);
+          (1, twin1, Load, Some "t1.read");
+          (0, twin1, Store, Some "W@twin");
+          (1, twin1, Load, Some "t1.read");
+          (1, twin2, Load, None);
+          (2, twin2, Load, None);
+          (0, solo, Update, None);
+          (1, solo, Load, Some "t1.solo");
+          (2, solo, Load, None);
+          (0, twin2, Store, None);
+          (2, twin2, Load, Some "t2.read");
+        ]
+  in
+  let cov = Cov.create () and ora = Ora.create () in
+  let seen = ref 0 in
+  let step what ~grows =
+    note_both what cov ora [ log ];
+    Alcotest.(check bool) (what ^ ": pairs grew") grows
+      (Cov.pair_count cov > !seen);
+    seen := Cov.pair_count cov
+  in
+  step "first execution" ~grows:true;
+  step "the same execution again" ~grows:false;
+  Loc.register_name ~base:900_003 ~name:"renamed";
+  step "solo renamed" ~grows:true;
+  (* the old name again, as a different string object *)
+  Loc.register_name ~base:900_003 ~name:(String.concat "" [ "so"; "lo" ]);
+  step "solo named back" ~grows:false
+
 let suite =
   [
     Alcotest.test_case "shrink preserves violation" `Slow
@@ -445,4 +577,12 @@ let suite =
       test_golden_fingerprints;
     Alcotest.test_case "sampler: uniform fuzz runs Explore.random's executions"
       `Slow test_uniform_fuzz_is_random;
+    Alcotest.test_case "fuzz-ms counts (ms MP, pct, seed 1)" `Slow
+      test_fuzz_ms_counts;
+    Alcotest.test_case "coverage = string-keyed oracle (sampled logs)" `Slow
+      test_coverage_oracle_sampled;
+    Alcotest.test_case "coverage = string-keyed oracle (merge)" `Slow
+      test_coverage_oracle_merge;
+    Alcotest.test_case "coverage = string-keyed oracle (hand-built logs)"
+      `Quick test_coverage_oracle_handmade;
   ]
